@@ -47,12 +47,14 @@ __all__ = [
 
 def quick_simulation(trace="venus", scheduler="lucid", n_jobs=None,
                      seed=None, tracer=None, faults=None, profile=None,
-                     series=None, lineage=None, **scheduler_kwargs):
+                     series=None, **scheduler_kwargs):
     """Generate a trace, run one scheduler over it, return the results.
 
     Pass a :class:`repro.obs.RingBufferTracer` as ``tracer`` to collect
     structured events, metrics and (for Lucid) a decision audit on the
-    returned result's ``telemetry`` field.  Pass a
+    returned result's ``telemetry`` field, or a
+    :class:`repro.obs.LineageCollector` to build the causal DAG behind
+    ``repro why``.  Pass a
     :class:`repro.faults.FaultSpec` (or a spec string accepted by
     ``FaultSpec.parse``) as ``faults`` to inject failures.  ``profile``
     and ``series`` forward to :class:`~repro.sim.engine.Simulator` to
@@ -72,5 +74,5 @@ def quick_simulation(trace="venus", scheduler="lucid", n_jobs=None,
     jobs = generator.generate()
     sched = make_scheduler(scheduler, history, **scheduler_kwargs)
     return Simulator(cluster, jobs, sched, tracer=tracer,
-                     faults=faults, profile=profile, series=series,
-                     lineage=lineage).run()
+                     faults=faults, profile=profile,
+                     series=series).run()

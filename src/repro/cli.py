@@ -758,7 +758,7 @@ def cmd_report(args) -> int:
     lineage = LineageCollector()
     simulator = Simulator(cluster, jobs, scheduler,
                           profile=profiler, series=series,
-                          lineage=lineage,
+                          tracer=lineage,
                           faults=_fault_spec(args),
                           sanitize=args.sanitize)
     result = simulator.run()
@@ -929,7 +929,7 @@ def cmd_why(args) -> int:
                   "[lineage]")
         collector = LineageCollector()
         Simulator(cluster, jobs, make_scheduler(args.scheduler, history),
-                  faults=_fault_spec(args), lineage=collector,
+                  faults=_fault_spec(args), tracer=collector,
                   sanitize=args.sanitize).run()
         source = f"{args.scheduler} × {args.trace}"
     try:

@@ -193,7 +193,6 @@ class LucidScheduler(Scheduler):
         if self.profiler is not None and self.profiler.wants(job):
             if not self.profiler.is_down:
                 self.profiler.enqueue(job)
-                self.lineage_note(job, "profiler")
                 self.trace_event("sched_submit", job, now,
                                  queue_depth=len(self.queue),
                                  routed="profiler")
@@ -202,7 +201,6 @@ class LucidScheduler(Scheduler):
             # job runs unprofiled — no sharing score means the binder
             # never packs it (conservative no-packing default).
             self._admit_to_main(job)
-            self.lineage_note(job, "main_degraded")
             self.trace_event("sched_submit", job, now,
                              queue_depth=len(self.queue),
                              routed="main_degraded")
@@ -210,7 +208,6 @@ class LucidScheduler(Scheduler):
         # Large-scale jobs skip profiling; metrics are collected on the fly.
         job.measured_profile = job.profile.with_noise(self._rng)
         self._admit_to_main(job)
-        self.lineage_note(job, "main")
         self.trace_event("sched_submit", job, now,
                          queue_depth=len(self.queue), routed="main")
 
@@ -262,12 +259,10 @@ class LucidScheduler(Scheduler):
                 and not job.profiled and job.measured_profile is None
                 and not self.profiler.is_down):
             self.profiler.enqueue(job)
-            self.lineage_note(job, "profiler")
             self.trace_event("sched_retry", job, now,
                              queue_depth=len(self.queue), routed="profiler")
             return
         self._admit_to_main(job)
-        self.lineage_note(job, "main")
         self.trace_event("sched_retry", job, now,
                          queue_depth=len(self.queue), routed="main")
 

@@ -103,13 +103,10 @@ class FaultRuntime:
         for gpu in node.gpus:
             victims.update(gpu.residents)
         engine = self._engine
-        if engine.lineage is not None:
-            engine.lineage.on_node_fail(now, node.node_id,
-                                        sorted(victims))
         if engine._tracing:
             engine.tracer.emit(now, "node_fail", None, target=target,
                                node=node.node_id, victims=sorted(victims))
-            engine.metrics.counter("fault_node_failures").inc()
+            self._count("fault_node_failures")
         logger.debug("t=%.0fs node_fail %s[%d]: %d victims", now, target,
                      index, len(victims))
         for job_id in sorted(victims):
@@ -128,12 +125,10 @@ class FaultRuntime:
         if down is not None:
             self.repair_seconds += now - down
         engine = self._engine
-        if engine.lineage is not None:
-            engine.lineage.on_node_recover(now, node.node_id)
         if engine._tracing:
             engine.tracer.emit(now, "node_recover", None, target=target,
                                node=node.node_id)
-            engine.metrics.counter("fault_node_recoveries").inc()
+            self._count("fault_node_recoveries")
 
     # ------------------------------------------------------------------
     # Job crashes and retry
@@ -182,12 +177,6 @@ class FaultRuntime:
             job.status = JobStatus.CRASHED
             delay = self.policy.backoff(job.restarts)
             engine.events.push(now + delay, EventKind.RETRY, job.job_id)
-            if engine.lineage is not None:
-                engine.lineage.on_crash(
-                    now, job.job_id, [g.gpu_id for g in gpus],
-                    cause=cause, lost=lost, backoff=delay,
-                    progress=job.progress,
-                    profiling=state.is_profiling)
             if engine._tracing:
                 engine.tracer.emit(now, "crash", job.job_id, cause=cause,
                                    restarts=job.restarts, lost=lost,
@@ -196,8 +185,7 @@ class FaultRuntime:
                                    nodes=[g.node_id for g in gpus],
                                    progress=job.progress,
                                    profiling=state.is_profiling)
-                engine.metrics.counter("fault_job_crashes").inc()
-                engine.metrics.counter("job_restarts").inc()
+                self._count("fault_job_crashes", "job_restarts")
         engine._refresh_speeds_around(gpus)
         engine.utilization.update(now)
 
@@ -212,19 +200,13 @@ class FaultRuntime:
         self.jobs_failed += 1
         logger.debug("t=%.0fs job %d failed permanently after %d restarts",
                      now, job.job_id, job.restarts)
-        if engine.lineage is not None:
-            engine.lineage.on_job_failed(
-                now, job.job_id, cause=cause,
-                gpus=[g.gpu_id for g in gpus],
-                progress=job.progress, profiling=profiling)
         if engine._tracing:
             engine.tracer.emit(now, "job_failed", job.job_id, cause=cause,
                                restarts=job.restarts,
                                gpus=[g.gpu_id for g in gpus],
                                nodes=[g.node_id for g in gpus],
-                               progress=job.progress)
-            engine.metrics.counter("fault_job_crashes").inc()
-            engine.metrics.counter("jobs_failed").inc()
+                               progress=job.progress, profiling=profiling)
+            self._count("fault_job_crashes", "jobs_failed")
         self._notify_scheduler(job, now, permanent=True)
 
     def _handle_retry(self, event, now: float) -> None:
@@ -232,12 +214,17 @@ class FaultRuntime:
         if job.status is not JobStatus.CRASHED:
             return
         job.status = JobStatus.PENDING
-        if self._engine.lineage is not None:
-            self._engine.lineage.on_retry(now, job.job_id)
         if self._engine._tracing:
             self._engine.tracer.emit(now, "retry", job.job_id,
                                      restarts=job.restarts)
         self._notify_scheduler(job, now, permanent=False)
+
+    def _count(self, *names: str) -> None:
+        """Bump engine fault counters (no-op on an unmetered engine)."""
+        metrics = self._engine.metrics
+        if metrics is not None:
+            for name in names:
+                metrics.counter(name).inc()
 
     def _notify_scheduler(self, job: Job, now: float, permanent: bool) -> None:
         scheduler = self._engine.scheduler
@@ -265,7 +252,7 @@ class FaultRuntime:
         if engine._tracing:
             engine.tracer.emit(now, "slowdown", None, target=target,
                                node=node.node_id, factor=factor)
-            engine.metrics.counter("fault_slowdowns").inc()
+            self._count("fault_slowdowns")
         engine._refresh_speeds_around(node.gpus)
 
     def _handle_slowdown_end(self, event, now: float) -> None:

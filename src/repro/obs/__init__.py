@@ -13,9 +13,9 @@ that makes the reproduction observable end to end:
   labeled metric families, Prometheus text exposition, and the
   zero-dependency ``/dashboard`` page.
 * :mod:`repro.obs.lineage` — the causal event DAG and exact JCT
-  decomposition (``Simulator(lineage=...)``): why a job was slow,
-  which jobs blocked it, the event chain that determined its JCT
-  (``repro why``), live or offline from a trace JSONL.
+  decomposition (``Simulator(tracer=LineageCollector())``): why a job
+  was slow, which jobs blocked it, the event chain that determined its
+  JCT (``repro why``), live or offline from a trace JSONL.
 * :mod:`repro.obs.timeline` — Chrome trace-event export (per-GPU lanes
   for ``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.prof` — simulator self-profiling

@@ -4,15 +4,15 @@ Answers *why was this job slow?* — the outcome-level counterpart of
 ``repro explain`` (which interprets a single placement decision).  Three
 layers:
 
-* :class:`LineageCollector` — a ``Simulator(lineage=...)`` observer
-  (``None``-when-off like the profiler and series collector) that
-  assembles the per-run **causal DAG**: every lifecycle event carries
-  the ids of the events that caused it.  A ``start`` is caused by the
-  releases (finish/preempt/crash) that freed its GPUs plus the
+* :class:`LineageCollector` — a :class:`~repro.obs.tracer.Tracer`
+  (``Simulator(tracer=LineageCollector())``) that folds the engine's
+  event stream into the per-run **causal DAG**: every lifecycle event
+  carries the ids of the events that caused it.  A ``start`` is caused
+  by the releases (finish/preempt/crash) that freed its GPUs plus the
   scheduler pass that picked it; a ``retry`` by its ``crash``; a crash
-  by the ``node_fail`` that killed the node.  The collector is strictly
-  read-only over simulation state, so ``lineage=None`` runs are
-  bit-identical and pay one ``is not None`` check per hook site.
+  by the ``node_fail`` that killed the node.  Like every tracer it only
+  reads event payloads, so an observed run is bit-identical to a plain
+  one.
 * :func:`decompose` — splits a completed job's JCT into six components
   that sum *exactly* to ``finish - submit``: time waiting for the
   profiling stage, time waiting in the main queue (attributed to the
@@ -26,11 +26,11 @@ layers:
   along binding causes ("the chain of events that determined this
   JCT") and aggregate main-queue wait by blocking job cluster-wide.
 
-The same collector can be rebuilt offline from a tracer JSONL via
-:func:`lineage_from_trace`, so ``repro why --trace events.jsonl`` needs
-no re-simulation.  :data:`LINEAGE_CAUSE_SCHEMA` documents the cause
-story for every heap :class:`~repro.sim.events.EventKind`; lint rule
-RPR114 keeps it in sync with the enum.
+:func:`lineage_from_trace` replays a tracer JSONL through the same
+fold, so ``repro why --trace events.jsonl`` needs no re-simulation.
+:data:`LINEAGE_CAUSE_SCHEMA` documents the cause story for every heap
+:class:`~repro.sim.events.EventKind`; lint rule RPR114 keeps it in sync
+with the enum.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "COMPONENTS",
@@ -133,16 +135,23 @@ class LineageEvent:
         return out
 
 
-class LineageCollector:
+def _opt_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+class LineageCollector(Tracer):
     """Assembles the causal event DAG of one simulation run.
 
-    Attach via ``Simulator(lineage=LineageCollector())`` (live) or
+    Attach via ``Simulator(tracer=LineageCollector())`` (live) or
     rebuild from a trace file with :func:`lineage_from_trace`
-    (offline) — both paths run the identical ingestion code, so
-    ``repro why`` gives the same answer either way.  The collector
-    never mutates engine state: hooks read primitives the engine
-    passes in and append to internal structures only.
+    (offline) — both feed :meth:`emit`, so ``repro why`` gives the
+    same answer either way.  The collector never mutates engine state:
+    it reads event payloads and appends to internal structures only.
+    Past ``max_events`` nodes it refuses new ones and counts them in
+    :attr:`n_dropped`.
     """
+
+    enabled = True
 
     def __init__(self, max_events: int = 2_000_000) -> None:
         #: Dense, append-only node store; event ids index this list.
@@ -218,109 +227,77 @@ class LineageCollector:
         self._release_times.append(time)
 
     # ------------------------------------------------------------------
-    # Engine / fault-runtime hooks (live) — also fed by
-    # :func:`lineage_from_trace` (offline).  All arguments are
-    # primitives so the two paths are indistinguishable.
+    # Tracer interface: the one ingestion path, live and offline
     # ------------------------------------------------------------------
-    def on_submit(self, time: float, job_id: int, *, gpu_num: int,
-                  vc: Optional[str]) -> None:
-        self._record(time, "submit", job_id, (),
-                     {"gpu_num": gpu_num, "vc": vc})
+    def emit(self, time: float, kind: str, job_id: Optional[int] = None,
+             **data: Any) -> None:
+        """Fold one tracer event into the DAG.
 
-    def note_routing(self, job_id: int, routed: str) -> None:
-        """Scheduler annotation: where the job it just handled waits.
-
-        Called from the scheduler callbacks right after the engine's
-        submit/retry hook, so the annotation lands on the node that
-        opened the current waiting interval.
+        Lifecycle kinds become nodes; ``sched_submit`` / ``sched_retry``
+        carry the scheduler's ``routed`` annotation for the node that
+        opened the job's current wait; every other kind (``speed``,
+        ``decision``, ...) is ignored.
         """
+        if kind == "node_fail":
+            self._last_node_fail = self._record(
+                time, kind, None, (),
+                {"node": data.get("node"),
+                 "victims": list(data.get("victims") or ())})
+            return
+        if kind == "node_recover":
+            self._record(time, kind, None, (), {"node": data.get("node")})
+            return
+        if job_id is None:
+            return
         last = self._job_last.get(job_id)
-        if last is not None:
-            self._route_at[last] = routed
-
-    def on_start(self, time: float, job_id: int, gpus: Sequence[int], *,
-                 profiling: bool, overhead: float,
-                 progress: Optional[float]) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id),
-                                       self._pass_node(time)]
-        if not profiling:
-            for gpu in gpus:
-                causes.append(self._last_release.get(gpu))
-        self._record(time, "start", job_id, causes,
-                     {"gpus": list(gpus), "profiling": profiling,
-                      "overhead": overhead, "progress": progress})
-
-    def on_stop(self, time: float, job_id: int, gpus: Sequence[int], *,
-                preempted: bool, progress: float,
-                profiling: bool) -> None:
-        event_id = self._record(
-            time, "preempt" if preempted else "stop", job_id,
-            (self._job_last.get(job_id),),
-            {"gpus": list(gpus), "progress": progress,
-             "profiling": profiling})
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_finish(self, time: float, job_id: int, gpus: Sequence[int], *,
-                  progress: Optional[float], profiling: bool,
-                  jct: Optional[float] = None) -> None:
-        event_id = self._record(
-            time, "finish", job_id, (self._job_last.get(job_id),),
-            {"gpus": list(gpus), "progress": progress,
-             "profiling": profiling, "jct": jct})
-        if event_id is not None:
-            self._terminal[job_id] = event_id
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_time_limit(self, time: float, job_id: int, *, progress: float,
-                      profiling: bool) -> None:
-        self._record(time, "time_limit", job_id,
-                     (self._job_last.get(job_id),),
-                     {"progress": progress, "profiling": profiling})
-
-    def on_node_fail(self, time: float, node: Optional[int],
-                     victims: Sequence[int]) -> None:
-        self._last_node_fail = self._record(
-            time, "node_fail", None, (),
-            {"node": node, "victims": list(victims)})
-
-    def on_node_recover(self, time: float, node: Optional[int]) -> None:
-        self._record(time, "node_recover", None, (), {"node": node})
-
-    def on_crash(self, time: float, job_id: int, gpus: Sequence[int], *,
-                 cause: str, lost: float, backoff: float,
-                 progress: Optional[float],
-                 profiling: bool) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id)]
-        if cause == "node_fail":
-            causes.append(self._last_node_fail)
-        event_id = self._record(
-            time, "crash", job_id, causes,
-            {"gpus": list(gpus), "cause": cause, "lost": lost,
-             "backoff": backoff, "progress": progress,
-             "profiling": profiling})
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_retry(self, time: float, job_id: int) -> None:
-        self._record(time, "retry", job_id,
-                     (self._job_last.get(job_id),), {})
-
-    def on_job_failed(self, time: float, job_id: int, *, cause: str,
-                      gpus: Sequence[int], progress: Optional[float],
-                      profiling: bool) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id)]
-        if cause == "node_fail":
-            causes.append(self._last_node_fail)
-        event_id = self._record(
-            time, "job_failed", job_id, causes,
-            {"gpus": list(gpus), "cause": cause, "progress": progress,
-             "profiling": profiling})
-        if event_id is not None:
-            self._terminal[job_id] = event_id
-        if not profiling:
-            self._register_release(time, gpus, event_id)
+        profiling = bool(data.get("profiling"))
+        progress = data.get("progress")
+        if kind == "submit":
+            self._record(time, kind, job_id, (),
+                         {"gpu_num": int(data.get("gpu_num") or 0),
+                          "vc": data.get("vc")})
+        elif kind in ("sched_submit", "sched_retry"):
+            routed = data.get("routed")
+            if routed is not None and last is not None:
+                self._route_at[last] = str(routed)
+        elif kind == "start":
+            gpus = list(data.get("gpus") or ())
+            causes: List[Optional[int]] = [last, self._pass_node(time)]
+            if not profiling:
+                causes.extend(self._last_release.get(gpu) for gpu in gpus)
+            self._record(time, kind, job_id, causes,
+                         {"gpus": gpus, "profiling": profiling,
+                          "overhead": float(data.get("overhead") or 0.0),
+                          "progress": _opt_float(progress)})
+        elif kind == "time_limit":
+            self._record(time, kind, job_id, (last,),
+                         {"progress": float(progress or 0.0),
+                          "profiling": profiling})
+        elif kind == "retry":
+            self._record(time, kind, job_id, (last,), {})
+        elif kind in _RELEASE_KINDS:
+            gpus = list(data.get("gpus") or ())
+            causes = [last]
+            node: Dict[str, Any] = {"gpus": gpus}
+            if kind in ("crash", "job_failed"):
+                cause = str(data.get("cause") or "crash")
+                if cause == "node_fail":
+                    causes.append(self._last_node_fail)
+                node["cause"] = cause
+            if kind == "crash":
+                node["lost"] = float(data.get("lost") or 0.0)
+                node["backoff"] = float(data.get("backoff") or 0.0)
+            node["progress"] = (float(progress or 0.0)
+                                if kind in ("stop", "preempt")
+                                else _opt_float(progress))
+            node["profiling"] = profiling
+            if kind == "finish":
+                node["jct"] = data.get("jct")
+            event_id = self._record(time, kind, job_id, causes, node)
+            if event_id is not None and kind in ("finish", "job_failed"):
+                self._terminal[job_id] = event_id
+            if not profiling:
+                self._register_release(time, gpus, event_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -689,78 +666,15 @@ def blame_table(
 # ----------------------------------------------------------------------
 def lineage_from_trace(events: Iterable[Any],
                        max_events: int = 2_000_000) -> LineageCollector:
-    """Rebuild the causal DAG from traced events (live-path parity).
+    """Rebuild the causal DAG from traced events.
 
     ``events`` are :class:`~repro.obs.tracer.TraceEvent`-shaped objects
     (``time`` / ``kind`` / ``job_id`` / ``data``), e.g. from
-    ``events_from_dicts(read_jsonl(path))``.  Scheduler ``sched_*``
-    events supply the routing annotations the live path gets via
-    :meth:`LineageCollector.note_routing`.
+    ``events_from_dicts(read_jsonl(path))``.  Each one goes through
+    :meth:`LineageCollector.emit`, the fold a live run feeds.
     """
     collector = LineageCollector(max_events=max_events)
     for event in events:
-        kind = str(event.kind)
-        data: Mapping[str, Any] = event.data or {}
-        time = float(event.time)
-        job_id: Optional[int] = event.job_id
-        if kind == "submit" and job_id is not None:
-            collector.on_submit(time, job_id,
-                                gpu_num=int(data.get("gpu_num") or 0),
-                                vc=data.get("vc"))
-        elif kind in ("sched_submit", "sched_retry"):
-            routed = data.get("routed")
-            if routed is not None and job_id is not None:
-                collector.note_routing(job_id, str(routed))
-        elif kind == "start" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_start(
-                time, job_id, list(data.get("gpus") or ()),
-                profiling=bool(data.get("profiling")),
-                overhead=float(data.get("overhead") or 0.0),
-                progress=float(progress) if progress is not None
-                else None)
-        elif kind in ("stop", "preempt") and job_id is not None:
-            collector.on_stop(
-                time, job_id, list(data.get("gpus") or ()),
-                preempted=(kind == "preempt"),
-                progress=float(data.get("progress") or 0.0),
-                profiling=bool(data.get("profiling")))
-        elif kind == "finish" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_finish(
-                time, job_id, list(data.get("gpus") or ()),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")),
-                jct=data.get("jct"))
-        elif kind == "time_limit" and job_id is not None:
-            collector.on_time_limit(
-                time, job_id,
-                progress=float(data.get("progress") or 0.0),
-                profiling=bool(data.get("profiling")))
-        elif kind == "node_fail":
-            collector.on_node_fail(time, data.get("node"),
-                                   list(data.get("victims") or ()))
-        elif kind == "node_recover":
-            collector.on_node_recover(time, data.get("node"))
-        elif kind == "crash" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_crash(
-                time, job_id, list(data.get("gpus") or ()),
-                cause=str(data.get("cause") or "crash"),
-                lost=float(data.get("lost") or 0.0),
-                backoff=float(data.get("backoff") or 0.0),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")))
-        elif kind == "retry" and job_id is not None:
-            collector.on_retry(time, job_id)
-        elif kind == "job_failed" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_job_failed(
-                time, job_id, cause=str(data.get("cause") or "crash"),
-                gpus=list(data.get("gpus") or ()),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")))
+        collector.emit(float(event.time), str(event.kind), event.job_id,
+                       **(event.data or {}))
     return collector

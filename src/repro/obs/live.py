@@ -159,7 +159,7 @@ class LiveRegistry:
                labels: Optional[Mapping[str, str]],
                buckets: Optional[Tuple[float, ...]] = None) -> Any:
         full = self._full_name(name)
-        labelitems = sorted((labels or {}).items())  # repro: noqa RPR121 — canonical label order; label dicts hold <= 2 keys
+        labelitems = sorted((labels or {}).items())  # canonical label order
         labelnames = tuple(key for key, _ in labelitems)
         labelvalues = tuple(str(value) for _, value in labelitems)
         for label in labelnames:
@@ -375,7 +375,7 @@ function render(doc) {
     if (dropped > 0) {
       banner.style.display = '';
       banner.textContent = 'warning: ' + fmt(dropped)
-        + ' trace events dropped (ring-buffer overflow) — the event'
+        + ' trace events dropped — the event'
         + ' log and any lineage built from it are incomplete';
     } else {
       banner.style.display = 'none';

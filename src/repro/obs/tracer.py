@@ -88,7 +88,7 @@ class TraceEvent:
                           sort_keys=False, default=_json_default)
 
 
-def _json_default(obj: Any):
+def _json_default(obj: Any) -> Any:
     """Serialize the odd numpy scalar that sneaks into event payloads."""
     if hasattr(obj, "item"):
         return obj.item()
@@ -116,7 +116,7 @@ class Tracer:
     def __enter__(self) -> "Tracer":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()
 
 
@@ -233,7 +233,7 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
 
 def events_from_dicts(records: Iterable[Dict[str, Any]]) -> List[TraceEvent]:
     """Rehydrate :class:`TraceEvent` objects from JSONL dicts."""
-    events = []
+    events: List[TraceEvent] = []
     for rec in records:
         rec = dict(rec)
         time = rec.pop("t")

@@ -53,18 +53,6 @@ class Scheduler:
                                job.job_id if job is not None else None,
                                scheduler=self.name, **data)
 
-    def lineage_note(self, job: Job, routed: str) -> None:
-        """Annotate the lineage DAG with where ``job`` now waits.
-
-        ``routed`` is ``"profiler"`` / ``"main"`` / ``"main_degraded"``;
-        the collector uses it to classify the waiting interval that just
-        opened (pending-profiling vs. pending-main-queue).  No-op when
-        ``Simulator(lineage=None)``.
-        """
-        engine = self.engine
-        if engine is not None and engine.lineage is not None:
-            engine.lineage.note_routing(job.job_id, routed)
-
     def profile_count(self, name: str, n: int = 1) -> None:
         """Bump a hot-path counter on the engine's profiler (no-op off).
 
@@ -90,7 +78,6 @@ class Scheduler:
 
     def on_job_submit(self, job: Job, now: float) -> None:
         self.queue.append(job)
-        self.lineage_note(job, "main")
         self.trace_event("sched_submit", job, now,
                          queue_depth=len(self.queue), routed="main")
 
@@ -115,7 +102,6 @@ class Scheduler:
                              queue_depth=len(self.queue))
             return
         self.queue.append(job)
-        self.lineage_note(job, "main")
         self.trace_event("sched_retry", job, now,
                          queue_depth=len(self.queue), routed="main")
 

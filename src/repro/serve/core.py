@@ -26,7 +26,6 @@ import pickle
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.factory import make_scheduler
-from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import SimulationError, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.traces.spec import get_spec
@@ -267,18 +266,16 @@ class SimCore:
         """Pickle the core for a store snapshot.
 
         The engine's observers never belong in a snapshot: the tracer
-        singleton and the daemon's live-telemetry profiler and lineage
-        collector (attached when serve telemetry is on) are stashed out
-        before pickling so the blob captures pure simulation state — a
-        snapshot taken with telemetry on is byte-compatible with one
-        taken without — and all are restored on the way out.
+        (the daemon's lineage collector when serve telemetry is on) and
+        the live-telemetry profiler are detached before pickling so the
+        blob captures pure simulation state — a snapshot taken with
+        telemetry on is byte-identical to one taken without — and both
+        are re-attached on the way out.
         """
-        tracer = self.sim.tracer
+        tracer, metrics = self.sim.tracer, self.sim.metrics
         profiler = self.sim.profiler
-        lineage = self.sim.lineage
-        self.sim.tracer = None
+        self.sim.attach_tracer(None)
         self.sim.profiler = None
-        self.sim.lineage = None
         try:
             payload = {
                 "config": self.config.to_json(),
@@ -290,17 +287,16 @@ class SimCore:
             }
             return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         finally:
-            self.sim.tracer = tracer
+            self.sim.attach_tracer(tracer)
+            self.sim.metrics = metrics
             self.sim.profiler = profiler
-            self.sim.lineage = lineage
 
     @classmethod
     def from_blob(cls, blob: bytes) -> "SimCore":
         payload = pickle.loads(blob)
         sim: Simulator = payload["sim"]
-        sim.tracer = NULL_TRACER
+        sim.attach_tracer(None)
         sim.profiler = None
-        sim.lineage = None
         core = cls(ServeConfig.from_json(payload["config"]), sim,
                    next_job_id=int(payload["next_job_id"]),
                    consumed=set(payload["consumed"]),

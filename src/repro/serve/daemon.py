@@ -63,6 +63,11 @@ logger = get_logger("serve.daemon")
 #: poll intervals (plus a floor for very fast polls).
 _HEARTBEAT_SLACK = 20.0
 
+#: Name and help of the counter mirroring the collector's drop count.
+_DROPPED_EVENTS = ("tracer_dropped_events_total",
+                   "Engine trace events the lineage collector refused at "
+                   "its cap (nonzero = decompositions may be partial)")
+
 
 class ServeDaemon:
     """Crash-recoverable scheduler service over one state directory.
@@ -130,7 +135,8 @@ class ServeDaemon:
             LiveRegistry() if telemetry else None
         self.profiler: Optional[SimProfiler] = \
             SimProfiler() if telemetry else None
-        self.lineage: Optional[LineageCollector] = \
+        #: Causal-lineage collector, attached as the engine's tracer.
+        self.collector: Optional[LineageCollector] = \
             LineageCollector() if telemetry else None
         #: Memoized per-job decompositions feeding the queue-component
         #: gauges (a finished job's decomposition never changes).
@@ -183,18 +189,16 @@ class ServeDaemon:
             live.gauge("serve_recovery_torn_records",
                        "Torn WAL records truncated at the last boot"
                        ).set(float(self.recovery.torn_records))
-            # The profiler and lineage collector observe the engine
-            # from here on; both are stashed out of snapshot blobs (see
-            # SimCore.to_blob) and feed nothing back, so the event
-            # stream stays identical.
+            # The profiler and the collector (as the engine's tracer)
+            # observe the engine from here on; both are detached from
+            # snapshot blobs (see SimCore.to_blob) and feed nothing
+            # back, so the event stream stays identical.
             self.core.sim.profiler = self.profiler
-            self.core.sim.lineage = self.lineage
+            self.core.sim.attach_tracer(self.collector)
             self.wal.on_append = self._observe_wal_append
             # Register at zero so the dropped-events counter and the
             # queue gauges are scrapable before the first refresh.
-            live.counter("tracer_dropped_events_total",
-                         "Trace events dropped by the ring buffer "
-                         "(nonzero = the event log is incomplete)")
+            live.counter(*_DROPPED_EVENTS)
             self._publish_lineage(live)
         self._admitted_any = bool(self.core.sim.jobs)
         # Dirty until a graceful close: a SIGKILL from here on leaves
@@ -372,42 +376,33 @@ class ServeDaemon:
         gauges publish cumulative seconds per JCT component across all
         completed jobs, so ``/metrics`` answers "where is admitted
         work's time going?" without touching the hot path.  Also
-        mirrors the tracer's ring-buffer drop count as a counter.
+        mirrors the collector's drop count as a counter.
         """
-        assert self.core is not None
-        lineage = self.lineage
-        if lineage is not None:
-            for job_id in lineage.completed_job_ids():
-                if job_id in self._decomposed:
-                    continue
-                try:
-                    decomposition = decompose(lineage, job_id)
-                except (KeyError, ValueError):  # racing a partial job
-                    continue
-                self._decomposed[job_id] = decomposition
-                for name, seconds in decomposition.components().items():
-                    self._component_totals[name] += seconds
-            for name, seconds in sorted(self._component_totals.items()):
-                live.gauge(
-                    "serve_queue_component_seconds",
-                    "Cumulative JCT-decomposition seconds across "
-                    "completed jobs, per causal component",
-                    {"component": name}).set(seconds)
-            live.gauge("serve_jobs_decomposed",
-                       "Completed jobs with a published JCT "
-                       "decomposition").set(float(len(self._decomposed)))
-            if lineage.n_dropped:
-                live.gauge("serve_lineage_dropped_events",
-                           "Lineage events dropped at the collector "
-                           "cap (decompositions may be partial)"
-                           ).set(float(lineage.n_dropped))
-        dropped = int(getattr(self.core.sim.tracer, "n_dropped", 0) or 0)
+        collector = self.collector
+        assert collector is not None
+        for job_id in collector.completed_job_ids():
+            if job_id in self._decomposed:
+                continue
+            try:
+                decomposition = decompose(collector, job_id)
+            except (KeyError, ValueError):  # racing a partial job
+                continue
+            self._decomposed[job_id] = decomposition
+            for name, seconds in decomposition.components().items():
+                self._component_totals[name] += seconds
+        for name, seconds in sorted(self._component_totals.items()):
+            live.gauge(
+                "serve_queue_component_seconds",
+                "Cumulative JCT-decomposition seconds across "
+                "completed jobs, per causal component",
+                {"component": name}).set(seconds)
+        live.gauge("serve_jobs_decomposed",
+                   "Completed jobs with a published JCT "
+                   "decomposition").set(float(len(self._decomposed)))
+        dropped = collector.n_dropped
         if dropped > self._dropped_published:
-            live.counter(
-                "tracer_dropped_events_total",
-                "Trace events dropped by the ring buffer "
-                "(nonzero = the event log is incomplete)"
-            ).inc(float(dropped - self._dropped_published))
+            live.counter(*_DROPPED_EVENTS).inc(
+                float(dropped - self._dropped_published))
             self._dropped_published = dropped
 
     def _observe_wal_append(self, kind: str, nbytes: int,

@@ -33,12 +33,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Union
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU
-from repro.obs.lineage import LineageCollector
 from repro.obs.logutil import get_logger
 from repro.obs.metrics import MetricsRegistry, Telemetry
 from repro.obs.prof import SimProfiler
 from repro.obs.series import SeriesCollector
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, RingBufferTracer, Tracer
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import FaultStats, SimulationResult, UtilizationTracker
 from repro.workloads.colocation import InterferenceModel
@@ -95,6 +94,8 @@ class Simulator:
         to the disabled :data:`~repro.obs.tracer.NULL_TRACER`; every
         emission site is guarded by ``tracer.enabled`` so a run without
         tracing is bit-identical to (and as fast as) an untraced one.
+        Pass ``tracer=LineageCollector()`` (:mod:`repro.obs.lineage`)
+        to build the causal event DAG behind ``repro why``.
     sanitize:
         Enable the :class:`~repro.checks.sanitizer.SimSanitizer`: state
         invariants (allocation conservation, monotone clock, legal job
@@ -126,8 +127,7 @@ class Simulator:
                  faults: Optional[Union["FaultSpec", "FaultInjector"]] = None,
                  sanitize: bool = False,
                  profile: Union[bool, SimProfiler, None] = None,
-                 series: Optional[SeriesCollector] = None,
-                 lineage: Optional["LineageCollector"] = None) -> None:
+                 series: Optional[SeriesCollector] = None) -> None:
         self.cluster = cluster
         self.jobs: Dict[int, Job] = {j.job_id: j for j in jobs}
         if len(self.jobs) != len(jobs):
@@ -143,11 +143,10 @@ class Simulator:
 
         #: Observability: disabled by default (zero overhead contract —
         #: hot paths check the cached ``_tracing`` flag before building
-        #: any event payload); metrics exist only while tracing.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._tracing = self.tracer.enabled
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self._tracing else None)
+        #: any event payload); metrics exist only for a constructor tracer.
+        self.attach_tracer(tracer)
+        if self._tracing:
+            self.metrics = MetricsRegistry()
 
         #: Fault model (:class:`~repro.faults.spec.FaultSpec` or a prebuilt
         #: injector).  ``None`` — and a spec with no rates/script — leaves
@@ -183,11 +182,20 @@ class Simulator:
         self.series = series
         if self.series is not None:
             self.series.attach(self)
-        #: Causal lineage collector (:mod:`repro.obs.lineage`);
-        #: ``None`` when disabled — hook sites pay one identity check
-        #: and the collector itself never mutates simulation state, so
-        #: ``lineage=None`` runs stay bit-identical.
-        self.lineage = lineage
+
+    def attach_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Route engine events to ``tracer`` (``None``: the disabled
+        :data:`~repro.obs.tracer.NULL_TRACER`).
+
+        The one place that sets the tracer, the cached ``_tracing`` flag
+        and ``metrics`` together.  Metrics belong to the constructor's
+        tracer only: a tracer attached later — the serve daemon's
+        lineage collector — runs without them, so a long-lived engine
+        does not keep a ``schedule_seconds`` sample per pass.
+        """
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracing = self.tracer.enabled
+        self.metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Public API for schedulers
@@ -271,11 +279,6 @@ class Simulator:
         # A new resident slows any mates down; refresh the whole GPU set.
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_start(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                profiling=profiling, overhead=state.overhead_left,
-                progress=job.progress)
         if self._tracing:
             mates = [m.job_id for m in self.mates_of(job)]
             self.tracer.emit(
@@ -286,11 +289,12 @@ class Simulator:
                 overhead=state.overhead_left,
                 progress=job.progress,
                 time_limit=time_limit)
-            self.metrics.counter("jobs_started").inc()
-            if profiling:
-                self.metrics.counter("profiler_runs").inc()
-            elif mates:
-                self.metrics.counter("placements_shared").inc()
+            if self.metrics is not None:
+                self.metrics.counter("jobs_started").inc()
+                if profiling:
+                    self.metrics.counter("profiler_runs").inc()
+                elif mates:
+                    self.metrics.counter("placements_shared").inc()
 
     def stop_job(self, job: Job, preempted: bool = False) -> None:
         """Remove a running job from its GPUs without finishing it."""
@@ -307,18 +311,13 @@ class Simulator:
             job.status = JobStatus.PENDING
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_stop(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                preempted=preempted, progress=job.progress,
-                profiling=state.is_profiling)
         if self._tracing:
             self.tracer.emit(
                 self.now, "preempt" if preempted else "stop", job.job_id,
                 gpus=[g.gpu_id for g in gpus],
                 nodes=[g.node_id for g in gpus],
                 progress=job.progress, profiling=state.is_profiling)
-            if preempted:
+            if preempted and self.metrics is not None:
                 self.metrics.counter("preemptions").inc()
 
     # ------------------------------------------------------------------
@@ -445,7 +444,7 @@ class Simulator:
         fault_stats: Optional[FaultStats] = None
         if self.fault_runtime is not None:
             fault_stats = self.fault_runtime.stats()
-            if self._tracing:
+            if self.metrics is not None:
                 self.fault_runtime.export_metrics(self.metrics, fault_stats)
         return SimulationResult(records=list(self.records),
                                 makespan=self.now,
@@ -484,14 +483,15 @@ class Simulator:
         profiler.exit_event(event.kind.value)
 
     def _invoke_scheduler(self) -> None:
-        """Run one scheduling pass, timing it when traced or profiled.
+        """Run one scheduling pass, timing it when metered or profiled.
 
         Wall-clock telemetry of scheduler latency never feeds back into
         simulated time; this method is on the RPR002 instrumentation
         allowlist (see :mod:`repro.checks.lint`).
         """
         profiler = self.profiler
-        if not self._tracing and profiler is None:
+        metrics = self.metrics
+        if metrics is None and profiler is None:
             self.scheduler.schedule(self.now)
             return
         started = _time.perf_counter()
@@ -499,18 +499,20 @@ class Simulator:
         elapsed = _time.perf_counter() - started
         if profiler is not None:
             profiler.add_pass(elapsed)
-        if self._tracing:
-            self.metrics.histogram("schedule_seconds").observe(elapsed)
+        if metrics is not None:
+            metrics.histogram("schedule_seconds").observe(elapsed)
             queue = getattr(self.scheduler, "queue", None)
             if queue is not None:
-                self.metrics.gauge("queue_depth").set(float(len(queue)),
-                                                      time=self.now)
+                metrics.gauge("queue_depth").set(float(len(queue)),
+                                                 time=self.now)
 
     def _build_telemetry(self) -> Optional[Telemetry]:
-        if not self._tracing:
+        if self.metrics is None:
             return None
-        events = getattr(self.tracer, "events", None)
-        return Telemetry(events=list(events) if events is not None else [],
+        tracer = self.tracer
+        return Telemetry(events=(tracer.events
+                                 if isinstance(tracer, RingBufferTracer)
+                                 else []),
                          metrics=self.metrics.snapshot(),
                          registry=self.metrics,
                          audit=getattr(self.scheduler, "audit", None),
@@ -527,13 +529,11 @@ class Simulator:
         if event.kind is EventKind.SUBMIT:
             job = self.jobs[event.job_id]
             job.status = JobStatus.PENDING
-            if self.lineage is not None:
-                self.lineage.on_submit(self.now, job.job_id,
-                                       gpu_num=job.gpu_num, vc=job.vc)
             if self._tracing:
                 self.tracer.emit(self.now, "submit", job.job_id,
                                  gpu_num=job.gpu_num, vc=job.vc)
-                self.metrics.counter("jobs_submitted").inc()
+                if self.metrics is not None:
+                    self.metrics.counter("jobs_submitted").inc()
             self.scheduler.on_job_submit(job, self.now)
         elif event.kind is EventKind.FINISH:
             self._handle_finish(event)
@@ -567,11 +567,6 @@ class Simulator:
         self._unfinished -= 1
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_finish(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                progress=job.progress, profiling=state.is_profiling,
-                jct=job.jct)
         if self._tracing:
             self.tracer.emit(self.now, "finish", job.job_id,
                              gpus=[g.gpu_id for g in gpus],
@@ -579,7 +574,8 @@ class Simulator:
                              jct=job.jct, queue_delay=job.queue_delay,
                              progress=job.progress,
                              profiling=state.is_profiling)
-            self.metrics.counter("jobs_finished").inc()
+            if self.metrics is not None:
+                self.metrics.counter("jobs_finished").inc()
         self.scheduler.on_job_finish(job, self.now)
 
     def _handle_time_limit(self, event) -> None:
@@ -591,10 +587,6 @@ class Simulator:
         job = self.jobs[event.job_id]
         self._integrate(job, state)
         state.time_limit_at = None
-        if self.lineage is not None:
-            self.lineage.on_time_limit(self.now, job.job_id,
-                                       progress=job.progress,
-                                       profiling=state.is_profiling)
         if self._tracing:
             self.tracer.emit(self.now, "time_limit", job.job_id,
                              progress=job.progress,

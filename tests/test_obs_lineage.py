@@ -3,11 +3,12 @@
 Covers the ISSUE-10 acceptance properties: every component of every
 completed job's decomposition is non-negative and the components sum
 to the job's JCT within 1e-9 (fifo / tiresias / lucid on venus@120,
-faults on and off); attaching a :class:`LineageCollector` leaves the
-simulation bit-identical to ``lineage=None``; the offline
-trace-reconstruction path (``lineage_from_trace``) reproduces the live
-decompositions; main-queue waits name blockers; the critical path is a
-causally ordered chain ending at the terminal event; and the
+faults on and off); attaching a :class:`LineageCollector` as the
+tracer leaves the simulation bit-identical to an untraced run; the
+offline trace-reconstruction path (``lineage_from_trace``) reproduces
+the live DAG node for node, and no main-cluster start cites a
+profiling-stage release; main-queue waits name blockers; the critical
+path is a causally ordered chain ending at the terminal event; and the
 ``repro why`` / filtered ``repro trace`` / ``repro explain`` CLI
 surfaces behave as documented.
 """
@@ -47,7 +48,7 @@ def run_with_lineage(scheduler, faults=None, seed=1, n_jobs=120):
         collector = LineageCollector()
         result = quick_simulation(trace="venus", scheduler=scheduler,
                                   n_jobs=n_jobs, seed=seed,
-                                  faults=faults, lineage=collector)
+                                  faults=faults, tracer=collector)
         _RUNS[key] = (collector, result)
     return _RUNS[key]
 
@@ -108,10 +109,10 @@ class TestDecompositionProperties:
 class TestBitIdentity:
     def test_lineage_off_is_bit_identical(self):
         base = quick_simulation(trace="venus", scheduler="lucid",
-                                n_jobs=120, seed=3, lineage=None)
+                                n_jobs=120, seed=3, tracer=None)
         observed = quick_simulation(trace="venus", scheduler="lucid",
                                     n_jobs=120, seed=3,
-                                    lineage=LineageCollector())
+                                    tracer=LineageCollector())
         assert base.makespan == observed.makespan
         assert len(base.records) == len(observed.records)
         for lhs, rhs in zip(base.records, observed.records):
@@ -125,33 +126,58 @@ class TestBitIdentity:
                                 n_jobs=120, seed=3, faults=FAULTS)
         observed = quick_simulation(trace="venus", scheduler="tiresias",
                                     n_jobs=120, seed=3, faults=FAULTS,
-                                    lineage=LineageCollector())
+                                    tracer=LineageCollector())
         assert base.makespan == observed.makespan
         assert [(r.job_id, r.jct, r.preemptions) for r in base.records] \
             == [(r.job_id, r.jct, r.preemptions)
                 for r in observed.records]
 
 
+#: Lucid with profiler-cluster faults: profiling runs crash and fail
+#: permanently, so profiler GPU ids (which overlap main-cluster ids)
+#: show up in release events.
+PROFILER_FAULTS = ("node_mtbf=3600,crash_rate=2,profiler_mtbf=1800,"
+                   "retry_limit=1,seed=7")
+
+
 class TestOfflineParity:
     def test_trace_roundtrip_matches_live(self, tmp_path):
+        live, _ = run_with_lineage("lucid", faults=PROFILER_FAULTS,
+                                   seed=7, n_jobs=400)
         path = str(tmp_path / "events.jsonl")
-        tracer = RingBufferTracer(sink=path)
-        live = LineageCollector()
-        quick_simulation(trace="venus", scheduler="lucid", n_jobs=120,
-                         seed=1, tracer=tracer, lineage=live)
-        tracer.close()
-        offline = lineage_from_trace(
-            events_from_dicts(read_jsonl(path)))
-        live_decs = decompose_all(live)
-        off_decs = decompose_all(offline)
-        assert set(off_decs) == set(live_decs)
-        for job_id, lhs in live_decs.items():
-            rhs = off_decs[job_id]
-            assert rhs.jct == pytest.approx(lhs.jct, abs=1e-9)
-            for name in COMPONENTS:
-                assert getattr(rhs, name) == pytest.approx(
-                    getattr(lhs, name), abs=1e-6), (job_id, name)
-            assert rhs.blockers.keys() == lhs.blockers.keys()
+        with RingBufferTracer(capacity=1, sink=path) as tracer:
+            quick_simulation(trace="venus", scheduler="lucid", n_jobs=400,
+                             seed=7, faults=PROFILER_FAULTS, tracer=tracer)
+        offline = lineage_from_trace(events_from_dicts(read_jsonl(path)))
+        assert any(e.kind == "job_failed" and e.data["profiling"]
+                   for e in live.events), "no profiling-stage failure"
+        assert len(offline.events) == len(live.events)
+        for lhs, rhs in zip(live.events, offline.events):
+            assert (rhs.event_id, rhs.time, rhs.kind, rhs.job_id,
+                    rhs.causes, rhs.data) == \
+                (lhs.event_id, lhs.time, lhs.kind, lhs.job_id,
+                 lhs.causes, lhs.data)
+        assert decompose_all(offline).keys() == decompose_all(live).keys()
+
+    def test_main_starts_never_cite_profiling_releases(self):
+        # Profiler GPU ids overlap main-cluster ids, so a release that
+        # ended a profiling run must never be named as what freed the
+        # GPUs of a main-cluster start.  Whether a run was profiling is
+        # read off its start node, not off the release's own payload.
+        collector, _ = run_with_lineage("lucid", faults=PROFILER_FAULTS,
+                                        seed=7, n_jobs=400)
+        events = collector.events
+        for event in events:
+            if event.kind != "start" or event.data["profiling"]:
+                continue
+            for cause_id in event.causes:
+                cause = run_start = events[cause_id]
+                if cause.job_id in (None, event.job_id):
+                    continue
+                while run_start.kind != "start":
+                    run_start = events[run_start.causes[0]]
+                assert not run_start.data["profiling"], \
+                    (event.job_id, cause.kind, cause.job_id)
 
 
 class TestCriticalPath:
@@ -174,7 +200,7 @@ class TestCriticalPath:
 
     def test_non_terminal_job_raises(self):
         collector = LineageCollector()
-        collector.on_submit(0.0, 1, gpu_num=1, vc="vc1")
+        collector.emit(0.0, "submit", 1, gpu_num=1, vc="vc1")
         with pytest.raises(ValueError):
             decompose(collector, 1)
 
@@ -193,12 +219,16 @@ class TestCauseSchema:
 
 
 class TestDropSafety:
-    def test_ring_cap_drops_oldest_and_counts(self):
+    def test_cap_refuses_new_nodes_and_counts(self):
         collector = LineageCollector(max_events=4)
-        quick_simulation(trace="venus", scheduler="fifo", n_jobs=40,
-                         seed=2, lineage=collector)
-        assert len(collector.events) <= 4
+        result = quick_simulation(trace="venus", scheduler="fifo",
+                                  n_jobs=40, seed=2, tracer=collector)
+        assert len(collector.events) == 4
+        # The first nodes are kept: the cap refuses, it never evicts.
+        assert [e.kind for e in collector.events[:2]] == \
+            ["submit", "sched_pass"]
         assert collector.n_dropped > 0
+        assert result.telemetry.dropped_events == collector.n_dropped
 
 
 class TestWhyCli:

@@ -19,10 +19,13 @@ import urllib.request
 
 import pytest
 
+from repro.obs.lineage import LineageCollector
 from repro.obs.live import CONTENT_TYPE_PROMETHEUS
 from repro.obs.logutil import configure_logging
+from repro.obs.prof import SimProfiler
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.chaos import commit_digests, final_state
+from repro.serve.core import SimCore
 
 CONFIG = ServeConfig(trace="venus", scheduler="fifo", jobs=20, seed=7,
                      batch=8, events_per_tick=64)
@@ -426,6 +429,43 @@ class TestBitIdentity:
         assert metrics_on["sim_now"] == metrics_off["sim_now"]
         assert metrics_on["events_processed"] == \
             metrics_off["events_processed"]
+
+
+class TestSnapshotBytes:
+    @pytest.mark.parametrize("config", [CONFIG, LUCID_CONFIG],
+                             ids=["fifo", "lucid"])
+    def test_blob_identical_with_telemetry_on(self, config):
+        plain = SimCore.genesis(config)
+        observed = SimCore.genesis(config)
+        # The observers the daemon attaches when telemetry is on.
+        collector = LineageCollector()
+        observed.sim.profiler = SimProfiler()
+        observed.sim.attach_tracer(collector)
+        for tick in range(10):
+            for core in (plain, observed):
+                core.admit_specs([dict(SPEC, name=f"job{tick}")],
+                                 [f"{tick:04d}.json"])
+                core.advance()
+        assert collector.events, "the collector observed nothing"
+        assert observed.to_blob() == plain.to_blob()
+        assert observed.sim.tracer is collector
+        assert observed.sim._tracing and observed.sim.metrics is None
+
+
+class TestDroppedEvents:
+    def test_collector_cap_drops_raise_the_counter(self, tmp_path):
+        def dropped(daemon):
+            _, families = parse_prometheus(daemon.prometheus())
+            name = "repro_tracer_dropped_events_total"
+            return families[name][(name, frozenset())]
+
+        daemon = make_daemon(tmp_path)
+        daemon.collector = LineageCollector(max_events=8)
+        with daemon:
+            assert dropped(daemon) == 0
+            submit_n(daemon, 3)
+            run_to_idle(daemon)
+            assert dropped(daemon) == daemon.collector.n_dropped > 0
 
 
 # ----------------------------------------------------------------------
