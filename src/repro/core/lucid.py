@@ -18,6 +18,7 @@ for the Figure-11 micro-benchmarks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -377,8 +378,11 @@ class LucidScheduler(Scheduler):
                 find_mate=self._find_mate, sharing_mode=self._sharing_mode,
                 now=now, audit=self.audit)
         self.binder.end_pass()
+        if placed:
+            placed_ids = {id(job) for job in placed}
+            self.queue[:] = [job for job in self.queue
+                             if id(job) not in placed_ids]
         for job in placed:
-            self.queue.remove(job)
             self._main_start[job.job_id] = now
 
     # ------------------------------------------------------------------
@@ -386,7 +390,8 @@ class LucidScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _recent_hourly_series(self, now: float, hours: int = 48) -> np.ndarray:
         cutoff = now - hours * SECONDS_PER_HOUR
-        recent = [t for t in self._submit_times if t >= cutoff]
+        # Appended with the engine clock, so already sorted.
+        recent = self._submit_times[bisect_left(self._submit_times, cutoff):]
         if not recent:
             return np.zeros(hours)
         series, _ = hourly_series(recent, start_time=cutoff, end_time=now)

@@ -8,7 +8,7 @@ features of §3.5.2 (``roll_mean_1h``, ``shift_1d``, ``soft_3h``, ...).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,16 @@ class LabelEncoder:
         return len(self._codes)
 
 
+def _hour_of_day(timestamps):
+    """Hour of day of a timestamp (a scalar or an array of them)."""
+    return np.floor((timestamps % SECONDS_PER_DAY) / SECONDS_PER_HOUR)
+
+
+def _day_of_week(timestamps, epoch_day_of_week: int = 2):
+    """Weekday index of a timestamp (a scalar or an array of them)."""
+    return (np.floor(timestamps / SECONDS_PER_DAY) + epoch_day_of_week) % 7
+
+
 def time_features(timestamps: Sequence[float],
                   epoch_day_of_week: int = 2) -> Dict[str, np.ndarray]:
     """Decompose trace timestamps into calendar attributes.
@@ -61,11 +71,45 @@ def time_features(timestamps: Sequence[float],
     ts = np.asarray(timestamps, dtype=float)
     days = np.floor(ts / SECONDS_PER_DAY)
     return {
-        "hour": np.floor((ts % SECONDS_PER_DAY) / SECONDS_PER_HOUR),
-        "dayofweek": (days + epoch_day_of_week) % 7,
+        "hour": _hour_of_day(ts),
+        "dayofweek": _day_of_week(ts, epoch_day_of_week),
         "day": days,
         "month": np.floor(days / 30.0),
     }
+
+
+# ----------------------------------------------------------------------
+# Per-index feature definitions.  Each ``*_at`` helper computes one
+# feature at index ``i`` from ``values[:i]`` only (causal); the
+# whole-series functions and the throughput feature table/row are all
+# built from them, so every formula exists exactly once.
+# ----------------------------------------------------------------------
+def _rolling_at(values: np.ndarray, i: int, window: int, fn) -> float:
+    lo = max(0, i - window)
+    return fn(values[lo:i]) if i > lo else (values[0] if i == 0 else values[i - 1])
+
+
+def _shift_at(values: np.ndarray, i: int, lag: int,
+              fill: Optional[float] = None) -> float:
+    if i >= lag:
+        return values[i - lag]
+    return values[0] if fill is None else fill
+
+
+def _soft_weights(window: int, decay: float = 0.7) -> np.ndarray:
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if not 0 < decay <= 1:
+        raise ValueError("decay must be in (0, 1]")
+    return decay ** np.arange(window)
+
+
+def _soft_sum_at(values: np.ndarray, i: int, weights: np.ndarray) -> float:
+    lo = max(0, i - len(weights))
+    past = values[lo:i][::-1]  # most recent first
+    if past.size:
+        return float(np.dot(past, weights[:past.size]))
+    return values[0] * weights.sum() if i == 0 else 0.0
 
 
 def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
@@ -82,11 +126,8 @@ def _rolling(values: np.ndarray, window: int, fn) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo = max(0, i - window)
-        out[i] = fn(values[lo:i]) if i > lo else (values[0] if i == 0 else values[i - 1])
-    return out
+    return np.array([_rolling_at(values, i, window, fn)
+                     for i in range(len(values))], dtype=float)
 
 
 def shift(values: np.ndarray, lag: int, fill: Optional[float] = None) -> np.ndarray:
@@ -94,13 +135,8 @@ def shift(values: np.ndarray, lag: int, fill: Optional[float] = None) -> np.ndar
     if lag < 0:
         raise ValueError("lag must be >= 0")
     values = np.asarray(values, dtype=float)
-    if lag == 0:
-        return values.copy()
-    head_value = values[0] if fill is None else fill
-    out = np.empty_like(values)
-    out[:lag] = head_value
-    out[lag:] = values[:-lag]
-    return out
+    return np.array([_shift_at(values, i, lag, fill)
+                     for i in range(len(values))], dtype=float)
 
 
 def soft_sum(values: np.ndarray, window: int, decay: float = 0.7) -> np.ndarray:
@@ -109,21 +145,37 @@ def soft_sum(values: np.ndarray, window: int, decay: float = 0.7) -> np.ndarray:
     ``out[t] = sum_{k=1..window} decay^(k-1) * values[t-k]``; more recent
     history weighs more.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not 0 < decay <= 1:
-        raise ValueError("decay must be in (0, 1]")
+    weights = _soft_weights(window, decay)
     values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
-    weights = decay ** np.arange(window)
-    for i in range(len(values)):
-        lo = max(0, i - window)
-        past = values[lo:i][::-1]  # most recent first
-        if past.size:
-            out[i] = float(np.dot(past, weights[:past.size]))
-        elif i == 0:
-            out[i] = values[0] * weights.sum()
-    return out
+    return np.array([_soft_sum_at(values, i, weights)
+                     for i in range(len(values))], dtype=float)
+
+
+#: A throughput feature at one index: ``fn(series, i, time_of_i)``.
+_FeatureAt = Callable[[np.ndarray, int, float], float]
+
+
+def _throughput_features(step_seconds: float) -> Tuple[Tuple[str, _FeatureAt], ...]:
+    """The Figure-7a features, in column order, as per-index definitions."""
+    day = max(1, int(round(SECONDS_PER_DAY / step_seconds)))
+    w_1h, w_3h, w_1d = _soft_weights(1), _soft_weights(3), _soft_weights(day)
+    # NOTE: absolute calendar indices ("day", "month") are deliberately
+    # excluded: a forecaster trained on one window and applied to the next
+    # would see them out of distribution and memorize per-day offsets.
+    # Periodic encodings (hour, dayofweek) carry the generalizable signal.
+    return (
+        ("hour", lambda v, i, t: _hour_of_day(t)),
+        ("dayofweek", lambda v, i, t: _day_of_week(t)),
+        ("shift_1h", lambda v, i, t: _shift_at(v, i, 1)),
+        ("shift_1d", lambda v, i, t: _shift_at(v, i, day)),
+        ("roll_mean_1h", lambda v, i, t: _rolling_at(v, i, 1, np.mean)),
+        ("roll_mean_3h", lambda v, i, t: _rolling_at(v, i, 3, np.mean)),
+        ("roll_median_1h", lambda v, i, t: _rolling_at(v, i, 1, np.median)),
+        ("roll_median_6h", lambda v, i, t: _rolling_at(v, i, 6, np.median)),
+        ("soft_1h", lambda v, i, t: _soft_sum_at(v, i, w_1h)),
+        ("soft_3h", lambda v, i, t: _soft_sum_at(v, i, w_3h)),
+        ("soft_1d", lambda v, i, t: _soft_sum_at(v, i, w_1d)),
+    )
 
 
 def throughput_feature_table(series: np.ndarray,
@@ -138,33 +190,37 @@ def throughput_feature_table(series: np.ndarray,
     (``soft_1h``, ``soft_3h``, ``soft_1d``, ``soft_1d_njob``).
 
     Returns ``(X, feature_names)`` aligned with the input series, suitable
-    for one-step-ahead forecasting (every feature is causal).
+    for one-step-ahead forecasting (every feature is causal).  Fitting and
+    evaluation use the full table; forecasting needs only its last row,
+    :func:`throughput_feature_row`.
     """
     series = np.asarray(series, dtype=float)
-    n = len(series)
-    times = start_time + np.arange(n) * step_seconds
-    cal = time_features(times)
-    steps_per_day = max(1, int(round(SECONDS_PER_DAY / step_seconds)))
-    # NOTE: absolute calendar indices ("day", "month") are deliberately
-    # excluded: a forecaster trained on one window and applied to the next
-    # would see them out of distribution and memorize per-day offsets.
-    # Periodic encodings (hour, dayofweek) carry the generalizable signal.
-    columns = {
-        "hour": cal["hour"],
-        "dayofweek": cal["dayofweek"],
-        "shift_1h": shift(series, 1),
-        "shift_1d": shift(series, steps_per_day),
-        "roll_mean_1h": rolling_mean(series, 1),
-        "roll_mean_3h": rolling_mean(series, 3),
-        "roll_median_1h": rolling_median(series, 1),
-        "roll_median_6h": rolling_median(series, 6),
-        "soft_1h": soft_sum(series, 1),
-        "soft_3h": soft_sum(series, 3),
-        "soft_1d": soft_sum(series, steps_per_day),
-    }
-    names = list(columns)
-    X = np.column_stack([columns[name] for name in names])
-    return X, names
+    features = _throughput_features(step_seconds)
+    times = start_time + np.arange(len(series)) * step_seconds
+    X = np.empty((len(series), len(features)))
+    for i, t in enumerate(times):
+        for j, (_, fn) in enumerate(features):
+            X[i, j] = fn(series, i, t)
+    return X, [name for name, _ in features]
+
+
+def throughput_feature_row(series: np.ndarray,
+                           start_time: float = 0.0,
+                           step_seconds: float = SECONDS_PER_HOUR
+                           ) -> np.ndarray:
+    """The last row of :func:`throughput_feature_table`, computed alone.
+
+    Bit-identical to ``throughput_feature_table(series, start_time,
+    step_seconds)[0][-1]`` at the cost of one row instead of ``len(series)``.
+    """
+    series = np.asarray(series, dtype=float)
+    if series.size == 0:
+        raise ValueError("series must not be empty")
+    i = len(series) - 1
+    t = start_time + i * step_seconds
+    return np.array([fn(series, i, t)
+                     for _, fn in _throughput_features(step_seconds)],
+                    dtype=float)
 
 
 def hourly_series(event_times: Sequence[float],

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.models.encoding import (
     LabelEncoder,
@@ -10,6 +11,7 @@ from repro.models.encoding import (
     rolling_median,
     shift,
     soft_sum,
+    throughput_feature_row,
     throughput_feature_table,
     time_features,
 )
@@ -97,6 +99,43 @@ class TestThroughputTable:
         X2, _ = throughput_feature_table(bumped)
         assert np.allclose(X1[30], X2[30]), "row 30 saw its own value"
         assert not np.allclose(X1[31], X2[31])  # but the next row does
+
+
+_counts = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+
+
+class TestThroughputRow:
+    """The forecast row is the table's last row, byte for byte."""
+
+    @given(series=st.lists(_counts, min_size=1, max_size=120),
+           start_time=st.floats(-1e8, 1e8),
+           step_seconds=st.sampled_from([3600.0, 1800.0, 7200.0]))
+    @example(series=[5.0], start_time=1234.5, step_seconds=3600.0)
+    @example(series=[1.0, 2.0, 3.0], start_time=-0.25, step_seconds=3600.0)
+    @example(series=[0.0] * 6, start_time=86_399.9, step_seconds=3600.0)
+    @example(series=[float(i) for i in range(24)], start_time=-86_400.5,
+             step_seconds=3600.0)
+    @settings(max_examples=150, deadline=None)
+    def test_row_equals_last_table_row(self, series, start_time,
+                                       step_seconds):
+        X, _ = throughput_feature_table(series, start_time, step_seconds)
+        row = throughput_feature_row(series, start_time, step_seconds)
+        assert row.tobytes() == X[-1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 24, 25, 48])
+    def test_heads_where_lags_and_windows_fall_back(self, n):
+        """Short series take the back-fill branches of ``shift_1d``,
+        ``roll_median_6h`` and ``soft_1d``; the row must take them too."""
+        series = np.random.default_rng(n).integers(0, 30, n).astype(float)
+        start_time = 7 * 86_400.0 + 1_234.5  # not hour-aligned
+        X, names = throughput_feature_table(series, start_time)
+        row = throughput_feature_row(series, start_time)
+        assert row.shape == (len(names),)
+        assert row.tobytes() == X[-1].tobytes()
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError):
+            throughput_feature_row(np.zeros(0))
 
 
 class TestHourlySeries:

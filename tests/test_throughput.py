@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.throughput import ThroughputPredictModel
 from repro.models.metrics import mae
@@ -58,6 +59,20 @@ class TestForecasting:
         peak = fitted.forecast_next(series[: 3 * 24 + 14], peak_t)
         trough = fitted.forecast_next(series[: 3 * 24 + 3], trough_t)
         assert peak > trough + 15.0
+
+    @given(recent=st.lists(st.floats(0.0, 200.0), min_size=0, max_size=60),
+           next_time=st.floats(0.0, 3e7))
+    @settings(max_examples=60, deadline=None)
+    def test_forecast_next_matches_predict_series(self, fitted, recent,
+                                                  next_time):
+        """The single-row forecast equals the last one-step-ahead
+        prediction over the same hours (the table path)."""
+        recent = np.asarray(recent, dtype=float)
+        forecast = fitted.forecast_next(recent, next_time)
+        table = fitted.predict_series(
+            np.append(recent, 0.0),
+            next_time - len(recent) * 3600.0)
+        assert forecast == table[-1]
 
     def test_forecast_non_negative(self, fitted):
         assert fitted.forecast_next(np.zeros(48), 48 * 3600.0) >= 0.0
