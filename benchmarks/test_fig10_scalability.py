@@ -49,20 +49,29 @@ def _scheduling_latency(n_jobs: int) -> float:
     return time.perf_counter() - started
 
 
+#: Decision passes per queue length; the table reports their median and
+#: range, since one wall-clock pass on a shared host is noise-dominated.
+PASSES = 5
+
+
 def test_fig10a_scheduling_latency(benchmark, record_result):
     sizes = (128, 256, 512, 1024, 2048)
-    latencies = {}
-    for n in sizes[:-1]:
-        latencies[n] = _scheduling_latency(n)
+    samples = {n: [_scheduling_latency(n) for _ in range(PASSES)]
+               for n in sizes[:-1]}
     # The headline 2048-job decision is the benchmarked quantity.
-    latencies[2048] = benchmark.pedantic(
-        lambda: _scheduling_latency(2048), rounds=1, iterations=1)
+    samples[2048] = [benchmark.pedantic(
+        lambda: _scheduling_latency(2048), rounds=1, iterations=1)]
+    samples[2048] += [_scheduling_latency(2048) for _ in range(PASSES - 1)]
+    latencies = {n: float(np.median(samples[n])) for n in sizes}
 
-    rows = [[n, latencies[n] * 1e3, latencies[n] / n * 1e6]
+    rows = [[n, latencies[n] * 1e3, min(samples[n]) * 1e3,
+             max(samples[n]) * 1e3, latencies[n] / n * 1e6]
             for n in sizes]
     table = ascii_table(
-        ["queued jobs", "decision latency (ms)", "per-job latency (us)"],
-        rows, title="Figure 10a: scheduling latency vs queue length")
+        ["queued jobs", "median latency (ms)", "min (ms)", "max (ms)",
+         "per-job latency (us)"],
+        rows, title=f"Figure 10a: scheduling latency vs queue length "
+                    f"(median of {PASSES} passes)")
     table += ("\n(paper: <3 ms at 2048 jobs on their hardware; Gavel needs "
               "~30 min, Pollux minutes-hours)")
     record_result("fig10a_scheduling_latency", table)

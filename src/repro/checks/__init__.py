@@ -5,7 +5,7 @@ bit-deterministic under a seed.  This package defends that guarantee with
 three tools:
 
 * :mod:`repro.checks.lint` — an AST-based determinism linter with
-  repo-specific per-file rules (RPR000..RPR009): no global RNG calls, no
+  repo-specific per-file rules (RPR000..RPR010): no global RNG calls, no
   wall-clock reads in simulation paths, no unordered ``set``/dict-view
   iteration in decision code, no float ``==`` on simulated time, and
   more.  Run it with ``python -m repro lint src tests``.

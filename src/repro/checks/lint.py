@@ -40,6 +40,12 @@ RPR009    No raw ``open(path, "w")`` writes to state/sink paths in the
           rename pattern).  Streaming into ``open(tmp_path(p), "w")``
           is recognized and allowed; ``obs/ioutil.py`` itself is
           allowlisted (:data:`RPR009_ALLOWLIST`).
+RPR010    No builtin ``hash()`` of a non-int value in decision, model,
+          trace or digest code: ``str``/``bytes`` hashes are salted per
+          process (``PYTHONHASHSEED``), so a decision or digest built on
+          them differs between runs and between a crashed daemon and its
+          recovery.  Use a stable digest (``zlib.crc32``, ``hashlib``).
+          ``__hash__`` bodies are exempt (they only feed hashing).
 ========  ============================================================
 
 Suppression: append ``# repro: noqa`` (all rules) or
@@ -104,6 +110,9 @@ RULES: Dict[str, Tuple[str, str]] = {
                "write via repro.obs.ioutil.atomic_write_text (or stream "
                "into tmp_path(p) and os.replace); a crash mid-write must "
                "never leave a truncated file at the final path"),
+    "RPR010": ("builtin hash() of a non-int value in decision/digest code",
+               "use a process-stable digest such as zlib.crc32(text."
+               "encode('utf-8')); str/bytes hash() is salted per process"),
 }
 
 #: Packages whose modules are "simulation paths" (RPR001/RPR002/RPR004).
@@ -117,6 +126,8 @@ ENTRYPOINT_PACKAGES = frozenset(
     {"sim", "core", "schedulers", "faults", "workloads", "traces"})
 #: Packages holding durable state / observability sinks (RPR009).
 STATE_SINK_PACKAGES = frozenset({"serve", "obs"})
+#: Packages whose values feed decisions, traces or digests (RPR010).
+STABLE_HASH_PACKAGES = SIM_PACKAGES | {"models", "traces", "serve"}
 
 #: np.random attributes that are legitimate Generator plumbing.
 _NP_RANDOM_ALLOWED = frozenset({
@@ -253,6 +264,17 @@ class SuppressionTracker:
         self.allowlist_used.add((name, key, function))
 
 
+def _is_int_expr(node: ast.expr) -> bool:
+    """Whether ``node`` is syntactically an ``int`` (whose hash is the
+    value itself, unsalted)."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.UnaryOp):
+        return _is_int_expr(node.operand)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "len"))
+
+
 def _path_packages(path: str) -> Set[str]:
     """Directory names along ``path`` (used for rule scoping)."""
     parts = os.path.normpath(path).split(os.sep)
@@ -267,7 +289,7 @@ class _Scope:
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
-    """Single-file pass implementing rules RPR001..RPR005, 7, 8, 9."""
+    """Single-file pass implementing rules RPR001..RPR005, 7, 8, 9, 10."""
 
     def __init__(self, path: str,
                  tracker: Optional[SuppressionTracker] = None) -> None:
@@ -279,6 +301,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.in_decision = bool(packages & DECISION_PACKAGES)
         self.in_entrypoint = bool(packages & ENTRYPOINT_PACKAGES)
         self.in_state_sink = bool(packages & STATE_SINK_PACKAGES)
+        self.in_stable_hash = bool(packages & STABLE_HASH_PACKAGES)
         # Import aliases discovered while walking.
         self.random_aliases: Set[str] = set()       # stdlib random module
         self.random_funcs: Set[str] = set()         # from random import X
@@ -374,7 +397,22 @@ class _DeterminismVisitor(ast.NodeVisitor):
             self._check_clock_call(node)
         if self.in_state_sink:
             self._check_raw_write(node)
+        if self.in_stable_hash:
+            self._check_builtin_hash(node)
         self.generic_visit(node)
+
+    # -- RPR010: salted builtin hash() ----------------------------------
+    def _check_builtin_hash(self, node: ast.Call) -> None:
+        if not (isinstance(node.func, ast.Name) and node.func.id == "hash"
+                and len(node.args) == 1):
+            return
+        if self._func_names and self._func_names[-1] == "__hash__":
+            return
+        if _is_int_expr(node.args[0]):
+            return
+        self._report("RPR010", node,
+                     "hash() of a possibly non-int value is salted per "
+                     "process (PYTHONHASHSEED)")
 
     # -- RPR009: raw in-place writes ----------------------------------
     @staticmethod

@@ -5,7 +5,7 @@ One project run:
 1. builds the whole-program :class:`~repro.checks.graph.ProjectIndex`
    over ``src/repro`` (every module parsed once, parse failures become
    RPR000 findings instead of crashes);
-2. runs the per-file rules (RPR000–RPR009) over every indexed module
+2. runs the per-file rules (RPR000–RPR010) over every indexed module
    and the graph rule packs (RPR100+) over the index, with one shared
    :class:`~repro.checks.lint.SuppressionTracker` so ``# repro: noqa``
    comments and allowlist entries suppress uniformly;

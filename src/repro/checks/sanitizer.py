@@ -21,6 +21,14 @@ on:
   finished/failed/running entries.
 * **Fault-flag coherence** — an unhealthy GPU hosts nothing, node and
   GPU health flags agree, straggler factors stay in ``(0, 1]``.
+* **Occupancy counters** — every counter that ``GPU.attach`` /
+  ``GPU.detach`` and ``Node.set_health`` keep incrementally (per-GPU
+  residents and reserved memory, per-node free GPUs, cluster busy /
+  shared counts and the flat memory list), on the main and the
+  profiling cluster, equals
+  :func:`~repro.cluster.cluster.rescan_occupancy`; the utilization
+  tracker's memory capacity equals a fresh sum.  The rescan is the
+  checker, never a code path of an unsanitized run.
 
 The sanitizer is strictly read-only: a sanitized run is bit-identical to
 an unsanitized one on the same seed (guarded by tests).  Violations raise
@@ -29,8 +37,9 @@ an unsanitized one on the same seed (guarded by tests).  Violations raise
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
+from repro.cluster.cluster import Cluster, rescan_occupancy
 from repro.cluster.gpu import MAX_RESIDENTS
 from repro.workloads.job import JobStatus
 
@@ -38,7 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - engine imports the sanitizer lazily
     from repro.sim.engine import Simulator
     from repro.sim.events import Event
 
-__all__ = ["ALLOWED_TRANSITIONS", "SanitizerError", "SimSanitizer"]
+__all__ = ["ALLOWED_TRANSITIONS", "SanitizerError", "SimSanitizer",
+           "occupancy_drift"]
 
 #: Tolerance for floating-point accounting (memory sums, clock compares).
 _EPS = 1e-6
@@ -115,6 +125,7 @@ class SimSanitizer:
         self._check_lifecycle(context)
         self._check_queue(context)
         self._check_fault_flags(context)
+        self._check_occupancy(context)
 
     def _fail(self, context: str, message: str) -> None:
         raise SanitizerError(
@@ -130,16 +141,19 @@ class SimSanitizer:
 
     def _check_allocation(self, context: str) -> None:
         engine = self._engine
-        # Per-device invariants on the main cluster.
+        # Per-device invariants on the main cluster, from the residents
+        # themselves (the cached counters are checked separately).
         for gpu in engine.cluster.gpus:
-            if gpu.n_residents > MAX_RESIDENTS:
+            residents = gpu.residents
+            if len(residents) > MAX_RESIDENTS:
                 self._fail(context,
-                           f"GPU {gpu.gpu_id} hosts {gpu.n_residents} jobs "
-                           f"(max {MAX_RESIDENTS}): {sorted(gpu.residents)}")
-            if gpu.memory_used_mb > gpu.memory_mb + _EPS:
+                           f"GPU {gpu.gpu_id} hosts {len(residents)} jobs "
+                           f"(max {MAX_RESIDENTS}): {sorted(residents)}")
+            reserved = sum(gpu._residents.values())
+            if reserved > gpu.memory_mb + _EPS:
                 self._fail(context,
                            f"GPU {gpu.gpu_id} memory oversubscribed: "
-                           f"{gpu.memory_used_mb:.0f} MB reserved > "
+                           f"{reserved:.0f} MB reserved > "
                            f"{gpu.memory_mb:.0f} MB capacity")
             for job_id in gpu.residents:
                 if job_id not in engine.run_states:
@@ -229,7 +243,60 @@ class SimSanitizer:
                                f"GPU {gpu.gpu_id} has out-of-range "
                                f"straggler factor {gpu.fault_slow!r}")
 
+    def _check_occupancy(self, context: str) -> None:
+        engine = self._engine
+        clusters: List[Cluster] = [engine.cluster]
+        profiler = getattr(engine.scheduler, "profiler", None)
+        if isinstance(getattr(profiler, "cluster", None), Cluster):
+            clusters.append(profiler.cluster)
+        for cluster in clusters:
+            drift = occupancy_drift(cluster)
+            if drift is not None:
+                self._fail(context, f"occupancy counter {drift}")
+        kept = engine.utilization.memory_total_mb
+        total = engine.cluster.memory_capacity_mb()
+        if kept != total:
+            self._fail(context,
+                       f"occupancy counter utilization memory_total_mb is "
+                       f"{kept!r} but the cluster holds {total!r} MB")
+
     # ------------------------------------------------------------------
     def summary(self) -> str:
         """One-line report for the CLI."""
         return f"sanitizer: {self.checks_run} invariant sweeps, all clean"
+
+
+def occupancy_drift(cluster: Cluster) -> Optional[str]:
+    """The first occupancy counter of ``cluster`` that differs from
+    :func:`~repro.cluster.cluster.rescan_occupancy`, described by name
+    (``None`` when every counter agrees)."""
+    truth = rescan_occupancy(cluster.nodes)
+    slot = 0
+    for node, n_free in zip(cluster.nodes, truth.n_free):
+        if node._cluster is not cluster:
+            return f"node {node.node_id} is not linked to its cluster"
+        for gpu in node.gpus:
+            if gpu._node is not node or gpu._slot != slot:
+                return (f"GPU {gpu.gpu_id} is not linked to node "
+                        f"{node.node_id} at slot {slot}")
+            for name, kept, actual in (
+                    ("n_residents", gpu.n_residents,
+                     truth.n_residents[slot]),
+                    ("memory_used_mb", gpu.memory_used_mb,
+                     truth.memory_used[slot]),
+                    ("cluster memory_used", cluster._memory_used[slot],
+                     truth.memory_used[slot])):
+                if kept != actual:
+                    return (f"{name} of GPU {gpu.gpu_id} is {kept!r} but "
+                            f"a rescan finds {actual!r}")
+            slot += 1
+        if node.n_free_gpus != n_free:
+            return (f"n_free_gpus of node {node.node_id} is "
+                    f"{node.n_free_gpus} but a rescan finds {n_free}")
+    for name, kept, actual in (("n_busy_gpus", cluster.n_busy_gpus,
+                                truth.busy),
+                               ("n_shared_gpus", cluster.n_shared_gpus,
+                                truth.shared)):
+        if kept != actual:
+            return f"{name} is {kept} but a rescan finds {actual}"
+    return None

@@ -9,10 +9,10 @@ in :mod:`repro.core.profiler`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.cluster.gpu import GPU
-from repro.cluster.node import GPUS_PER_NODE, Node
+from repro.cluster.node import GPUS_PER_NODE, Node, count_free_gpus
 from repro.workloads.model_zoo import GPU_MEMORY_MB
 
 
@@ -91,6 +91,45 @@ class Cluster:
                 node_id += 1
                 gpu_id += gpus_per_node
             self.vcs[vc_name] = VirtualCluster(vc_name, members)
+        self._recount()
+
+    #: Occupancy counters: derived, so never pickled (see ``_recount``).
+    _DERIVED = ("n_busy_gpus", "n_shared_gpus", "_memory_used")
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._recount()
+
+    def _recount(self) -> None:
+        """Link nodes and GPUs to this cluster and install a fresh
+        :func:`rescan_occupancy` as every occupancy counter.
+
+        From here on ``GPU.attach`` / ``GPU.detach`` and
+        ``Node.set_health`` keep the counters current.
+        """
+        counts = rescan_occupancy(self.nodes)
+        slot = 0
+        for node, n_free in zip(self.nodes, counts.n_free):
+            node._cluster = self
+            node.n_free_gpus = n_free
+            for gpu in node.gpus:
+                gpu._node = node
+                gpu._slot = slot
+                gpu.n_residents = counts.n_residents[slot]
+                gpu.memory_used_mb = counts.memory_used[slot]
+                slot += 1
+        #: GPUs hosting at least one / at least two jobs.
+        self.n_busy_gpus = counts.busy
+        self.n_shared_gpus = counts.shared
+        #: Per-GPU reserved memory in node-then-GPU order, so one flat
+        #: ``sum`` adds the same floats in the same order as a rescan.
+        self._memory_used = counts.memory_used
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -140,29 +179,61 @@ class Cluster:
         """Fraction of GPUs with at least one resident job."""
         if not self._gpu_index:
             return 0.0
-        busy = sum(1 for node in self.nodes for g in node.gpus
-                   if not g.is_free)
-        return busy / len(self._gpu_index)
+        return self.n_busy_gpus / len(self._gpu_index)
 
     def shared_gpu_fraction(self) -> float:
         """Fraction of GPUs hosting two packed jobs."""
         if not self._gpu_index:
             return 0.0
-        shared = sum(1 for node in self.nodes for g in node.gpus
-                     if g.is_shared)
-        return shared / len(self._gpu_index)
+        return self.n_shared_gpus / len(self._gpu_index)
+
+    def memory_capacity_mb(self) -> float:
+        """Total GPU memory, summed in node-then-GPU order.
+
+        Read on demand: heterogeneous builds rewrite ``gpu.memory_mb``
+        after construction (:mod:`repro.cluster.hetero`).
+        """
+        return sum(g.memory_mb for node in self.nodes for g in node.gpus)
+
+    def memory_used_mb(self) -> float:
+        """Reserved GPU memory: one flat sum in node-then-GPU order."""
+        return sum(self._memory_used)
 
     def memory_used_fraction(self) -> float:
-        """Cluster-wide GPU memory occupancy (node order fixes the float
-        accumulation order)."""
-        total = sum(g.memory_mb for node in self.nodes for g in node.gpus)
-        used = sum(g.memory_used_mb for node in self.nodes
-                   for g in node.gpus)
-        return used / total if total else 0.0
+        """Cluster-wide GPU memory occupancy."""
+        total = self.memory_capacity_mb()
+        return self.memory_used_mb() / total if total else 0.0
 
     def __repr__(self) -> str:
         return (f"Cluster(vcs={len(self.vcs)}, nodes={len(self.nodes)}, "
                 f"gpus={self.n_gpus}, free={self.n_free_gpus})")
+
+
+class OccupancyCounts(NamedTuple):
+    """Every occupancy counter of a set of nodes (node-then-GPU order)."""
+
+    n_residents: List[int]   #: per GPU
+    memory_used: List[float]  #: per GPU, MB
+    n_free: List[int]        #: per node: healthy GPUs with no resident
+    busy: int                #: GPUs hosting at least one job
+    shared: int              #: GPUs hosting two or more jobs
+
+
+def rescan_occupancy(nodes: Sequence[Node]) -> OccupancyCounts:
+    """Recount every occupancy counter from GPU residency and health.
+
+    The single recount: a :class:`Cluster` installs it when built and
+    when unpickled, and :class:`~repro.checks.sanitizer.SimSanitizer`
+    compares the incrementally kept counters against it.
+    """
+    gpus = [g for node in nodes for g in node.gpus]
+    n_residents = [len(g._residents) for g in gpus]
+    return OccupancyCounts(
+        n_residents=n_residents,
+        memory_used=[sum(g._residents.values()) for g in gpus],
+        n_free=[count_free_gpus(node) for node in nodes],
+        busy=sum(1 for n in n_residents if n),
+        shared=sum(1 for n in n_residents if n > 1))
 
 
 def make_vc_names(count: int, prefix: str = "vc") -> List[str]:

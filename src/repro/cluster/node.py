@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cluster.gpu import GPU
 from repro.workloads.model_zoo import GPU_MEMORY_MB
+
+if TYPE_CHECKING:  # pragma: no cover - cluster.py imports this module
+    from repro.cluster.cluster import Cluster
 
 #: GPUs per server on the testbed and in the simulated clusters.
 GPUS_PER_NODE = 8
 #: CPU threads per server (dual-socket Xeon Gold 6326).
 CPUS_PER_NODE = 64
+
+#: Slots a pickle carries (``n_free_gpus`` and the owner link are derived).
+_STATE_SLOTS = ("node_id", "vc", "gpus", "cpus", "cpus_used", "gpu_type",
+                "healthy")
 
 
 class Node:
@@ -28,8 +35,7 @@ class Node:
         Global id of this node's first GPU (ids are contiguous per node).
     """
 
-    __slots__ = ("node_id", "vc", "gpus", "cpus", "cpus_used", "gpu_type",
-                 "healthy")
+    __slots__ = _STATE_SLOTS + ("n_free_gpus", "_cluster")
 
     def __init__(self, node_id: int, vc: str, n_gpus: int = GPUS_PER_NODE,
                  first_gpu_id: int = 0,
@@ -44,8 +50,27 @@ class Node:
         #: Optional GPU generation marker (repro.cluster.hetero).
         self.gpu_type = None
         #: Fault-injection state (repro.faults): a failed node accepts no
-        #: placements until its NODE_RECOVER event fires.
+        #: placements until its NODE_RECOVER event fires.  Flip it with
+        #: :meth:`set_health`, never by assignment.
         self.healthy = True
+        #: Owning cluster, whose counters this node's GPUs update.
+        self._cluster: Optional["Cluster"] = None
+        for gpu in self.gpus:
+            gpu._node = self
+        #: Healthy GPUs with no resident job, kept by ``GPU.attach`` /
+        #: ``GPU.detach`` and :meth:`set_health`.
+        self.n_free_gpus = count_free_gpus(self)
+
+    def __getstate__(self):
+        # The owning cluster relinks and recounts on unpickling.
+        return None, {name: getattr(self, name) for name in _STATE_SLOTS}
+
+    def set_health(self, healthy: bool) -> None:
+        """Fail or recover the node and all its GPUs (fault injection)."""
+        self.healthy = healthy
+        for gpu in self.gpus:
+            gpu.healthy = healthy
+        self.n_free_gpus = count_free_gpus(self)
 
     @property
     def n_gpus(self) -> int:
@@ -54,15 +79,11 @@ class Node:
     @property
     def free_gpus(self) -> List[GPU]:
         """Healthy GPUs with no resident job."""
-        return [g for g in self.gpus if g.is_free and g.healthy]
-
-    @property
-    def n_free_gpus(self) -> int:
-        return sum(1 for g in self.gpus if g.is_free and g.healthy)
+        return [g for g in self.gpus if not g.n_residents and g.healthy]
 
     @property
     def is_empty(self) -> bool:
-        return all(g.is_free for g in self.gpus)
+        return not any(g.n_residents for g in self.gpus)
 
     @property
     def busy_gpus(self) -> List[GPU]:
@@ -79,3 +100,8 @@ class Node:
     def __repr__(self) -> str:
         return (f"Node(id={self.node_id}, vc={self.vc!r}, "
                 f"free={self.n_free_gpus}/{self.n_gpus})")
+
+
+def count_free_gpus(node: Node) -> int:
+    """Rescan of ``node.n_free_gpus`` from GPU residency and health."""
+    return sum(1 for g in node.gpus if not g._residents and g.healthy)

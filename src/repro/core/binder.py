@@ -185,7 +185,7 @@ class AffineJobpairBinder:
                 if (mate.status is JobStatus.RUNNING
                         and mate.sharing_score is not None
                         and mate.gpu_num <= engine.cluster.gpus_per_node
-                        and not engine.has_mates(mate)):
+                        and not engine.mate_ids(mate)):
                     index.setdefault((mate.vc, mate.gpu_num), []).append(mate)
         self._pass_index = index
 
@@ -215,7 +215,7 @@ class AffineJobpairBinder:
             return "mate_distributed"
         if mate.sharing_score is None:
             return "mate_unprofiled"
-        if engine.has_mates(mate):  # rule 3: at most two per GPU set
+        if engine.mate_ids(mate):  # rule 3: at most two per GPU set
             return "has_mate"
         if mate.sharing_score + job.sharing_score > self.gss_capacity:
             return "gss_budget"  # Indolent Packing GSS budget
@@ -277,7 +277,7 @@ class AffineJobpairBinder:
                 continue
             # Rule 3 caps packing at two per GPU set, so a packed job
             # has exactly one mate.
-            mate = engine.jobs[min(ids)]
+            mate = engine.jobs[ids[0]]
             seen.add(job.job_id)
             seen.add(mate.job_id)
             if rng.random() < instability_rate:

@@ -317,7 +317,7 @@ class LucidScheduler(Scheduler):
                     or mate.vc != job.vc
                     or mate.gpu_num != job.gpu_num
                     or mate.gpu_num > self.engine.cluster.gpus_per_node
-                    or self.engine.has_mates(mate)):
+                    or self.engine.mate_ids(mate)):
                 continue
             gpus = find_shared(self.engine.cluster, self.engine.gpus_of(mate),
                                job.profile.gpu_mem_mb)

@@ -94,9 +94,7 @@ class FaultRuntime:
         node = self._resolve_node(target, index)
         if node is None or not node.healthy:
             return  # unknown target or already down (overlapping windows)
-        node.healthy = False
-        for gpu in node.gpus:
-            gpu.healthy = False
+        node.set_health(False)
         self.node_failures += 1
         self._down_since[(target, index)] = now
         victims = set()
@@ -117,9 +115,7 @@ class FaultRuntime:
         node = self._resolve_node(target, index)
         if node is None or node.healthy:
             return
-        node.healthy = True
-        for gpu in node.gpus:
-            gpu.healthy = True
+        node.set_health(True)
         self.node_recoveries += 1
         down = self._down_since.pop((target, index), None)
         if down is not None:

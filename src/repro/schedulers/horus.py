@@ -71,7 +71,7 @@ class HorusScheduler(Scheduler):
                     or mate.gpu_num > self.engine.cluster.gpus_per_node
                     or mate.vc != job.vc
                     or mate.status is not JobStatus.RUNNING
-                    or self.engine.has_mates(mate)):
+                    or self.engine.mate_ids(mate)):
                 continue
             combined = job_util + self._predicted_util(mate)
             if combined > self.util_target:

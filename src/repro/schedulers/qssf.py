@@ -9,6 +9,7 @@ unlike Lucid it has no profiler, no packing and no interpretability.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,8 +39,10 @@ class HistoryDurationModel:
     @staticmethod
     def _name_bucket(name: str) -> float:
         # Strip trailing run counters so re-runs of a template collide.
+        # crc32, not hash(): str hashes are salted per process.
         stem = name.rstrip("0123456789")
-        return float(hash(stem) % HistoryDurationModel.N_NAME_BUCKETS)
+        return float(zlib.crc32(stem.encode("utf-8"))
+                     % HistoryDurationModel.N_NAME_BUCKETS)
 
     def _features(self, jobs: Sequence[Job]) -> np.ndarray:
         users = self._user_encoder.transform([j.user for j in jobs])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU
@@ -208,35 +208,27 @@ class Simulator:
         """GPUs a running job occupies."""
         return list(self.run_states[job.job_id].gpus)
 
-    def mate_ids(self, job: Job) -> Set[int]:
-        """Ids of jobs colocated with ``job`` on its GPU set."""
+    def mate_ids(self, job: Job) -> Tuple[int, ...]:
+        """Ids of the jobs sharing a GPU with ``job``, ascending.
+
+        The one mate query: an empty result means "no mates".  It reads
+        ``n_residents`` per GPU and only looks at residents on shared
+        devices, so a job without mates costs no allocation (the shared
+        empty tuple) and a packed pair one 1-tuple.
+        """
         state = self.run_states.get(job.job_id)
         if state is None:
-            return set()
-        ids: Set[int] = set()
+            return ()
+        job_id = job.job_id
+        mates: Tuple[int, ...] = ()
         for gpu in state.gpus:
-            ids.update(gpu.residents)
-        ids.discard(job.job_id)
-        return ids
-
-    def has_mates(self, job: Job) -> bool:
-        """Whether ``job`` shares any GPU with another job.
-
-        Allocation-light emptiness probe for hot callers (the binder
-        and scheduler paths only need the boolean).
-        """
-        state = self.run_states.get(job.job_id)
-        if state is None:
-            return False
-        return any(len(gpu.residents) > 1 for gpu in state.gpus)
-
-    def mates_of(self, job: Job) -> List[Job]:
-        """Jobs colocated with ``job`` on its GPU set (id-sorted).
-
-        Hot callers that only need emptiness or ids should use
-        :meth:`has_mates` / :meth:`mate_ids` — this variant allocates.
-        """
-        return [self.jobs[mid] for mid in sorted(self.mate_ids(job))]  # repro: noqa RPR121 — id-sorted order is the API contract
+            if gpu.n_residents > 1:
+                for rid in gpu._residents:
+                    if rid != job_id and rid not in mates:
+                        mates += (rid,)
+        if len(mates) > 1:  # k-way sharing: only under other packers
+            mates = tuple(sorted(mates))  # repro: noqa RPR121 — rare k-way branch; id order is the API contract
+        return mates
 
     def start_job(self, job: Job, gpus: Sequence[GPU],
                   time_limit: Optional[float] = None,
@@ -280,7 +272,7 @@ class Simulator:
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
         if self._tracing:
-            mates = [m.job_id for m in self.mates_of(job)]
+            mates = list(self.mate_ids(job))
             self.tracer.emit(
                 self.now, "start", job.job_id,
                 name=job.name, gpus=[g.gpu_id for g in gpus],
@@ -630,14 +622,14 @@ class Simulator:
         if not ids:
             speed = 1.0
         elif len(ids) == 1:
-            mate = self.jobs[next(iter(ids))]
+            mate = self.jobs[ids[0]]
             speed = self.interference.pair_speeds(
                 job.profile, mate.profile,
                 pair_key=(job.name, mate.name)).first
         else:
             # Id-sorted so the k-way float reduction is order-stable.
-            mates = [self.jobs[mid] for mid in sorted(ids)]  # repro: noqa RPR121 — rare branch; sort pins float order
-            profiles = [job.profile] + [m.profile for m in mates]
+            profiles = [job.profile] + [self.jobs[mid].profile
+                                        for mid in ids]
             speed = self.interference.k_way_speed(profiles)
         # Fragmented multi-node placement pays a communication penalty.
         gpus_per_node = self.cluster.gpus_per_node

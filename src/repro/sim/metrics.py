@@ -33,11 +33,15 @@ class UtilizationTracker:
     The engine calls :meth:`update` on every occupancy-changing event; the
     tracker accumulates GPU-busy, GPU-shared and memory-used integrals and
     reports time-averaged values, mirroring the paper's per-minute sampling
-    of active GPUs.
+    of active GPUs.  Each update reads the cluster's incrementally kept
+    counters: two integers and one flat sum of per-GPU reservations.
     """
 
     def __init__(self, cluster) -> None:
         self._cluster = cluster
+        #: Capacity is fixed for a run (heterogeneous builds stamp it
+        #: before the engine exists); the sanitizer re-checks it.
+        self.memory_total_mb = cluster.memory_capacity_mb()
         self._last_time = 0.0
         self._busy_integral = 0.0
         self._shared_integral = 0.0
@@ -47,6 +51,15 @@ class UtilizationTracker:
         self._last_shared = 0.0
         self._last_memory = 0.0
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["memory_total_mb"]  # derived: re-read on unpickling
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.memory_total_mb = self._cluster.memory_capacity_mb()
+
     def update(self, now: float) -> None:
         dt = now - self._last_time
         if dt > 0:
@@ -55,9 +68,12 @@ class UtilizationTracker:
             self._memory_integral += self._last_memory * dt
             self._elapsed += dt
             self._last_time = now
-        self._last_busy = self._cluster.active_gpu_fraction()
-        self._last_shared = self._cluster.shared_gpu_fraction()
-        self._last_memory = self._cluster.memory_used_fraction()
+        cluster = self._cluster
+        total = self.memory_total_mb
+        self._last_busy = cluster.active_gpu_fraction()
+        self._last_shared = cluster.shared_gpu_fraction()
+        self._last_memory = (cluster.memory_used_mb() / total if total
+                             else 0.0)
 
     def summary(self) -> "UtilizationSummary":
         if self._elapsed <= 0:

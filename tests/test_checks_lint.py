@@ -516,6 +516,52 @@ class TestRPR009RawStateWrites:
         assert found == []
 
 
+class TestRPR010SaltedHash:
+    SCHED_PATH = os.path.join("src", "repro", "schedulers", "fixture.py")
+    SERVE_PATH = os.path.join("src", "repro", "serve", "fixture.py")
+
+    def test_str_hash_in_decision_code_flagged(self):
+        found = lint("""\
+            def bucket(name):
+                return hash(name.rstrip("0123456789")) % 64
+        """, path=self.SCHED_PATH)
+        assert codes(found) == ["RPR010"]
+        assert "PYTHONHASHSEED" in found[0].message
+
+    def test_tuple_hash_in_digest_code_flagged(self):
+        found = lint("""\
+            def digest(job):
+                return hash((job.name, job.user))
+        """, path=self.SERVE_PATH)
+        assert codes(found) == ["RPR010"]
+
+    def test_int_hash_and_stable_digest_clean(self):
+        found = lint("""\
+            import zlib
+
+            def bucket(name, job_id, items):
+                return (hash(7), hash(-3), hash(int(job_id)),
+                        hash(len(items)),
+                        zlib.crc32(name.encode("utf-8")) % 64)
+        """, path=self.SCHED_PATH)
+        assert found == []
+
+    def test_dunder_hash_exempt(self):
+        found = lint("""\
+            class Key:
+                def __hash__(self):
+                    return hash((self.a, self.b))
+        """, path=self.SCHED_PATH)
+        assert found == []
+
+    def test_out_of_scope_packages_clean(self):
+        found = lint("""\
+            def bucket(name):
+                return hash(name)
+        """, path=UTIL_PATH)
+        assert found == []
+
+
 class TestSuppression:
     def test_blanket_noqa(self):
         found = lint("""\
@@ -570,7 +616,7 @@ class TestReporting:
         assert payload["findings"][0]["line"] == 3
 
     def test_rules_table_complete(self):
-        assert set(RULES) == {f"RPR00{i}" for i in range(10)}
+        assert set(RULES) == {f"RPR{i:03d}" for i in range(11)}
         for summary, hint in RULES.values():
             assert summary and hint
 

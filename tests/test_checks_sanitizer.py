@@ -14,8 +14,10 @@ from repro import Simulator, TraceGenerator, make_scheduler
 from repro.checks import SanitizerError
 from repro.checks.sanitizer import ALLOWED_TRANSITIONS
 from repro.cluster import Cluster
+from repro.faults import FaultSpec
 from repro.schedulers import FIFOScheduler
 from repro.sim.events import EventKind
+from repro.traces import TraceSpec
 from repro.workloads import JobStatus
 
 from conftest import make_job
@@ -114,6 +116,60 @@ class TestAllocationInvariants:
         gpu = sim.cluster.gpus[0]
         gpu._residents[1] = gpu.memory_mb * 2
         with pytest.raises(SanitizerError, match="memory oversubscribed"):
+            sim.sanitizer.after_schedule()
+
+
+class TestOccupancyCounters:
+    """Counters kept by GPU.attach/detach and Node.set_health must equal
+    a rescan; corruption behind their back is named by counter."""
+
+    def test_resident_added_behind_counters_detected(self):
+        sim, _ = started_sim()
+        sim.cluster.gpus[5]._residents[1] = 100.0  # job 1 is running
+        with pytest.raises(SanitizerError,
+                           match="occupancy counter n_residents of GPU 5"):
+            sim.sanitizer.after_schedule()
+
+    def test_reservation_rewritten_behind_counters_detected(self):
+        sim, _ = started_sim()
+        sim.cluster.gpus[0]._residents[1] = 123.0
+        with pytest.raises(SanitizerError,
+                           match="occupancy counter memory_used_mb of GPU 0"):
+            sim.sanitizer.after_schedule()
+
+    def test_health_flipped_behind_counters_detected(self):
+        sim = fresh_sim()
+        node = sim.cluster.nodes[0]
+        node.healthy = False  # flags stay coherent, the count goes stale
+        for gpu in node.gpus:
+            gpu.healthy = False
+        with pytest.raises(SanitizerError,
+                           match="occupancy counter n_free_gpus of node 0"):
+            sim.sanitizer.after_schedule()
+
+    def test_set_health_keeps_counters(self):
+        sim, _ = started_sim()
+        node = sim.cluster.nodes[0]
+        sim.stop_job(sim.jobs[1])
+        node.set_health(False)
+        assert node.n_free_gpus == 0
+        sim.sanitizer.after_schedule()
+        node.set_health(True)
+        assert node.n_free_gpus == node.n_gpus
+        sim.sanitizer.after_schedule()
+
+    @pytest.mark.parametrize("counter", ["n_busy_gpus", "n_shared_gpus"])
+    def test_cluster_count_drift_detected(self, counter):
+        sim, _ = started_sim()
+        setattr(sim.cluster, counter, getattr(sim.cluster, counter) + 1)
+        with pytest.raises(SanitizerError,
+                           match=f"occupancy counter {counter} is"):
+            sim.sanitizer.after_schedule()
+
+    def test_memory_capacity_drift_detected(self):
+        sim, _ = started_sim()
+        sim.cluster.gpus[3].memory_mb += 1.0
+        with pytest.raises(SanitizerError, match="memory_total_mb"):
             sim.sanitizer.after_schedule()
 
 
@@ -223,6 +279,24 @@ class TestZeroOverheadContract:
                         FIFOScheduler(), sanitize=True)
         result = sim.run()
         assert result.n_jobs == tiny_spec.n_jobs
+        assert sim.sanitizer.checks_run > 0
+
+    def test_fault_run_keeps_occupancy_counters(self):
+        # Node failures and recoveries on the main and the profiling
+        # cluster flip health mid-run and Lucid packs jobs; every sweep
+        # rescans the counters.
+        gen = TraceGenerator(TraceSpec(
+            name="tight", n_nodes=2, n_vcs=1, n_jobs=150, full_n_jobs=150,
+            mean_duration=3600.0, span_days=0.25, n_users=12, seed=99))
+        history = gen.generate_history()
+        faults = FaultSpec(seed=11, node_mtbf=4000.0, node_mttr=300.0,
+                           profiler_mtbf=6000.0)
+        sim = Simulator(gen.build_cluster(), gen.generate(),
+                        make_scheduler("lucid", history), faults=faults,
+                        sanitize=True)
+        result = sim.run()
+        assert result.faults.node_failures > 0
+        assert result.utilization.gpu_shared > 0
         assert sim.sanitizer.checks_run > 0
 
     @pytest.mark.parametrize("name", ["fifo", "tiresias", "lucid"])

@@ -1,22 +1,36 @@
-"""Pinned whole-run Lucid results: the bit-identity oracle for hot-path work.
+"""Pinned whole-run results: the bit-identity oracle for hot-path work.
 
-Two contended 400-job replays with ``LucidConfig(seed=7)``.  Average JCT,
-makespan, the engine's full ``state_digest`` and the Dynamic Strategy's
-mode counts are pinned exactly: a speed-up of the control loop, the
-forecast features or the queue bookkeeping must leave every one of them
-unchanged.  A change that is *meant* to alter decisions updates these
-values and says so.
+Two contended 400-job Lucid replays with ``LucidConfig(seed=7)``, plus
+FIFO and Tiresias on the same venus trace and one heterogeneity-aware
+Lucid run on a mixed-generation cluster (whose GPUs carry per-type
+memory, so the memory-occupancy integral sums unequal capacities).
+Average JCT, makespan, the engine's full ``state_digest``, the
+time-averaged utilization (as ``float.hex``: ``state_digest`` does not
+cover it) and, for Lucid, the Dynamic Strategy's mode counts are pinned
+exactly: a speed-up of the control loop, the forecast features, the
+queue bookkeeping or the cluster's occupancy counters must leave every
+one of them unchanged.  A change that is *meant* to alter decisions
+updates these values and says so.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.cluster.hetero import (
+    A100,
+    K80,
+    RTX3090,
+    V100,
+    build_heterogeneous_cluster,
+)
+from repro.core.factory import make_scheduler
+from repro.core.hetero_lucid import HeteroLucidScheduler
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.serve.core import state_digest
 from repro.sim.engine import Simulator
 from repro.traces.generator import TraceGenerator
-from repro.traces.spec import SATURN, VENUS
+from repro.traces.spec import SATURN, VENUS, TraceSpec
 
 GOLDEN = {
     "venus": (
@@ -25,6 +39,8 @@ GOLDEN = {
         303757.7983764063,
         "fc540609100ee65f191f141e77f3354e7c794df8722ea1f8dd7e21e6a9b41a67",
         {"DISABLED": 510, "APATHETIC": 439, "DEFAULT": 63},
+        ("0x1.3fd94b87d5a3ap-5", "0x1.1dc3f8860b488p-10",
+         "0x1.e2e0e0d6867bep-8"),
     ),
     "saturn": (
         SATURN,
@@ -32,13 +48,55 @@ GOLDEN = {
         427967.1048041586,
         "2e5008d6d1e3dcb2f92cf1b11222f4c4157ca0cf8c88706e7c2512d41ff32855",
         {"DISABLED": 763, "APATHETIC": 659, "DEFAULT": 4},
+        ("0x1.7145ea3986962p-6", "0x0.0p+0", "0x1.5e37d86d29bc5p-8"),
+    ),
+}
+
+HETERO_SPEC = TraceSpec(
+    name="hetero", n_nodes=8, n_vcs=1, n_jobs=350, full_n_jobs=350,
+    mean_duration=2500.0, span_days=0.5, n_users=16, seed=555,
+)
+
+
+def _hetero_cluster():
+    return build_heterogeneous_cluster({
+        "vc01": [(A100, 2), (RTX3090, 3), (V100, 2), (K80, 1)],
+    })
+
+
+#: name -> (spec, scheduler factory, cluster factory or None for the
+#: spec's own, records, avg JCT, makespan, digest, utilization hex).
+GOLDEN_RUNS = {
+    "fifo-venus": (
+        VENUS.with_jobs(400), lambda h: make_scheduler("fifo", h), None,
+        400, 4846.000010600566, 303557.7983764063,
+        "a37adb1f98ccc4d70041a70342b8077b32810b2c20974617d35e0dcc05ab03fe",
+        ("0x1.492bc6c3b7b10p-5", "0x0.0p+0", "0x1.e3292d3973e23p-8"),
+    ),
+    "tiresias-venus": (
+        VENUS.with_jobs(400), lambda h: make_scheduler("tiresias", h), None,
+        400, 3955.2399451572724, 303557.7983764063,
+        "ee262d10ced93de8f9bba7c5c89fa7c4a5b1b6841bee2cfa009ffeb590ac22ce",
+        ("0x1.49c1b148a15b6p-5", "0x0.0p+0", "0x1.e4172088c9bb4p-8"),
+    ),
+    "hetero-lucid": (
+        HETERO_SPEC, lambda h: HeteroLucidScheduler(h, LucidConfig(seed=7)),
+        _hetero_cluster, 350, 1350.5986954877021, 100322.32530239424,
+        "42a7cefe3c7193a381ea13335f430d80643600ce268b57967bf1dbc845eeec44",
+        ("0x1.ea3b68054f85cp-2", "0x1.24a6772b426edp-6",
+         "0x1.28bb9173fbc33p-4"),
     ),
 }
 
 
+def _utilization_hex(result):
+    u = result.utilization
+    return (u.gpu_busy.hex(), u.gpu_shared.hex(), u.memory_used.hex())
+
+
 @pytest.mark.parametrize("trace", sorted(GOLDEN))
 def test_lucid_run_is_pinned(trace):
-    spec, avg_jct, makespan, digest, modes = GOLDEN[trace]
+    spec, avg_jct, makespan, digest, modes, utilization = GOLDEN[trace]
     generator = TraceGenerator(spec.with_jobs(400))
     cluster = generator.build_cluster()
     history = generator.generate_history()
@@ -53,3 +111,23 @@ def test_lucid_run_is_pinned(trace):
     assert state_digest(sim) == digest
     assert {mode.name: count for mode, count
             in Counter(scheduler.mode_history).items()} == modes
+    assert _utilization_hex(result) == utilization
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_is_pinned(name):
+    (spec, make, make_cluster, n_records, avg_jct, makespan, digest,
+     utilization) = GOLDEN_RUNS[name]
+    generator = TraceGenerator(spec)
+    cluster = (make_cluster() if make_cluster is not None
+               else generator.build_cluster())
+    history = generator.generate_history()
+    jobs = generator.generate()
+    sim = Simulator(cluster, jobs, make(history))
+    result = sim.run()
+
+    assert len(result.records) == n_records
+    assert result.avg_jct == avg_jct
+    assert result.makespan == makespan
+    assert state_digest(sim) == digest
+    assert _utilization_hex(result) == utilization

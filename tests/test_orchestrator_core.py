@@ -58,7 +58,7 @@ class TestOrchestrator:
             sim, [job], priority_fn=lambda j: 0.0,
             find_mate=lambda j: mate, sharing_mode="eager")
         assert placed == [job]
-        assert sim.mates_of(job) == [mate]
+        assert sim.mate_ids(job) == (mate.job_id,)
 
     def test_fallback_prefers_exclusive(self):
         mate = make_job(1, gpu_util=10.0)
@@ -71,7 +71,7 @@ class TestOrchestrator:
             sim, [job], priority_fn=lambda j: 0.0,
             find_mate=lambda j: mate, sharing_mode="fallback")
         assert placed == [job]
-        assert sim.mates_of(job) == []  # free GPUs existed -> exclusive
+        assert sim.mate_ids(job) == ()  # free GPUs existed -> exclusive
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ class GreedyPacker(Scheduler):
             placed = False
             for mate in self.engine.running_jobs():
                 if (mate.gpu_num == job.gpu_num
-                        and not self.engine.mates_of(mate)
+                        and not self.engine.mate_ids(mate)
                         and mate.gpu_num <= 8):
                     gpus = find_shared(self.engine.cluster,
                                        self.engine.gpus_of(mate),

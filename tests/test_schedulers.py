@@ -1,5 +1,9 @@
 """Behavioural tests for the baseline schedulers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -103,6 +107,40 @@ class TestQSSF:
                          vc="vc1", name=history[0].name, user=history[0].user)]
         result = Simulator(cluster, jobs, scheduler).run()
         assert result.n_jobs == 2
+
+
+#: One contended QSSF replay; prints its state digest and queuing delay.
+_QSSF_REPLAY = """
+from repro.core.factory import make_scheduler
+from repro.serve.core import state_digest
+from repro.sim.engine import Simulator
+from repro.traces.generator import TraceGenerator
+from repro.traces.spec import VENUS
+gen = TraceGenerator(VENUS.with_jobs(400))
+cluster = gen.build_cluster()
+history = gen.generate_history()
+sim = Simulator(cluster, gen.generate(), make_scheduler("qssf", history))
+result = sim.run()
+print(state_digest(sim), result.avg_queue_delay)
+"""
+
+
+def test_qssf_decisions_independent_of_hash_seed():
+    """QSSF buckets job names; a salted ``hash(str)`` made its decisions
+    (and a recovering serve daemon's) differ between processes."""
+    import repro
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", _QSSF_REPLAY], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout.split())
+    (digest_a, queue_a), (digest_b, _) = outputs
+    assert float(queue_a) > 0  # contended: ordering decisions matter
+    assert digest_a == digest_b
 
 
 class TestTiresias:

@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.checks.sanitizer import occupancy_drift
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.chaos import commit_digests, final_state
 from repro.serve.config import ConfigMismatchError
@@ -347,3 +348,38 @@ class TestDigest:
         assert clone.digest() == core.digest()
         assert clone.consumed == core.consumed
         assert clone.next_job_id == core.next_job_id
+
+    def test_blob_round_trip_recounts_occupancy(self):
+        core = SimCore.genesis(RECOVERY_CONFIG)
+        core.admit_specs([dict(SPEC, gpu_num=n) for n in (1, 2, 4)],
+                         [f"job-{i:08d}.json" for i in (1, 2, 3)])
+        core.advance()
+        cluster = core.sim.cluster
+        assert cluster.n_busy_gpus > 0  # mid-run: GPUs are held
+        kept = (cluster.n_busy_gpus, cluster.n_shared_gpus,
+                list(cluster._memory_used),
+                [node.n_free_gpus for node in cluster.nodes])
+        digest = core.digest()
+        # Counters are derived state: a corrupted copy must not survive
+        # the pickle, the clone recounts them from the residents.
+        cluster.n_busy_gpus = -1
+        cluster.nodes[0].n_free_gpus = 99
+        cluster.gpus[0].memory_used_mb = 1e9
+        clone = SimCore.from_blob(core.to_blob())
+        restored = clone.sim.cluster
+        assert occupancy_drift(restored) is None
+        assert (restored.n_busy_gpus, restored.n_shared_gpus,
+                restored._memory_used,
+                [node.n_free_gpus for node in restored.nodes]) == kept
+        assert clone.digest() == digest
+
+    def test_genesis_snapshot_stays_small(self):
+        # 35,692 bytes before the occupancy counters existed; the
+        # counters are recounted on load, never pickled.
+        blob = SimCore.genesis(ServeConfig(trace="venus",
+                                           scheduler="fifo")).to_blob()
+        assert len(blob) <= 35_692 * 1.05
+        for derived in (b"n_busy_gpus", b"n_shared_gpus", b"_memory_used",
+                        b"n_free_gpus", b"memory_used_mb", b"n_residents",
+                        b"memory_total_mb"):
+            assert derived not in blob
