@@ -25,8 +25,7 @@ RPR004    No float ``==`` / ``!=`` against simulated-time expressions;
           compare with an epsilon or ``<=`` / ``>=``.
 RPR005    No mutable default arguments (shared state across calls).
 RPR006    ``EventKind`` exhaustiveness: every enum member must be
-          dispatched (``sim/engine.py`` or ``faults/runtime.py``) and
-          mapped to a timeline track (``obs/timeline.py``).
+          dispatched (``sim/engine.py`` or ``faults/runtime.py``).
 RPR007    No bare or overbroad ``except`` (``Exception``/
           ``BaseException``) unless the handler re-raises.
 RPR008    Public sim entry points (``simulate*``/``generate*``/
@@ -98,8 +97,7 @@ RULES: Dict[str, Tuple[str, str]] = {
                "default to None and create the list/dict/set inside the "
                "function"),
     "RPR006": ("EventKind member not exhaustively handled",
-               "dispatch the member in sim/engine.py (or faults/runtime.py) "
-               "and map its value in obs/timeline.py EVENT_KIND_TRACKS"),
+               "dispatch the member in sim/engine.py (or faults/runtime.py)"),
     "RPR007": ("bare or overbroad except clause",
                "catch the specific exceptions the block can raise, or "
                "re-raise after cleanup"),
@@ -700,20 +698,28 @@ class _DeterminismVisitor(ast.NodeVisitor):
 # ----------------------------------------------------------------------
 # RPR006: EventKind exhaustiveness (cross-file project rule)
 # ----------------------------------------------------------------------
-def _enum_members(events_tree: ast.Module) -> Dict[str, Tuple[str, int]]:
-    """``member name -> (string value, line)`` of the EventKind enum."""
-    members: Dict[str, Tuple[str, int]] = {}
+def _enum_members(events_tree: ast.Module) -> Dict[str, int]:
+    """``member name -> definition line`` of the EventKind enum.
+
+    A member is a class-level assignment of a string, or of a tuple
+    whose first element is the string value (the declared stories
+    follow it).
+    """
+    members: Dict[str, int] = {}
     for node in events_tree.body:
         if not (isinstance(node, ast.ClassDef) and node.name == "EventKind"):
             continue
         for stmt in node.body:
-            if (isinstance(stmt, ast.Assign)
+            if not (isinstance(stmt, ast.Assign)
                     and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)):
-                target = stmt.targets[0]
-                members[target.id] = (stmt.value.value, stmt.lineno)
+                    and isinstance(stmt.targets[0], ast.Name)):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Tuple) and value.elts:
+                value = value.elts[0]
+            if isinstance(value, ast.Constant) and isinstance(value.value,
+                                                              str):
+                members[stmt.targets[0].id] = stmt.lineno
     return members
 
 
@@ -733,39 +739,11 @@ def _referenced_members(path: str) -> Set[str]:
     return refs
 
 
-def _timeline_track_keys(path: str) -> Optional[Set[str]]:
-    """Keys of the ``EVENT_KIND_TRACKS`` literal, or None when absent."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-    except (OSError, SyntaxError):
-        return None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target: ast.expr = node.targets[0]
-            value: Optional[ast.expr] = node.value
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-            value = node.value
-        else:
-            continue
-        if (isinstance(target, ast.Name)
-                and target.id == "EVENT_KIND_TRACKS"
-                and isinstance(value, ast.Dict)):
-            keys: Set[str] = set()
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value,
-                                                                str):
-                    keys.add(key.value)
-            return keys
-    return None
-
-
 def _check_eventkind(path: str, tree: ast.Module) -> List[Finding]:
     """RPR006 for an ``events.py`` defining ``EventKind``.
 
     Dispatch coverage is looked for in the sibling ``engine.py`` and in
-    ``../faults/runtime.py``; track mapping in ``../obs/timeline.py``.
+    ``../faults/runtime.py``.
     """
     members = _enum_members(tree)
     if not members:
@@ -776,22 +754,12 @@ def _check_eventkind(path: str, tree: ast.Module) -> List[Finding]:
     for candidate in (os.path.join(directory, "engine.py"),
                       os.path.join(parent, "faults", "runtime.py")):
         dispatched |= _referenced_members(candidate)
-    tracks = _timeline_track_keys(os.path.join(parent, "obs", "timeline.py"))
-    findings: List[Finding] = []
-    for name, (value, line) in sorted(members.items()):
-        if name not in dispatched:
-            findings.append(Finding(
-                code="RPR006", path=path, line=line, col=4,
-                message=f"EventKind.{name} is never dispatched in "
-                        "sim/engine.py or faults/runtime.py",
-                hint=RULES["RPR006"][1]))
-        if tracks is None or value not in tracks:
-            findings.append(Finding(
-                code="RPR006", path=path, line=line, col=4,
-                message=f"EventKind.{name} ({value!r}) has no track in "
-                        "obs/timeline.py EVENT_KIND_TRACKS",
-                hint=RULES["RPR006"][1]))
-    return findings
+    return [Finding(code="RPR006", path=path, line=line, col=4,
+                    message=f"EventKind.{name} is never dispatched in "
+                            "sim/engine.py or faults/runtime.py",
+                    hint=RULES["RPR006"][1])
+            for name, line in sorted(members.items())
+            if name not in dispatched]
 
 
 # ----------------------------------------------------------------------

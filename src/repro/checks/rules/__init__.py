@@ -7,11 +7,10 @@ built once per ``repro lint --project`` run:
   cycles, layering conformance against the DAG declared in
   ``pyproject.toml`` (``[tool.repro.layers]``), cross-package private
   imports, umbrella imports, entry-point imports.
-* :mod:`repro.checks.rules.replay` — RPR110..RPR114: replay safety of
-  the serve subsystem (SimCore mutations outside ``apply_tick_record``,
-  WAL payload coverage of ``EventKind``, wall-clock/RNG and unordered
-  iteration reachable from digest-computing code, lineage cause-schema
-  coverage of ``EventKind``).
+* :mod:`repro.checks.rules.replay` — RPR110, RPR112, RPR113: replay
+  safety of the serve subsystem (SimCore mutations outside
+  ``apply_tick_record``, wall-clock/RNG and unordered iteration
+  reachable from digest-computing code).
 * :mod:`repro.checks.rules.hotpath` — RPR120..RPR123: allocation and
   per-item-model-call patterns inside functions the profiler baseline
   (``benchmarks/results/bench_baseline.json``) marks hot.
@@ -58,10 +57,6 @@ GRAPH_RULES: Dict[str, Tuple[str, str]] = {
     "RPR110": ("SimCore state mutated outside the apply_tick_record path",
                "route every SimCore mutation through apply_tick_record "
                "so WAL replay reproduces it; reads are fine"),
-    "RPR111": ("EventKind member without WAL payload coverage",
-               "add the member to WAL_EVENT_COVERAGE in serve/core.py "
-               "stating how replay reproduces its payload (and drop "
-               "stale entries)"),
     "RPR112": ("wall-clock/RNG call reachable from digest/replay code",
                "digest-feeding state must be a pure function of the "
                "journaled inputs; hoist the read out of the replay "
@@ -69,10 +64,6 @@ GRAPH_RULES: Dict[str, Tuple[str, str]] = {
     "RPR113": ("unordered iteration reachable from digest/replay code",
                "wrap the iterable in sorted(...); iteration order feeds "
                "the digest via state mutation order"),
-    "RPR114": ("EventKind member without a lineage cause-schema entry",
-               "add the member to LINEAGE_CAUSE_SCHEMA in obs/lineage.py "
-               "stating which causes the lineage collector records for "
-               "it (and drop stale entries)"),
     "RPR120": ("deepcopy inside a profiler-hot function",
                "deepcopy on the hot path dominates the profile; share "
                "immutable state or copy only the mutated fields"),

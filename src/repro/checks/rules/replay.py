@@ -1,4 +1,4 @@
-"""Replay-safety pack: RPR110–RPR114 over the serve/digest call graph.
+"""Replay-safety pack: RPR110, RPR112, RPR113 over the serve/digest graph.
 
 The serve subsystem's recovery invariant (DESIGN.md): state is a pure
 function of the journaled inputs, and ``apply_tick_record`` is the only
@@ -11,9 +11,6 @@ rules machine-check that invariant across module boundaries:
   outside the ``apply_tick_record`` path.  Mutating methods are
   *derived* from the AST of ``SimCore`` and ``Simulator`` themselves,
   so new mutators are covered automatically.
-* **RPR111** — ``EventKind`` members missing from (or stale in) the
-  declared ``WAL_EVENT_COVERAGE`` literal in ``serve/core.py``, which
-  documents how replay reproduces each event's payload.
 * **RPR112** — wall-clock/RNG calls reachable from digest-computing
   code (``state_digest`` / ``SimCore.digest`` / ``apply_tick_record``)
   via the call graph — the cross-function extension of RPR001/RPR002.
@@ -23,17 +20,16 @@ rules machine-check that invariant across module boundaries:
   reachable from the digest roots but living outside the per-file
   decision packages, where iteration order still feeds the digest
   through mutation order.
-* **RPR114** — ``EventKind`` members missing from (or stale in) the
-  ``LINEAGE_CAUSE_SCHEMA`` literal in ``obs/lineage.py``, which
-  documents which upstream events the causal-lineage collector records
-  as causes for each engine event kind (the RPR111 pattern applied to
-  the lineage plane).
+
+Each ``EventKind`` member's replay story is declared on the member
+itself (:mod:`repro.sim.events`), whose constructor rejects a member
+without one, so no rule here re-reads it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.checks.graph import (
     MODULE_SCOPE,
@@ -233,116 +229,6 @@ def _scan_core_mutations(path: str, qname: str, func: FuncNode,
                 "RPR110", path, node.lineno, node.col_offset,
                 f"{short}() mutates SimCore.{func_attr.value.attr} in "
                 "place outside the apply_tick_record path"))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RPR111
-# ----------------------------------------------------------------------
-def _event_kind_values(module: Optional[ModuleInfo]) -> Dict[str, int]:
-    """EventKind member string value -> definition line."""
-    cls = _find_class(module, "EventKind")
-    if cls is None:
-        return {}
-    values: Dict[str, int] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and isinstance(stmt.value, ast.Constant) \
-                and isinstance(stmt.value.value, str):
-            values[stmt.value.value] = stmt.lineno
-    return values
-
-
-def _coverage_literal(module: Optional[ModuleInfo],
-                      name: str = "WAL_EVENT_COVERAGE",
-                      ) -> Optional[Tuple[Set[str], int]]:
-    if module is None or module.tree is None:
-        return None
-    for node in ast.walk(module.tree):
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value = node.target, node.value
-        if isinstance(target, ast.Name) \
-                and target.id == name \
-                and isinstance(value, ast.Dict):
-            keys = {k.value for k in value.keys
-                    if isinstance(k, ast.Constant)
-                    and isinstance(k.value, str)}
-            return keys, target.lineno
-    return None
-
-
-def _check_rpr111(index: ProjectIndex) -> List[Finding]:
-    events = _module(index, "sim.events")
-    core = _module(index, "serve.core")
-    if events is None or core is None:
-        return []
-    members = _event_kind_values(events)
-    if not members:
-        return []
-    coverage = _coverage_literal(core)
-    if coverage is None:
-        return [_finding(
-            "RPR111", core.path, 1, 0,
-            "serve/core.py declares no WAL_EVENT_COVERAGE literal; every "
-            "EventKind member needs a declared replay-payload story")]
-    keys, line = coverage
-    findings: List[Finding] = []
-    for value in sorted(set(members) - keys):
-        findings.append(_finding(
-            "RPR111", core.path, line, 0,
-            f"EventKind value {value!r} has no WAL_EVENT_COVERAGE "
-            "entry; state its replay-payload story"))
-    for value in sorted(keys - set(members)):
-        findings.append(_finding(
-            "RPR111", core.path, line, 0,
-            f"WAL_EVENT_COVERAGE entry {value!r} matches no EventKind "
-            "member; delete the stale entry"))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RPR114
-# ----------------------------------------------------------------------
-def _check_rpr114(index: ProjectIndex) -> List[Finding]:
-    """Every ``EventKind`` member needs a ``LINEAGE_CAUSE_SCHEMA`` entry.
-
-    Same shape as RPR111, against the causal-lineage cause schema in
-    ``obs/lineage.py``: the literal documents, per engine event kind,
-    which upstream events the :class:`LineageCollector` records as
-    causes.  A new EventKind without an entry means lineage silently
-    misses a causal edge; a stale key documents an edge that cannot
-    occur.
-    """
-    events = _module(index, "sim.events")
-    lineage = _module(index, "obs.lineage")
-    if events is None or lineage is None:
-        return []
-    members = _event_kind_values(events)
-    if not members:
-        return []
-    coverage = _coverage_literal(lineage, name="LINEAGE_CAUSE_SCHEMA")
-    if coverage is None:
-        return [_finding(
-            "RPR114", lineage.path, 1, 0,
-            "obs/lineage.py declares no LINEAGE_CAUSE_SCHEMA literal; "
-            "every EventKind member needs a declared cause story")]
-    keys, line = coverage
-    findings: List[Finding] = []
-    for value in sorted(set(members) - keys):
-        findings.append(_finding(
-            "RPR114", lineage.path, line, 0,
-            f"EventKind value {value!r} has no LINEAGE_CAUSE_SCHEMA "
-            "entry; state which causes lineage records for it"))
-    for value in sorted(keys - set(members)):
-        findings.append(_finding(
-            "RPR114", lineage.path, line, 0,
-            f"LINEAGE_CAUSE_SCHEMA entry {value!r} matches no EventKind "
-            "member; delete the stale entry"))
     return findings
 
 
@@ -578,8 +464,6 @@ def check_replay(ctx: RuleContext) -> List[Finding]:
     index = ctx.index
     findings: List[Finding] = []
     findings.extend(_check_rpr110(index))
-    findings.extend(_check_rpr111(index))
-    findings.extend(_check_rpr114(index))
     findings.extend(_check_rpr112_113(ctx))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

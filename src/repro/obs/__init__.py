@@ -49,7 +49,6 @@ from repro.obs.audit import (
 )
 from repro.obs.lineage import (
     COMPONENTS,
-    LINEAGE_CAUSE_SCHEMA,
     BlameRow,
     JCTDecomposition,
     LineageCollector,
@@ -131,7 +130,6 @@ __all__ = [
     "get_logger",
     "log_context",
     "COMPONENTS",
-    "LINEAGE_CAUSE_SCHEMA",
     "BlameRow",
     "JCTDecomposition",
     "LineageCollector",

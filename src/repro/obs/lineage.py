@@ -28,9 +28,9 @@ layers:
 
 :func:`lineage_from_trace` replays a tracer JSONL through the same
 fold, so ``repro why --trace events.jsonl`` needs no re-simulation.
-:data:`LINEAGE_CAUSE_SCHEMA` documents the cause story for every heap
-:class:`~repro.sim.events.EventKind`; lint rule RPR114 keeps it in sync
-with the enum.
+Every heap :class:`~repro.sim.events.EventKind` member declares its
+cause story (``EventKind.cause``) where it is defined, and which trace
+kinds release GPUs comes from :data:`repro.obs.tracer.TRACE_KINDS`.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import RELEASE_KINDS, Tracer
 
 __all__ = [
     "COMPONENTS",
-    "LINEAGE_CAUSE_SCHEMA",
     "BlameRow",
     "JCTDecomposition",
     "LineageCollector",
@@ -71,40 +70,10 @@ COMPONENTS: Tuple[str, ...] = (
     "preemption_overhead", "fault_retry", "compute",
 )
 
-#: Cause story per heap :class:`~repro.sim.events.EventKind` value —
-#: what (if anything) a lineage node of that kind cites as its causes.
-#: RPR114 machine-checks this literal against the enum, the RPR111
-#: pattern applied to the causal model instead of WAL replay.
-LINEAGE_CAUSE_SCHEMA: Dict[str, str] = {
-    "submit": "root node: trace arrival, no simulated cause",
-    "finish": "caused by the job's own start (progress chain); acts as "
-              "a GPU release cause for later starts",
-    "time_limit": "caused by the profiling start that armed the bound; "
-                  "the eviction stop it triggers chains from it",
-    "tick": "periodic wake-up, uncaused; passes materialize lazily as "
-            "sched_pass nodes only when a start cites one",
-    "node_fail": "root fault node from the injector timeline; cited by "
-                 "every victim crash it produces",
-    "node_recover": "paired with its node_fail; recorded so recovered "
-                    "capacity is visible on the critical path",
-    "job_crash": "crash nodes cite the victim's start and, for node "
-                 "deaths, the node_fail event; acts as a GPU release",
-    "slowdown": "straggler window open; affects speeds only, so it is "
-                "accounted as sharing_slowdown residual, not as a node",
-    "slowdown_end": "straggler window close; same residual accounting "
-                    "as slowdown",
-    "retry": "caused by the crash whose backoff it ends; the following "
-             "start chains from the retry",
-}
-
 #: Waiting buckets a pending interval can be classified into.
 _WAIT_PROFILING = "pending_profiling"
 _WAIT_MAIN = "pending_main"
 _WAIT_FAULT = "fault_retry"
-
-#: Event kinds that free main-cluster GPUs for later starts.
-_RELEASE_KINDS = frozenset({"stop", "preempt", "finish", "crash",
-                            "job_failed"})
 
 #: Tolerance below which a float-noise negative component is clamped.
 _NOISE_EPS = 1e-6
@@ -275,7 +244,7 @@ class LineageCollector(Tracer):
                           "profiling": profiling})
         elif kind == "retry":
             self._record(time, kind, job_id, (last,), {})
-        elif kind in _RELEASE_KINDS:
+        elif kind in RELEASE_KINDS:
             gpus = list(data.get("gpus") or ())
             causes = [last]
             node: Dict[str, Any] = {"gpus": gpus}
@@ -391,7 +360,7 @@ def _blocking_ids(collector: LineageCollector, start: LineageEvent,
     any_release: List[int] = []
     for cause_id in start.causes:
         cause = collector.events[cause_id]
-        if cause.kind not in _RELEASE_KINDS or cause.job_id is None \
+        if cause.kind not in RELEASE_KINDS or cause.job_id is None \
                 or cause.job_id == job_id:
             continue
         any_release.append(cause.job_id)

@@ -272,9 +272,3 @@ class Telemetry:
     #: Events evicted from the tracer's ring buffer on overflow; nonzero
     #: means :attr:`events` is a truncated suffix of the run.
     dropped_events: int = 0
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts

@@ -8,7 +8,9 @@ each GPU a *thread* lane; every execution interval of a job is a complete
 speed, mates and whether the run was a profiling run.  Submission and
 placement decisions appear as instant events, and the queue-depth gauge
 becomes a counter track — the same at-a-glance story as the paper's
-cluster-timeline figures.
+cluster-timeline figures.  Which kinds close a lane (the job is off its
+GPUs) and which go on the faults track is read from
+:data:`repro.obs.tracer.TRACE_KINDS`.
 
 Simulated seconds map to trace microseconds (the format's native unit), so
 one simulated day spans one "day" of trace time.
@@ -20,28 +22,9 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.ioutil import atomic_write_text
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import FAULT_KINDS, RELEASE_KINDS, TraceEvent
 
-__all__ = ["EVENT_KIND_TRACKS", "build_chrome_trace", "write_chrome_trace"]
-
-#: Timeline track for every simulator :class:`~repro.sim.events.EventKind`
-#: value.  This mapping is the RPR006 exhaustiveness anchor (see
-#: :mod:`repro.checks.lint`): adding an event kind without declaring its
-#: track here is a lint error, so no kind can silently vanish from the
-#: rendered timeline.  Values name the process row the kind appears on;
-#: kinds whose tracer emission uses an aliased kind string are noted.
-EVENT_KIND_TRACKS: Dict[str, str] = {
-    "submit": "scheduler",      # instant on the scheduler row
-    "finish": "gpu",            # closes the job's GPU lane interval
-    "time_limit": "gpu",        # lane annotation; scheduler decides the stop
-    "tick": "scheduler",        # periodic wake-up; not rendered (no payload)
-    "node_fail": "fault",
-    "node_recover": "fault",
-    "job_crash": "fault",       # traced as "crash"; also closes the lane
-    "slowdown": "fault",
-    "slowdown_end": "fault",
-    "retry": "fault",
-}
+__all__ = ["build_chrome_trace", "write_chrome_trace"]
 
 #: Simulated seconds -> Chrome trace microseconds.
 _US = 1e6
@@ -53,15 +36,6 @@ _SCHED_PID = 99_999
 #: pid of the synthetic "faults" process (failures, crashes, stragglers).
 _FAULT_PID = 88_888
 
-#: Event kinds that close a job's execution interval (``time_limit``
-#: itself does not: the scheduler decides whether to stop the run;
-#: ``crash`` does — the job is off its GPUs from that instant).
-_CLOSERS = ("stop", "preempt", "finish", "crash")
-
-#: Fault-injection kinds rendered as instants on the faults track.
-_FAULT_INSTANTS = ("node_fail", "node_recover", "crash", "retry",
-                   "job_failed", "slowdown", "slowdown_end")
-
 
 def build_chrome_trace(events: Iterable[TraceEvent],
                        queue_depth: Optional[Sequence[Tuple[float, float]]]
@@ -71,9 +45,10 @@ def build_chrome_trace(events: Iterable[TraceEvent],
     Parameters
     ----------
     events:
-        Tracer events; only ``start``/``stop``/``preempt``/``finish``
-        (lanes), ``submit``/``decision`` (instants) and ``speed`` (lane
-        annotations) are consumed, unknown kinds are ignored.
+        Tracer events; only ``start`` and the releasing kinds (lanes),
+        ``submit``/``decision`` and the fault kinds (instants) and
+        ``speed`` (lane annotations) are consumed, other kinds are
+        ignored.
     queue_depth:
         Optional ``(time, depth)`` samples rendered as a counter track
         (pass ``registry.gauge_series("queue_depth")``).
@@ -121,9 +96,9 @@ def build_chrome_trace(events: Iterable[TraceEvent],
             })
 
     for event in events:
-        if event.kind in _FAULT_INSTANTS:
-            # Faults get their own track; "crash" additionally closes the
-            # victim's execution interval below.
+        if event.kind in FAULT_KINDS:
+            # Faults get their own track; a releasing fault ("crash",
+            # "job_failed") also closes the victim's interval below.
             label = event.kind if event.job_id is None \
                 else f"{event.kind} job {event.job_id}"
             node = event.data.get("node")
@@ -148,7 +123,7 @@ def build_chrome_trace(events: Iterable[TraceEvent],
                 "profiling": bool(event.data.get("profiling")),
             }
             open_runs[event.job_id] = (event.time, lanes_for(event), args)
-        elif event.kind in _CLOSERS:
+        elif event.kind in RELEASE_KINDS:
             close_run(event.job_id, event.time, event.kind)
         elif event.kind == "speed" and event.job_id in open_runs:
             # Annotate the open run with its latest speed.

@@ -25,12 +25,16 @@ import json
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, IO, Iterable, List, NamedTuple, Optional, Union
 
 from repro.obs.ioutil import ensure_parent, tmp_path
 
 __all__ = [
+    "FAULT_KINDS",
+    "RELEASE_KINDS",
+    "TRACE_KINDS",
     "TraceEvent",
+    "TraceKind",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -39,28 +43,49 @@ __all__ = [
 ]
 
 
-#: Canonical event kinds emitted by the engine and schedulers.  ``kind`` is
-#: an open vocabulary (extensions may add their own), but these names are
-#: stable and relied upon by the timeline exporter and the tests.
-ENGINE_EVENT_KINDS = (
-    "submit",      # job arrived (engine dispatched its SUBMIT event)
-    "start",       # job began (or resumed) executing on a GPU set
-    "stop",        # job was removed from its GPUs without finishing
-    "preempt",     # like stop, but counted as a preemption
-    "finish",      # job completed all its work
-    "time_limit",  # a bounded (profiling) run hit its wall-clock limit
-    "speed",       # a running job's effective speed changed
-    "decision",    # a scheduler placement decision (see repro.obs.audit)
-    "refit",       # the Update Engine refreshed a learned model
-    # Fault-injection kinds (see repro.faults):
-    "node_fail",     # a node went down, killing its residents
-    "node_recover",  # a failed node returned to service
-    "crash",         # a fault killed a running job (will retry)
-    "retry",         # a crashed job's backoff expired; requeued
-    "job_failed",    # retry budget exhausted; job abandoned
-    "slowdown",      # a node entered a straggler window
-    "slowdown_end",  # the straggler window closed
-)
+class TraceKind(NamedTuple):
+    """What one trace kind means to the readers of the event stream."""
+
+    #: The job holds no GPUs from this instant on: the timeline closes
+    #: its lanes and lineage records a release of each GPU.
+    releases: bool
+    #: The kind is drawn on the timeline's faults track.
+    fault: bool
+
+
+#: Every kind the engine, the fault runtime, the decision audit and the
+#: schedulers emit, with the facts readers act on.  ``kind`` stays an
+#: open vocabulary (readers skip kinds they do not know), but a fact
+#: about a known kind is declared here and nowhere else.
+TRACE_KINDS: Dict[str, TraceKind] = {
+    #                           releases fault
+    "submit":        TraceKind(False, False),  # job arrived
+    "start":         TraceKind(False, False),  # began or resumed on GPUs
+    "stop":          TraceKind(True, False),   # taken off its GPUs
+    "preempt":       TraceKind(True, False),   # like stop, a preemption
+    "finish":        TraceKind(True, False),   # completed all its work
+    "time_limit":    TraceKind(False, False),  # bounded run hit its limit
+    "speed":         TraceKind(False, False),  # effective speed changed
+    "decision":      TraceKind(False, False),  # placement (repro.obs.audit)
+    "refit":         TraceKind(False, False),  # Update Engine refit
+    "node_fail":     TraceKind(False, True),   # node down, residents die
+    "node_recover":  TraceKind(False, True),   # failed node back
+    "crash":         TraceKind(True, True),    # fault killed it; will retry
+    "retry":         TraceKind(False, True),   # backoff over; requeued
+    "job_failed":    TraceKind(True, True),    # retry budget exhausted
+    "slowdown":      TraceKind(False, True),   # straggler window opened
+    "slowdown_end":  TraceKind(False, True),   # straggler window closed
+    "sched_submit":  TraceKind(False, False),  # queued (routed stage)
+    "sched_retry":   TraceKind(False, False),  # requeued after a crash
+    "sched_finish":  TraceKind(False, False),  # left the scheduler
+    "sched_failed":  TraceKind(False, False),  # dropped for good
+}
+
+#: Kinds after which the job holds no GPUs (derived from the table).
+RELEASE_KINDS = frozenset(k for k, row in TRACE_KINDS.items()
+                          if row.releases)
+#: Kinds drawn on the timeline's faults track (derived from the table).
+FAULT_KINDS = frozenset(k for k, row in TRACE_KINDS.items() if row.fault)
 
 
 @dataclass(frozen=True)

@@ -32,38 +32,7 @@ from repro.traces.spec import get_spec
 from repro.serve.config import ServeConfig
 from repro.serve.jobspec import JobSpecError, job_from_spec
 
-__all__ = ["SimCore", "WAL_EVENT_COVERAGE", "state_digest"]
-
-#: Replay-payload story for every simulator event kind (RPR111).
-#:
-#: WAL tick records journal only the *inputs* of a tick (admitted spec
-#: files + the tick number); everything else must be derivable.  This
-#: table states, per ``EventKind`` value, why replaying the journal
-#: reproduces the event exactly.  The project linter cross-checks it
-#: against ``repro.sim.events.EventKind`` so a new event kind cannot
-#: ship without a declared story.
-WAL_EVENT_COVERAGE: Dict[str, str] = {
-    "submit": "journaled: admitted specs ride in the tick record's "
-              "files list; apply_tick_record re-admits them in order",
-    "finish": "derived: core.advance() re-simulates deterministically "
-              "from the journaled admissions and config seed",
-    "time_limit": "derived: profiling-run bounds are fixed by config; "
-                  "re-simulation re-arms them identically",
-    "tick": "journaled: the WAL tick record itself; apply_tick_record "
-            "replays it and owns core.tick",
-    "node_fail": "seeded: the fault timeline is a pure function of the "
-                 "FaultSpec + seed journaled in ServeConfig",
-    "node_recover": "seeded: recovery times derive from the same "
-                    "FaultSpec + seed as the failure",
-    "job_crash": "seeded: crash draws come from the config-seeded "
-                 "fault RNG stream, not wall-clock state",
-    "slowdown": "seeded: straggler windows derive from the journaled "
-                "FaultSpec + seed",
-    "slowdown_end": "seeded: window close is scheduled with its "
-                    "opening draw; no independent randomness",
-    "retry": "derived: backoff expiry is a deterministic function of "
-             "the crash time and RetryPolicy in config",
-}
+__all__ = ["SimCore", "state_digest"]
 
 
 def _hex(value: Optional[float]) -> Optional[str]:

@@ -6,25 +6,88 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional
 
 
+@enum.unique
 class EventKind(enum.Enum):
-    """Kinds of simulator events."""
+    """Kinds of simulator events.
 
-    SUBMIT = "submit"          # a job arrives
-    FINISH = "finish"          # a running job completes its work
-    TIME_LIMIT = "time_limit"  # a bounded run (profiling) hits its limit
-    TICK = "tick"              # periodic scheduler wake-up
+    Each member is ``(value, replay, cause)``: ``replay`` says why
+    replaying the serve WAL, which journals only each tick's number and
+    admitted specs, reproduces the event exactly; ``cause`` says which
+    earlier events the causal-lineage fold (:mod:`repro.obs.lineage`)
+    cites as its causes.  The constructor rejects a member without both
+    stories, and :func:`enum.unique` rejects stories for a value that
+    already has a member.  ``.value`` strings are persisted (state
+    digests, profiler keys, pickled snapshot heaps): never change them.
+    """
+
+    _value_: str
+    replay: str
+    cause: str
+
+    def __new__(cls, value: str, *stories: str) -> "EventKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        return member
+
+    def __init__(self, value: str, *stories: str) -> None:
+        if len(stories) != 2 or not all(stories):
+            raise TypeError(f"EventKind.{self.name} must declare exactly "
+                            "a replay story and a cause story")
+        self.replay, self.cause = stories
+
+    SUBMIT = (  # a job arrives
+        "submit",
+        "journaled: the tick record lists the admitted spec files, and "
+        "apply_tick_record re-admits them in order",
+        "root node: trace arrival, no simulated cause")
+    FINISH = (  # a running job completes its work
+        "finish",
+        "derived: advance() re-simulates from the journaled admissions",
+        "the job's own start; a GPU release cause for later starts")
+    TIME_LIMIT = (  # a bounded run (profiling) hits its limit
+        "time_limit",
+        "derived: profiling bounds are fixed by config and re-armed",
+        "the profiling start that armed it; the eviction stop chains "
+        "from it")
+    TICK = (  # periodic scheduler wake-up
+        "tick",
+        "journaled: the WAL tick record itself (owns core.tick)",
+        "uncaused; a pass becomes a sched_pass node only when a start "
+        "cites it")
 
     # Fault-injection events (see :mod:`repro.faults`); payloads identify
-    # the target node / job / slowdown factor.
-    NODE_FAIL = "node_fail"        # a node goes down, killing residents
-    NODE_RECOVER = "node_recover"  # a failed node returns to service
-    JOB_CRASH = "job_crash"        # a single running job dies
-    SLOWDOWN = "slowdown"          # a node's GPUs become stragglers
-    SLOWDOWN_END = "slowdown_end"  # the straggler window closes
-    RETRY = "retry"                # a crashed job's backoff expires
+    # the target node / job / slowdown factor.  Their replay story is
+    # the same: fault timelines are pure functions of the FaultSpec and
+    # seed journaled in ServeConfig.
+    NODE_FAIL = (  # a node goes down, killing residents
+        "node_fail",
+        "seeded: drawn from the journaled FaultSpec + seed",
+        "root fault node; cited by every victim crash it produces")
+    NODE_RECOVER = (  # a failed node returns to service
+        "node_recover",
+        "seeded: scheduled with its node_fail draw",
+        "paired with its node_fail, so recovered capacity shows on the "
+        "critical path")
+    JOB_CRASH = (  # a single running job dies
+        "job_crash",
+        "seeded: drawn from the config-seeded fault RNG stream",
+        "the victim's start and, for node deaths, the node_fail; a GPU "
+        "release")
+    SLOWDOWN = (  # a node's GPUs become stragglers
+        "slowdown",
+        "seeded: drawn from the journaled FaultSpec + seed",
+        "no node: speeds only, accounted as sharing_slowdown residual")
+    SLOWDOWN_END = (  # the straggler window closes
+        "slowdown_end",
+        "seeded: scheduled with its slowdown draw",
+        "no node: same residual accounting as slowdown")
+    RETRY = (  # a crashed job's backoff expires
+        "retry",
+        "derived: backoff is a function of crash time and RetryPolicy",
+        "the crash whose backoff it ends; the next start chains from it")
 
 
 @dataclass(frozen=True, order=True)

@@ -290,24 +290,23 @@ class TestRPR005MutableDefault:
 
 
 class TestRPR006EventKindExhaustiveness:
+    # NODE_FAIL is declared the way sim/events.py declares members: a
+    # tuple of the value and its stories.
     EVENTS = textwrap.dedent("""\
         import enum
         class EventKind(enum.Enum):
             SUBMIT = "submit"
             FINISH = "finish"
-            NODE_FAIL = "node_fail"
+            NODE_FAIL = ("node_fail", "replay story", "cause story")
     """)
 
     @staticmethod
-    def _tree(tmp_path, engine_body: str, timeline_body: str):
+    def _tree(tmp_path, engine_body: str):
         sim = tmp_path / "sim"
-        obs = tmp_path / "obs"
         sim.mkdir()
-        obs.mkdir()
         events = sim / "events.py"
         events.write_text(TestRPR006EventKindExhaustiveness.EVENTS)
         (sim / "engine.py").write_text(textwrap.dedent(engine_body))
-        (obs / "timeline.py").write_text(textwrap.dedent(timeline_body))
         return str(events)
 
     def test_exhaustive_tree_clean(self, tmp_path):
@@ -315,9 +314,6 @@ class TestRPR006EventKindExhaustiveness:
             from events import EventKind
             DISPATCH = (EventKind.SUBMIT, EventKind.FINISH,
                         EventKind.NODE_FAIL)
-        """, """\
-            EVENT_KIND_TRACKS = {"submit": "scheduler", "finish": "gpu",
-                                 "node_fail": "fault"}
         """)
         assert lint_paths([events]) == []
 
@@ -325,26 +321,11 @@ class TestRPR006EventKindExhaustiveness:
         events = self._tree(tmp_path, """\
             from events import EventKind
             DISPATCH = (EventKind.SUBMIT, EventKind.FINISH)
-        """, """\
-            EVENT_KIND_TRACKS = {"submit": "scheduler", "finish": "gpu",
-                                 "node_fail": "fault"}
         """)
         found = lint_paths([events])
         assert codes(found) == ["RPR006"]
         assert "NODE_FAIL" in found[0].message
         assert "never dispatched" in found[0].message
-
-    def test_missing_track_flagged(self, tmp_path):
-        events = self._tree(tmp_path, """\
-            from events import EventKind
-            DISPATCH = (EventKind.SUBMIT, EventKind.FINISH,
-                        EventKind.NODE_FAIL)
-        """, """\
-            EVENT_KIND_TRACKS = {"submit": "scheduler", "finish": "gpu"}
-        """)
-        found = lint_paths([events])
-        assert codes(found) == ["RPR006"]
-        assert "no track" in found[0].message
 
 
 class TestRPR007OverbroadExcept:

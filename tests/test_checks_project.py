@@ -2,16 +2,19 @@
 
 Covers: the real tree lints clean; seeded regressions each produce
 exactly the expected RPR1xx finding (layering, replay-safety,
-hot-path); SARIF 2.1.0 structural validity; the ratchet failing on an
-injected violation; RPR130 unused-suppression detection; and the CLI's
+hot-path), and an ``EventKind`` member without its declared stories
+fails at import; SARIF 2.1.0 structural validity; the ratchet failing
+on an injected violation; RPR130 unused-suppression detection; and the CLI's
 parse-failure behavior (RPR000, exit 1, no traceback).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
+import sys
 import textwrap
 
 import pytest
@@ -24,6 +27,7 @@ from repro.checks import (
     write_baseline,
 )
 from repro.checks.project import BASELINE_SCHEMA, find_package_dir
+from repro.sim.events import EventKind
 
 
 def repo_root() -> str:
@@ -81,7 +85,9 @@ class TestRealTree:
 
 
 class TestSeededRegressions:
-    """Each canonical violation must surface as exactly its rule."""
+    """Each canonical violation must surface as exactly its rule; an
+    ``EventKind`` member without its stories fails when the enum is
+    defined."""
 
     def lint(self, tree):
         return lint_project(str(tree / "src" / "repro"))
@@ -120,26 +126,38 @@ class TestSeededRegressions:
         rpr120 = [f for f in findings if f.code == "RPR120"]
         assert rpr120[0].path.endswith("core/lucid.py")
 
+    @staticmethod
+    def load_events(tree):
+        """Execute the copy's ``sim/events.py`` as a fresh module."""
+        path = tree / "src" / "repro" / "sim" / "events.py"
+        spec = importlib.util.spec_from_file_location("_events_copy", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses resolve through it
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        return module
+
     def test_event_kind_without_coverage_story(self, tree_copy):
+        copy = self.load_events(tree_copy).EventKind
+        assert [k.value for k in copy] == [k.value for k in EventKind]
         inject(tree_copy, "src/repro/sim/events.py",
-               'RETRY = "retry"',
+               "    cause: str",
                '    BACKFILL = "backfill"')
-        findings = self.lint(tree_copy)
-        assert "RPR111" in [f.code for f in findings]
-        rpr111 = [f for f in findings if f.code == "RPR111"]
-        assert any("backfill" in f.message for f in rpr111)
-        # The same new kind must also declare its lineage cause story.
-        rpr114 = [f for f in findings if f.code == "RPR114"]
-        assert any("backfill" in f.message for f in rpr114)
-        assert all(f.path.endswith("obs/lineage.py") for f in rpr114)
+        with pytest.raises(TypeError, match="EventKind.BACKFILL must "
+                                            "declare exactly a replay "
+                                            "story and a cause story"):
+            self.load_events(tree_copy)
 
     def test_stale_lineage_cause_entry(self, tree_copy):
-        inject(tree_copy, "src/repro/obs/lineage.py",
-               "LINEAGE_CAUSE_SCHEMA: Dict[str, str] = {",
-               '    "warp_drive": "no such event kind",')
-        findings = self.lint(tree_copy)
-        rpr114 = [f for f in findings if f.code == "RPR114"]
-        assert rpr114 and any("warp_drive" in f.message for f in rpr114)
+        # Stories for a value that already has a member would otherwise
+        # become a silent enum alias whose stories nothing can reach.
+        inject(tree_copy, "src/repro/sim/events.py",
+               "    cause: str",
+               '    WARP_DRIVE = ("retry", "replay story", "cause story")')
+        with pytest.raises(ValueError, match="duplicate values.*WARP_DRIVE"):
+            self.load_events(tree_copy)
 
 
 class TestRatchet:

@@ -25,7 +25,6 @@ from repro.cli import main
 from repro.obs import RingBufferTracer
 from repro.obs.lineage import (
     COMPONENTS,
-    LINEAGE_CAUSE_SCHEMA,
     LineageCollector,
     blame_table,
     critical_path,
@@ -207,7 +206,8 @@ class TestCriticalPath:
 
 class TestCauseSchema:
     def test_schema_covers_every_event_kind(self):
-        assert set(LINEAGE_CAUSE_SCHEMA) == {k.value for k in EventKind}
+        # The cause story is declared on each member (sim/events.py).
+        assert all(isinstance(k.cause, str) and k.cause for k in EventKind)
 
     def test_event_dicts_are_json_clean(self):
         collector, _ = run_with_lineage("lucid")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultScriptEntry, FaultSpec
 from repro.obs import (
     MetricsRegistry,
     RingBufferTracer,
@@ -15,6 +16,9 @@ from repro.obs import (
 from repro.schedulers import TiresiasScheduler
 from repro.sim import Simulator
 from repro.traces import TraceGenerator, TraceSpec
+
+from conftest import make_job
+from test_faults import run_sim
 
 
 def _synthetic_events():
@@ -143,6 +147,22 @@ class TestFaultsTrack:
         assert lane["args"]["outcome"] == "crash"
         assert lane["ts"] == 5.0e6
         assert lane["dur"] == 35.0e6  # start 5s, crash 40s
+
+    def test_permanent_failure_closes_the_gpu_lane(self):
+        # Job 1 crashes at t=100 with no retry budget; job 2 runs to
+        # t=500, so a lane left open would close there as "running".
+        spec = FaultSpec(
+            retry_limit=0,
+            script=(FaultScriptEntry(time=100.0, kind="job_crash", job=1),))
+        tracer = RingBufferTracer()
+        run_sim([make_job(1, duration=1000.0),
+                 make_job(2, duration=500.0)], faults=spec, tracer=tracer)
+        doc = build_chrome_trace(tracer.events)
+        lanes = [e for e in doc["traceEvents"]
+                 if e["ph"] == "X" and e["args"]["job_id"] == 1]
+        assert len(lanes) == 1
+        assert lanes[0]["args"]["outcome"] == "job_failed"
+        assert lanes[0]["ts"] + lanes[0]["dur"] == 100.0e6
 
     def test_faults_process_named(self):
         doc = build_chrome_trace(self._fault_events())

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import quick_simulation
 from repro.cluster import Cluster
 from repro.obs import (
     NULL_TRACER,
@@ -12,6 +13,7 @@ from repro.obs import (
     events_from_dicts,
     read_jsonl,
 )
+from repro.obs.tracer import FAULT_KINDS, RELEASE_KINDS, TRACE_KINDS
 from repro.schedulers import FIFOScheduler
 from repro.sim import Simulator
 from repro.traces import TraceGenerator, TraceSpec
@@ -189,3 +191,47 @@ class TestMaxEventsCounting:
                         max_events=15)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run()
+
+
+#: Node, profiler, crash and straggler faults; a one-retry budget makes
+#: some jobs crash and retry and others fail for good.
+_FAULTS = ("seed=3,node_mtbf=43200,node_mttr=1200,profiler_mtbf=43200,"
+           "crash_rate=0.5,slowdown_rate=0.2,retry_limit=1")
+
+
+@pytest.fixture(scope="module")
+def emitted_kinds():
+    """Trace kinds of faulted venus replays, per scheduler.
+
+    Lucid covers the profiler, decisions, refits and sharing speed
+    changes; FIFO the plain engine path; Tiresias adds preemption.
+    """
+    kinds = {}
+    for scheduler, n_jobs in (("lucid", 300), ("fifo", 120),
+                              ("tiresias", 300)):
+        tracer = RingBufferTracer()
+        result = quick_simulation("venus", scheduler, n_jobs=n_jobs,
+                                  seed=7, tracer=tracer, faults=_FAULTS)
+        assert result.faults.jobs_failed > 0  # retry budget exhausted
+        assert tracer.n_dropped == 0
+        kinds[scheduler] = set(tracer.counts_by_kind())
+    return kinds
+
+
+class TestTraceKinds:
+    @pytest.mark.parametrize("scheduler", ["lucid", "fifo", "tiresias"])
+    def test_every_emitted_kind_is_a_table_row(self, emitted_kinds,
+                                               scheduler):
+        assert emitted_kinds[scheduler] <= set(TRACE_KINDS)
+
+    def test_every_table_row_is_emitted(self, emitted_kinds):
+        assert set().union(*emitted_kinds.values()) == set(TRACE_KINDS)
+
+    def test_derived_sets(self):
+        # Exactly lineage's former release set and the timeline's former
+        # fault track, so lineage DAGs and fault instants are unchanged.
+        assert RELEASE_KINDS == {"stop", "preempt", "finish", "crash",
+                                 "job_failed"}
+        assert FAULT_KINDS == {"node_fail", "node_recover", "crash",
+                               "retry", "job_failed", "slowdown",
+                               "slowdown_end"}
