@@ -25,7 +25,6 @@ fallback parser (tables + string arrays, all this section needs) on
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple

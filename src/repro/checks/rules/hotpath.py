@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 import json
 import os
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.checks.graph import FuncNode, ProjectIndex
 from repro.checks.lint import Finding

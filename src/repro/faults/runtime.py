@@ -24,7 +24,7 @@ executes the exact instruction stream of the seed engine.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.faults.injector import FaultInjector
 from repro.obs.logutil import get_logger

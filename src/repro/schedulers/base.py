@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cluster.placement import find_consolidated
 from repro.obs.logutil import get_logger
 from repro.obs.prof import NULL_SPAN
-from repro.workloads.job import Job, JobStatus
+from repro.workloads.job import Job
 
 logger = get_logger("schedulers")
 

@@ -11,7 +11,7 @@ Table 4 places it between SJF and Tiresias (and behind SJF on Philly).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 

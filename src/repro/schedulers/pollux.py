@@ -20,8 +20,7 @@ cluster-wide reallocation, so decision latency grows with job count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.schedulers.base import Scheduler
-from repro.workloads.job import Job, JobStatus
+from repro.workloads.job import Job
 
 #: Checkpoint + cold-start cost charged on every resume (paper §4.8).
 PREEMPTION_OVERHEAD = 62.0

@@ -41,7 +41,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.ioutil import atomic_write_text
 from repro.obs.logutil import get_logger

@@ -3,8 +3,9 @@
 The core bundles a :class:`~repro.sim.engine.Simulator` (started with an
 *empty* job set; all jobs arrive at runtime via
 :meth:`Simulator.add_job`) with the admission bookkeeping the daemon
-needs: the next free job id and the set of inbox filenames already
-consumed.  Everything in here is a pure deterministic function of the
+needs: the next free job id, the set of inbox filenames already
+consumed and the highest inbox sequence number among them.  Everything
+in here is a pure deterministic function of the
 :class:`~repro.serve.config.ServeConfig` and the sequence of
 ``admit_specs`` / ``advance`` calls — no wall clock, no randomness
 outside the seeded trace/fault generators — which is what makes WAL
@@ -16,21 +17,32 @@ into a sha256 over canonical JSON.  Floats are rendered with
 ``float.hex`` so the digest is exact, and nothing hash-randomized
 (pickle bytes, set iteration order) feeds it — the digest of the same
 logical state is stable across processes and Python runs.
+
+The digest bytes cover every job ever admitted, but a job in a terminal
+status (no outgoing transition in the sanitizer's state machine) can no
+longer change, so :class:`SimCore` encodes each terminal job's row once
+and hands that row cache to :func:`state_digest`, which streams the
+same canonical JSON into the hash.  Commit cost then follows the live
+jobs, not the history.  The cache is derived state: it is never
+snapshotted, and a loaded core starts with it empty.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from repro.core.factory import make_scheduler
 from repro.sim.engine import SimulationError, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.traces.spec import get_spec
 from repro.serve.config import ServeConfig
+from repro.serve.inbox import highest_seq, name_seq
 from repro.serve.jobspec import JobSpecError, job_from_spec
+from repro.workloads.job import Job, JobStatus
 
 __all__ = ["SimCore", "state_digest"]
 
@@ -39,20 +51,34 @@ def _hex(value: Optional[float]) -> Optional[str]:
     return None if value is None else float(value).hex()
 
 
-def state_digest(sim: Simulator) -> str:
-    """sha256 over the canonical JSON of the engine's logical state.
+#: Canonical JSON: sorted keys, no whitespace.  One shared encoder, so a
+#: row costs one ``encode`` call rather than a ``json.dumps`` set-up.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    Exact (floats via ``float.hex``) and process-stable (no pickle
-    bytes, no set/str-hash iteration orders): two engines that executed
-    the identical operation sequence digest identically, on any host.
-    """
-    jobs = []
-    for job_id in sorted(sim.jobs):
-        job = sim.jobs[job_id]
-        jobs.append([job_id, job.status.value, _hex(job.progress),
-                     _hex(job.service_time), job.preemptions,
-                     _hex(job.submit_time), _hex(job.first_start_time),
-                     _hex(job.finish_time)])
+
+@functools.lru_cache(maxsize=None)
+def terminal_statuses() -> FrozenSet[JobStatus]:
+    """Statuses with no outgoing transition: a job there never changes."""
+    # Lazy: the layering DAG allows serve no module-level checks import.
+    from repro.checks.sanitizer import ALLOWED_TRANSITIONS
+    return frozenset(status for status, successors
+                     in ALLOWED_TRANSITIONS.items() if not successors)
+
+
+def _job_row(job_id: int, job: Job) -> List[Any]:
+    return [job_id, job.status.value, _hex(job.progress),
+            _hex(job.service_time), job.preemptions,
+            _hex(job.submit_time), _hex(job.first_start_time),
+            _hex(job.finish_time)]
+
+
+def encode_job_row(job_id: int, job: Job) -> str:
+    """One job's canonical row, exactly as it appears in the digest."""
+    return _encode(_job_row(job_id, job))
+
+
+def _digest_parts(sim: Simulator) -> Dict[str, Any]:
+    """Every digest key except ``jobs``."""
     run_states = []
     for job_id in sorted(sim.run_states):
         state = sim.run_states[job_id]
@@ -73,12 +99,11 @@ def state_digest(sim: Simulator) -> str:
         heap.append([_hex(event.time), event.seq, event.kind.value,
                      event.job_id, event.epoch, repr(event.payload)])
     queue = getattr(sim.scheduler, "queue", None)
-    payload: Dict[str, Any] = {
+    return {
         "now": _hex(sim.now),
         "events_processed": sim._events_processed,
         "unfinished": sim._unfinished,
         "tick_scheduled": sim._tick_scheduled,
-        "jobs": jobs,
         "run_states": run_states,
         "gpus": gpus,
         "heap": heap,
@@ -87,8 +112,46 @@ def state_digest(sim: Simulator) -> str:
         "records": [len(sim.records),
                     sim.records[-1].job_id if sim.records else None],
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def state_digest(sim: Simulator,
+                 rows: Optional[Dict[int, str]] = None) -> str:
+    """sha256 over the canonical JSON of the engine's logical state.
+
+    Exact (floats via ``float.hex``) and process-stable (no pickle
+    bytes, no set/str-hash iteration orders): two engines that executed
+    the identical operation sequence digest identically, on any host.
+
+    Without ``rows`` this encodes the whole state in one pass — the
+    reference.  With ``rows`` (a ``job_id -> encoded row`` cache that
+    this call fills with terminal jobs) it streams the same bytes into
+    the hash, encoding only the jobs not cached yet.
+    """
+    parts = _digest_parts(sim)
+    if rows is None:
+        parts["jobs"] = [_job_row(job_id, sim.jobs[job_id])
+                         for job_id in sorted(sim.jobs)]
+        blob = _encode(parts)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    # With sorted keys, the job rows sit between the keys that sort
+    # before "jobs" and those after it.
+    head = {key: parts.pop(key) for key in sorted(parts) if key < "jobs"}
+    terminal = terminal_statuses()
+    jobs = []
+    for job_id in sorted(sim.jobs):
+        row = rows.get(job_id)
+        if row is None:
+            job = sim.jobs[job_id]
+            row = encode_job_row(job_id, job)
+            if job.status in terminal:
+                rows[job_id] = row
+        jobs.append(row)
+    digest = hashlib.sha256(_encode(head)[:-1].encode("utf-8"))
+    digest.update(b',"jobs":[')
+    digest.update(",".join(jobs).encode("utf-8"))
+    digest.update(b"],")
+    digest.update(_encode(parts)[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 class SimCore:
@@ -107,6 +170,13 @@ class SimCore:
         #: snapshots and is rebuilt from WAL tick records on replay, so
         #: a spec file is never double-admitted across a crash.
         self.consumed: Set[str] = consumed if consumed is not None else set()
+        #: Highest ``job-<seq>.json`` sequence number in ``consumed``
+        #: (0 if none): the inbox names new files above it, so a name
+        #: is never reused after its file was consumed and deleted.
+        self.consumed_seq = highest_seq(self.consumed)
+        #: ``job_id -> encoded digest row`` of terminal jobs only; see
+        #: :func:`state_digest`.  Derived state, never snapshotted.
+        self._terminal_rows: Dict[int, str] = {}
         #: Degraded mode: set to the :class:`SimulationError` message
         #: when an advance fails.  A degraded core stops advancing and
         #: admitting, but keeps serving reads.  Deterministic — the same
@@ -142,7 +212,7 @@ class SimCore:
         return self.sim._unfinished > 0
 
     def digest(self) -> str:
-        return state_digest(self.sim)
+        return state_digest(self.sim, self._terminal_rows)
 
     def job_statuses(self) -> List[Dict[str, Any]]:
         """Status rows for ``/status`` (read-only, sorted by id)."""
@@ -206,8 +276,15 @@ class SimCore:
                 dispositions.append({"file": filename, "job_id": job_id,
                                      "disposition": "admitted",
                                      "reason": None})
-            self.consumed.add(filename)
+            self.consume(filename)
         return dispositions
+
+    def consume(self, filename: str) -> None:
+        """Mark one inbox filename as consumed (admitted or skipped)."""
+        self.consumed.add(filename)
+        seq = name_seq(filename)
+        if seq is not None and seq > self.consumed_seq:
+            self.consumed_seq = seq
 
     def advance(self) -> int:
         """Advance up to ``events_per_tick`` event batches; returns the
@@ -239,7 +316,8 @@ class SimCore:
         the live-telemetry profiler are detached before pickling so the
         blob captures pure simulation state — a snapshot taken with
         telemetry on is byte-identical to one taken without — and both
-        are re-attached on the way out.
+        are re-attached on the way out.  The terminal-row cache is not
+        part of the payload; :meth:`from_blob` starts it empty.
         """
         tracer, metrics = self.sim.tracer, self.sim.metrics
         profiler = self.sim.profiler

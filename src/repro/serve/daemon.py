@@ -486,7 +486,8 @@ class ServeDaemon:
             reason = self.core.admission_error(dict(spec))
             if reason is not None:
                 raise JobSpecError(reason)
-            name = self.inbox.submit(dict(spec), self.core.consumed)
+            name = self.inbox.submit(dict(spec), self.core.consumed,
+                                     self.core.consumed_seq)
             return {"status": "accepted", "file": name}
 
     def status(self) -> Dict[str, Any]:

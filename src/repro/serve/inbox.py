@@ -27,11 +27,29 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 from repro.obs.ioutil import atomic_write_text
 from repro.obs.logutil import get_logger
 
-__all__ = ["Inbox", "InboxFullError", "InboxItem"]
+__all__ = ["Inbox", "InboxFullError", "InboxItem", "highest_seq",
+           "name_seq"]
 
 logger = get_logger("serve.inbox")
 
 _NAME_RE = re.compile(r"^job-(\d{8})\.json$")
+
+
+def name_seq(name: str) -> Optional[int]:
+    """The sequence number of a ``job-<seq>.json`` name, else ``None``."""
+    match = _NAME_RE.match(name)
+    return int(match.group(1)) if match else None
+
+
+def highest_seq(names: Iterable[str]) -> int:
+    """The highest ``job-<seq>.json`` number among ``names`` (0 if none)."""
+    return max((seq for seq in map(name_seq, names) if seq is not None),
+               default=0)
+
+
+def _unconsumed(names: Iterable[str], consumed: Set[str]) -> List[str]:
+    return [name for name in names
+            if name.endswith(".json") and name not in consumed]
 
 
 class InboxFullError(RuntimeError):
@@ -67,8 +85,7 @@ class Inbox:
     # -- polling (daemon side) -----------------------------------------
     def pending(self, consumed: Set[str]) -> List[str]:
         """Unconsumed ``.json`` filenames in admission (sorted) order."""
-        return sorted(name for name in os.listdir(self.inbox_dir)
-                      if name.endswith(".json") and name not in consumed)
+        return sorted(_unconsumed(os.listdir(self.inbox_dir), consumed))
 
     def poll(self, consumed: Set[str], batch: int) -> List[InboxItem]:
         """Read the next admission batch (up to ``batch`` specs)."""
@@ -100,34 +117,32 @@ class Inbox:
                 pass
 
     # -- submission (client side) --------------------------------------
-    def next_name(self, consumed: Set[str]) -> str:
+    def next_name(self, names: Iterable[str], consumed_seq: int) -> str:
         """A fresh ``job-<seq>.json`` name, never reusing a consumed one.
 
-        The sequence counter is derived from both the files on disk and
-        the durable consumed-set, so names stay unique across restarts
-        even after consumed files are deleted (a reused name would be
-        silently skipped by the consumed-set).
+        ``names`` is a listing of the inbox and ``consumed_seq`` the
+        highest sequence number ever consumed, which is durable (rebuilt
+        from snapshots and WAL tick records).  Names stay unique across
+        restarts even after consumed files are deleted (a reused name
+        would be silently skipped by the consumed-set), and the cost
+        follows the pending files, not the history.
         """
-        highest = 0
-        names = set(os.listdir(self.inbox_dir)) | set(consumed)
-        for name in names:
-            match = _NAME_RE.match(name)
-            if match:
-                highest = max(highest, int(match.group(1)))
-        return f"job-{highest + 1:08d}.json"
+        return f"job-{max(highest_seq(names), consumed_seq) + 1:08d}.json"
 
-    def submit(self, spec: Dict[str, Any], consumed: Set[str]) -> str:
+    def submit(self, spec: Dict[str, Any], consumed: Set[str],
+               consumed_seq: int) -> str:
         """Atomically drop ``spec`` into the inbox; returns the filename.
 
         Raises :class:`InboxFullError` when ``capacity`` specs are
         already pending (burst backpressure).
         """
-        pending = len(self.pending(consumed))
+        names = os.listdir(self.inbox_dir)
+        pending = len(_unconsumed(names, consumed))
         if pending >= self.capacity:
             logger.warning("inbox full: %d pending >= capacity %d",
                            pending, self.capacity)
             raise InboxFullError(self.capacity, self.retry_after)
-        name = self.next_name(consumed)
+        name = self.next_name(names, consumed_seq)
         atomic_write_text(os.path.join(self.inbox_dir, name),
                           json.dumps(spec, sort_keys=True, indent=2) + "\n")
         logger.debug("submitted %s (%d pending)", name, pending + 1)

@@ -198,7 +198,7 @@ def apply_tick_record(core: SimCore,
     files = rec.get("files", [])
     dispositions = core.admit_specs(specs, files) if files else []
     for name in rec.get("skipped", []):
-        core.consumed.add(str(name))
+        core.consume(str(name))
     core.advance()
     core.tick = int(rec["tick"])
     return dispositions

@@ -28,7 +28,7 @@ The paper validates its simulator against a 32-GPU physical testbed with
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster

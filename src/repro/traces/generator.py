@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.traces.spec import TraceSpec
 from repro.workloads.job import Job
 from repro.workloads.model_zoo import (
     MODEL_ZOO,
-    ModelSpec,
     WorkloadConfig,
     get_profile,
 )

@@ -20,22 +20,17 @@ workload assignment (§4.1): long/large jobs skew toward heavy models.
 from __future__ import annotations
 
 import csv
-import io
-import math
 import pathlib
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from repro.traces.generator import _GPU_CHOICES
 from repro.workloads.job import Job
 from repro.workloads.model_zoo import (
     HEAVY_MODELS,
     LIGHT_MODELS,
     MODEL_ZOO,
     ResourceProfile,
-    get_profile,
-    WorkloadConfig,
 )
 
 NATIVE_COLUMNS = [

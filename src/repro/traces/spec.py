@@ -18,7 +18,7 @@ benchmark suite completes in minutes; ``scaled(1.0)`` restores paper scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Utilization-mix variants of Figure 12(a).
 UTIL_LOW = "L"

@@ -8,7 +8,7 @@ end-to-end experiments) or heavy (Venus-H).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ access to wider information; Lucid only ever sees ``JobView``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.workloads.model_zoo import ResourceProfile

@@ -22,7 +22,7 @@ both lowers utilization pressure and raises throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np

@@ -21,6 +21,7 @@ from repro.serve.chaos import commit_digests, final_state
 from repro.serve.config import ConfigMismatchError
 from repro.serve.core import SimCore
 from repro.serve.http import DegradedError
+from repro.serve.inbox import name_seq
 from repro.serve.jobspec import JobSpecError
 from repro.serve.store import Store
 from repro.sim.engine import SimulationError
@@ -109,7 +110,8 @@ class TestServiceTicks:
             # Unplaceable specs dropped straight into the inbox (no HTTP
             # validation) must be rejected at admission, not deadlock.
             daemon.inbox.submit(dict(SPEC, gpu_num=10_000),
-                                daemon.core.consumed)
+                                daemon.core.consumed,
+                                daemon.core.consumed_seq)
             daemon.tick()
             assert daemon.status()["jobs"] == []
 
@@ -169,6 +171,27 @@ class TestCrashRecovery:
         trial_final = final_state(str(crashed))
         assert trial_final["digest"] == final["digest"]
         assert trial_final["clean"]
+
+    def test_inbox_names_stay_above_consumed_after_recovery(self, tmp_path):
+        """Every consumed file is deleted before the crash, so only the
+        recovered core (snapshot, then WAL replay) knows the names."""
+        daemon = make_daemon(tmp_path, config=RECOVERY_CONFIG)
+        daemon.start()
+        submit_n(daemon, 4)
+        for _ in range(4):  # batch=1; snapshot at tick 3, tick 4 in WAL
+            daemon.tick()
+        assert len(daemon.core.consumed) == 4
+        assert daemon.inbox.pending(set()) == []
+        crash(daemon)
+
+        revived = make_daemon(tmp_path, config=RECOVERY_CONFIG)
+        report = revived.start()
+        assert report.snapshot_tick == 3 and report.replayed_ticks == 1
+        highest = max(name_seq(name) for name in revived.core.consumed)
+        assert revived.core.consumed_seq == highest == 4
+        name = revived.submit(dict(SPEC))["file"]
+        assert name_seq(name) == highest + 1
+        revived.close()
 
     def test_uncommitted_tick_is_reapplied_and_recommitted(self, tmp_path):
         digests, _ = self._control(tmp_path / "control")

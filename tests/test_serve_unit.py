@@ -26,7 +26,7 @@ from repro.serve import (
     job_to_spec,
 )
 from repro.serve.config import ConfigMismatchError
-from repro.serve.inbox import InboxFullError
+from repro.serve.inbox import InboxFullError, name_seq
 from repro.serve.store import Store
 from repro.serve.wal import (
     WalCorruptionError,
@@ -171,7 +171,7 @@ class TestInbox:
     def test_submit_poll_in_sorted_order(self, tmp_path):
         inbox = Inbox(str(tmp_path / "inbox"))
         consumed = set()
-        names = [inbox.submit(dict(SPEC, name=f"job{i}"), consumed)
+        names = [inbox.submit(dict(SPEC, name=f"job{i}"), consumed, 0)
                  for i in range(3)]
         assert names == sorted(names)
         items = inbox.poll(consumed, batch=2)
@@ -181,18 +181,18 @@ class TestInbox:
     def test_consumed_names_are_skipped(self, tmp_path):
         inbox = Inbox(str(tmp_path / "inbox"))
         consumed = set()
-        first = inbox.submit(dict(SPEC), consumed)
-        second = inbox.submit(dict(SPEC), consumed)
+        first = inbox.submit(dict(SPEC), consumed, 0)
+        second = inbox.submit(dict(SPEC), consumed, 0)
         consumed.add(first)
         assert inbox.pending(consumed) == [second]
 
     def test_capacity_backpressure(self, tmp_path):
         inbox = Inbox(str(tmp_path / "inbox"), capacity=2, retry_after=9.0)
         consumed = set()
-        inbox.submit(dict(SPEC), consumed)
-        inbox.submit(dict(SPEC), consumed)
+        inbox.submit(dict(SPEC), consumed, 0)
+        inbox.submit(dict(SPEC), consumed, 0)
         with pytest.raises(InboxFullError) as err:
-            inbox.submit(dict(SPEC), consumed)
+            inbox.submit(dict(SPEC), consumed, 0)
         assert err.value.retry_after == 9.0
 
     def test_names_never_reused_after_consumption(self, tmp_path):
@@ -200,10 +200,10 @@ class TestInbox:
         consumed-set would silently skip the new spec."""
         inbox = Inbox(str(tmp_path / "inbox"))
         consumed = set()
-        name = inbox.submit(dict(SPEC), consumed)
+        name = inbox.submit(dict(SPEC), consumed, 0)
         consumed.add(name)
         inbox.remove([name])  # daemon deletes after journaling
-        assert inbox.submit(dict(SPEC), consumed) != name
+        assert inbox.submit(dict(SPEC), consumed, name_seq(name)) != name
 
     def test_unreadable_spec_reported_not_admitted(self, tmp_path):
         inbox = Inbox(str(tmp_path / "inbox"))
