@@ -21,6 +21,10 @@ on:
   finished/failed/running entries.
 * **Fault-flag coherence** — an unhealthy GPU hosts nothing, node and
   GPU health flags agree, straggler factors stay in ``(0, 1]``.
+* **Exact retry skips** — before a scheduling pass that skips queued
+  jobs whose VC is unchanged since they last failed, each skipped job
+  is dry-run against the pass-start state and must still fit nowhere
+  (:meth:`SimSanitizer.check_skipped`).
 * **Occupancy counters** — every counter that ``GPU.attach`` /
   ``GPU.detach`` and ``Node.set_health`` keep incrementally (per-GPU
   residents and reserved memory, per-node free GPUs, cluster busy /
@@ -37,11 +41,19 @@ an unsanitized one on the same seed (guarded by tests).  Violations raise
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.cluster.cluster import Cluster, rescan_occupancy
 from repro.cluster.gpu import MAX_RESIDENTS
-from repro.workloads.job import JobStatus
+from repro.workloads.job import Job, JobStatus
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports the sanitizer lazily
     from repro.sim.engine import Simulator
@@ -113,6 +125,18 @@ class SimSanitizer:
     def after_schedule(self) -> None:
         """Sweep all invariants after one scheduling pass."""
         self._sweep(context="after scheduling pass")
+
+    def check_skipped(self, jobs: Sequence[Job],
+                      fits: Callable[[Job], bool]) -> None:
+        """Before a scheduling pass: every job the pass skips as
+        unchanged since its last failed placement must still fit
+        nowhere.  ``fits`` is a read-only dry run of the placement."""
+        for job in jobs:
+            if fits(job):
+                self._fail("before scheduling pass",
+                           f"job {job.job_id} was skipped as unchanged "
+                           f"since its last failed placement, but it "
+                           f"fits now")
 
     # ------------------------------------------------------------------
     # Invariant sweeps

@@ -93,13 +93,15 @@ class Cluster:
             self.vcs[vc_name] = VirtualCluster(vc_name, members)
         self._recount()
 
-    #: Occupancy counters: derived, so never pickled (see ``_recount``).
-    _DERIVED = ("n_busy_gpus", "n_shared_gpus", "_memory_used")
+    #: Occupancy counters and change epochs: derived, so never pickled
+    #: (see ``_recount``).
+    _DERIVED = ("n_busy_gpus", "n_shared_gpus", "_memory_used",
+                "vc_epochs")
 
     def __getstate__(self):
         state = self.__dict__.copy()
         for name in self._DERIVED:
-            del state[name]
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -111,7 +113,8 @@ class Cluster:
         :func:`rescan_occupancy` as every occupancy counter.
 
         From here on ``GPU.attach`` / ``GPU.detach`` and
-        ``Node.set_health`` keep the counters current.
+        ``Node.set_health`` keep the counters current.  The change
+        epochs restart at zero.
         """
         counts = rescan_occupancy(self.nodes)
         slot = 0
@@ -130,6 +133,10 @@ class Cluster:
         #: Per-GPU reserved memory in node-then-GPU order, so one flat
         #: ``sum`` adds the same floats in the same order as a rescan.
         self._memory_used = counts.memory_used
+        #: Per-VC change epoch: rises on every attach, detach, health
+        #: flip and straggler-window edge of the VC's GPUs.  Equal epochs
+        #: at two instants mean the VC's placement state is unchanged.
+        self.vc_epochs: Dict[str, int] = dict.fromkeys(self.vcs, 0)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -7,8 +7,9 @@ out-of-memory limit (rule 1).
 
 :meth:`GPU.attach` and :meth:`GPU.detach` are the only writers of a
 device's residents, so they also keep every occupancy counter derived
-from them — the device's own ``n_residents`` / ``memory_used_mb`` and its
-node's and cluster's counts (see :mod:`repro.cluster.cluster`).
+from them — the device's own ``n_residents`` / ``memory_used_mb``, its
+node's and cluster's counts and its VC's change epoch (see
+:mod:`repro.cluster.cluster`).
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class GPU:
         self.speed_factor = speed_factor
         #: Fault-injection state (repro.faults): an unhealthy device hosts
         #: nothing; ``fault_slow`` < 1 marks a transient straggler window.
-        #: Health changes go through :meth:`Node.set_health`, which keeps
-        #: the node's free-GPU count.
+        #: Both change only through :meth:`Node.set_health` and
+        #: :meth:`Node.set_slow`, which keep the node's free-GPU count
+        #: and the VC's change epoch.
         self.healthy = True
         self.fault_slow = 1.0
         self._residents: Dict[int, float] = {}  # job_id -> reserved MB
@@ -138,7 +140,7 @@ class GPU:
     def _account(self) -> None:
         """Fold one attach or detach into every counter derived from the
         residents: this device's, its node's free count and its
-        cluster's busy / shared / memory-used tallies."""
+        cluster's busy / shared / memory-used tallies and VC epoch."""
         was = self.n_residents
         now = self.n_residents = len(self._residents)
         # Exactly the rescan's formula, so the cached float is identical.
@@ -154,6 +156,7 @@ class GPU:
             cluster.n_busy_gpus += step
             cluster.n_shared_gpus += (now > 1) - (was > 1)
             cluster._memory_used[self._slot] = used
+            cluster.vc_epochs[node.vc] += 1
 
     def __repr__(self) -> str:
         return (f"GPU(id={self.gpu_id}, node={self.node_id}, "

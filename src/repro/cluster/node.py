@@ -71,6 +71,18 @@ class Node:
         for gpu in self.gpus:
             gpu.healthy = healthy
         self.n_free_gpus = count_free_gpus(self)
+        self._changed()
+
+    def set_slow(self, factor: float) -> None:
+        """Start (``factor`` < 1) or end (``1.0``) a straggler window on
+        all the node's GPUs (fault injection)."""
+        for gpu in self.gpus:
+            gpu.fault_slow = factor
+        self._changed()
+
+    def _changed(self) -> None:
+        if self._cluster is not None:
+            self._cluster.vc_epochs[self.vc] += 1
 
     @property
     def n_gpus(self) -> int:

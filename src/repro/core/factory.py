@@ -8,12 +8,14 @@ schedulers without umbrella-importing the top-level ``repro`` package.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, Union
 
 __all__ = ["make_scheduler"]
 
 
-def make_scheduler(name: str, history: Sequence[Any], **kwargs: Any) -> Any:
+def make_scheduler(name: str,
+                   history: Union[Sequence[Any], Callable[[], Sequence[Any]]],
+                   **kwargs: Any) -> Any:
     """Instantiate a scheduler by name.
 
     Parameters
@@ -23,7 +25,8 @@ def make_scheduler(name: str, history: Sequence[Any], **kwargs: Any) -> Any:
         ``lucid``.
     history:
         Historical jobs (required by the learned schedulers; ignored by
-        the others).
+        the others), or a zero-argument callable returning them, called
+        only when the scheduler trains on history.
     kwargs:
         Forwarded to the scheduler constructor (e.g. ``config=`` for
         Lucid).
@@ -39,13 +42,16 @@ def make_scheduler(name: str, history: Sequence[Any], **kwargs: Any) -> Any:
         TiresiasScheduler,
     )
 
+    def past() -> Sequence[Any]:
+        return history() if callable(history) else history
+
     factories = {
         "fifo": lambda: FIFOScheduler(**kwargs),
         "sjf": lambda: SJFScheduler(**kwargs),
-        "qssf": lambda: QSSFScheduler(history, **kwargs),
+        "qssf": lambda: QSSFScheduler(past(), **kwargs),
         "tiresias": lambda: TiresiasScheduler(**kwargs),
-        "horus": lambda: HorusScheduler(history, **kwargs),
-        "lucid": lambda: LucidScheduler(history, **kwargs),
+        "horus": lambda: HorusScheduler(past(), **kwargs),
+        "lucid": lambda: LucidScheduler(past(), **kwargs),
     }
     try:
         return factories[name.lower()]()

@@ -330,6 +330,34 @@ class LucidScheduler(Scheduler):
                 best = mate
         return best
 
+    def _begin_pass(self) -> None:
+        if self.config.packing_policy == "indolent":
+            self.binder.begin_pass(self.engine)
+
+    def _probe_mate(self, job: Job) -> Optional[Job]:
+        """:meth:`_find_mate` without the profiler count, for the
+        sanitizer's dry run of a skipped job (skips happen only in
+        unaudited runs, so the binder records no verdict either)."""
+        if self.config.packing_policy != "indolent":
+            return None
+        return self.binder.find_mate(self.engine, job,
+                                     self._remaining_estimate)
+
+    def _retry_context(self) -> Optional[int]:
+        """The pass-wide part of the orchestrator's retry key — the
+        binder's GSS capacity — or ``None`` to attempt every queued job.
+
+        The indolent binder searches the pass-start mate index and only
+        rejects more as time passes, so a job that failed stays failed
+        while its VC is unchanged.  Naive packing searches live running
+        jobs, which a placement earlier in the same pass can turn into a
+        mate, so it attempts every job.  A subclass whose mate veto can
+        lift with time alone returns ``None`` too.
+        """
+        if self.config.packing_policy == "naive":
+            return None
+        return self.binder.gss_capacity
+
     @property
     def _sharing_mode(self) -> str:
         """Orchestrator aggressiveness derived from the binder's mode."""
@@ -370,13 +398,14 @@ class LucidScheduler(Scheduler):
                         node_ids=tuple(g.node_id for g in gpus),
                         note=f"T_prof={self.profiler.t_prof:.0f}s, "
                              f"N_prof={self.profiler.n_prof}"))
-        if self.config.packing_policy == "indolent":
-            self.binder.begin_pass(self.engine)
         with self.profile_span("lucid.orchestrate"):
             placed = self.orchestrator.schedule(
                 self.engine, self.queue, priority_fn=self._priority,
                 find_mate=self._find_mate, sharing_mode=self._sharing_mode,
-                now=now, audit=self.audit)
+                now=now, audit=self.audit,
+                retry_context=self._retry_context(),
+                begin_pass=self._begin_pass, probe_mate=self._probe_mate,
+                count=self.profile_count)
         self.binder.end_pass()
         if placed:
             placed_ids = {id(job) for job in placed}

@@ -5,12 +5,17 @@ demand — sorts the queue ascending, and walks it: if sharing is currently
 allowed the Binder proposes an affine running mate (shared placement on
 the mate's exact GPU set); otherwise, and as fallback, the job is placed
 exclusively with consolidated best-fit inside its VC.
+
+A job that fits nowhere stays failed until its VC changes, so the
+orchestrator remembers each failure and skips the job while nothing it
+depends on has moved (see :meth:`ResourceOrchestrator.schedule`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.cluster.gpu import GPU
 from repro.cluster.placement import find_consolidated, find_relaxed
 from repro.obs.audit import DecisionAudit, PlacementDecision
 from repro.workloads.job import Job
@@ -32,13 +37,31 @@ class ResourceOrchestrator:
         #: signature ``(engine, job) -> Optional[List[GPU]]``; used by the
         #: heterogeneous-GPU extension to rank generations.
         self.place_exclusive = place_exclusive
+        #: ``job_id -> retry key`` of every job the last pass left queued.
+        #: Derived, so never pickled: a loaded orchestrator attempts
+        #: every job once.
+        self._failed: Dict[int, Tuple] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_failed", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._failed = {}
 
     def schedule(self, engine, queue: List[Job],
                  priority_fn: Callable[[Job], float],
                  find_mate: Callable[[Job], Optional[Job]],
                  sharing_mode: str = "eager",
                  now: float = 0.0,
-                 audit: Optional[DecisionAudit] = None) -> List[Job]:
+                 audit: Optional[DecisionAudit] = None,
+                 retry_context: Optional[Hashable] = None,
+                 begin_pass: Optional[Callable[[], None]] = None,
+                 probe_mate: Optional[Callable[[Job], Optional[Job]]] = None,
+                 count: Optional[Callable[[str, int], None]] = None
+                 ) -> List[Job]:
         """Place as many queued jobs as possible; returns the placed jobs.
 
         The caller removes placed jobs from its queue.  Jobs that fit
@@ -64,6 +87,21 @@ class ResourceOrchestrator:
         :class:`~repro.obs.audit.PlacementDecision` carrying its inputs
         (priority, duration estimate, sharing mode, starvation trigger,
         binder verdict) so the allocation is explainable post-hoc.
+
+        **Unchanged-VC skip.**  With a ``retry_context`` and no
+        ``audit``, a job is not attempted when its retry key — its VC's
+        change epoch at the start of this pass, ``sharing_mode``,
+        ``retry_context`` and whether it is starving — equals the key of
+        the pass in which it last failed.  The skip is exact when the
+        mate search only reads the pass-start state and rejects more as
+        time passes (Lucid's indolent binder: see DESIGN.md); callers
+        whose search is not (naive packing, SLO vetoes) pass ``None``.
+        ``begin_pass`` runs once before the walk, and only when some job
+        is attempted.  Under ``engine.sanitizer`` every skipped job is
+        first dry-run against the pass-start state with ``probe_mate``
+        (a read-only ``find_mate``; default ``find_mate``).  ``count``
+        receives the ``placement_attempts`` and ``placement_skips`` of
+        the pass.
         """
         if sharing_mode not in ("eager", "fallback", "off"):
             raise ValueError(f"bad sharing_mode {sharing_mode!r}")
@@ -73,6 +111,84 @@ class ResourceOrchestrator:
             return (job.gpu_num > node_gpus
                     and now - job.submit_time > self.starvation_threshold)
 
+        keys: List[Optional[Tuple]] = []
+        attempt = queue
+        if retry_context is not None and audit is None:
+            keys = self._retry_keys(engine, queue, (sharing_mode,
+                                                    retry_context),
+                                    starving)
+            failed = self._failed
+            attempt = []
+            skipped = []
+            for job, key in zip(queue, keys):
+                if key is not None and failed.get(job.job_id) == key:
+                    skipped.append(job)
+                else:
+                    attempt.append(job)
+            sanitizer = getattr(engine, "sanitizer", None)
+            if skipped and sanitizer is not None:
+                probe = probe_mate if probe_mate is not None else find_mate
+                sanitizer.check_skipped(skipped, lambda job: self._fits(
+                    engine, job, probe, sharing_mode, starving(job)))
+        if count is not None:
+            count("placement_attempts", len(attempt))
+            count("placement_skips", len(queue) - len(attempt))
+        placed = self._walk(engine, attempt, priority_fn, find_mate,
+                            sharing_mode, now, audit, starving,
+                            begin_pass) if attempt else []
+        placed_ids = {id(job) for job in placed}
+        self._failed = {job.job_id: key for job, key in zip(queue, keys)
+                        if key is not None and id(job) not in placed_ids}
+        return placed
+
+    @staticmethod
+    def _retry_keys(engine, queue: Sequence[Job], context: Tuple,
+                    starving: Callable[[Job], bool]
+                    ) -> List[Optional[Tuple]]:
+        """Each job's retry key at pass start; ``None`` (never skipped)
+        for a job outside every VC."""
+        epochs = engine.cluster.vc_epochs
+        keys: List[Optional[Tuple]] = []
+        for job in queue:
+            epoch = epochs.get(job.vc)
+            keys.append(None if epoch is None
+                        else (epoch, context, starving(job)))
+        return keys
+
+    def _fits(self, engine, job: Job,
+              find_mate: Callable[[Job], Optional[Job]],
+              sharing_mode: str, starving: bool) -> bool:
+        """Whether ``job`` could be placed now; places nothing."""
+        if sharing_mode != "off" and find_mate(job) is not None:
+            return True
+        return self._exclusive(engine, job, starving)[0] is not None
+
+    def _exclusive(self, engine, job: Job, starving: bool
+                   ) -> Tuple[Optional[List[GPU]], bool]:
+        """Exclusive GPUs for ``job`` (or ``None``), and whether they are
+        a relaxed, fragmented placement."""
+        if self.place_exclusive is not None:
+            gpus = self.place_exclusive(engine, job)
+        else:
+            gpus = find_consolidated(engine.cluster, job.gpu_num, vc=job.vc,
+                                     min_memory_mb=job.profile.gpu_mem_mb)
+        if gpus is None and starving:
+            # Starvation relief: relaxed (fragmented) placement.
+            gpus = find_relaxed(engine.cluster, job.gpu_num, vc=job.vc,
+                                min_memory_mb=job.profile.gpu_mem_mb)
+            return gpus, gpus is not None
+        return gpus, False
+
+    def _walk(self, engine, queue: List[Job],
+              priority_fn: Callable[[Job], float],
+              find_mate: Callable[[Job], Optional[Job]],
+              sharing_mode: str, now: float,
+              audit: Optional[DecisionAudit],
+              starving: Callable[[Job], bool],
+              begin_pass: Optional[Callable[[], None]]) -> List[Job]:
+        """Algorithm 2's greedy walk over ``queue``; returns the placed."""
+        if begin_pass is not None:
+            begin_pass()
         for job in queue:
             job.priority = priority_fn(job)
         # Starving multi-node jobs jump to the front of the pass so they
@@ -107,18 +223,7 @@ class ResourceOrchestrator:
                     placed.append(job)
                     record(job, "shared", mate, starving(job))
                     continue
-            if self.place_exclusive is not None:
-                gpus = self.place_exclusive(engine, job)
-            else:
-                gpus = find_consolidated(
-                    engine.cluster, job.gpu_num, vc=job.vc,
-                    min_memory_mb=job.profile.gpu_mem_mb)
-            relaxed = False
-            if gpus is None and starving(job):
-                # Starvation relief: relaxed (fragmented) placement.
-                gpus = find_relaxed(engine.cluster, job.gpu_num, vc=job.vc,
-                                    min_memory_mb=job.profile.gpu_mem_mb)
-                relaxed = gpus is not None
+            gpus, relaxed = self._exclusive(engine, job, starving(job))
             if gpus is not None:
                 engine.start_job(job, gpus)
                 placed.append(job)

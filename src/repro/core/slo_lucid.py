@@ -70,6 +70,12 @@ class SLOLucidScheduler(LucidScheduler):
             return -1e15 + slack
         return super()._priority(job)
 
+    def _retry_context(self) -> None:
+        # The urgent-mate veto lifts as a running mate's guard band
+        # shrinks, with no change in its VC, so every queued job is
+        # attempted on every pass.
+        return None
+
     def _find_mate(self, job: Job) -> Optional[Job]:
         # Packing slows the packed pair down; an urgent job cannot afford
         # it, and packing *onto* an urgent job would equally eat its slack.

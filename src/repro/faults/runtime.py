@@ -241,8 +241,7 @@ class FaultRuntime:
         node = self._resolve_node(target, index)
         if node is None:
             return
-        for gpu in node.gpus:
-            gpu.fault_slow = factor
+        node.set_slow(factor)
         self.slowdowns += 1
         engine = self._engine
         if engine._tracing:
@@ -256,8 +255,7 @@ class FaultRuntime:
         node = self._resolve_node(target, index)
         if node is None:
             return
-        for gpu in node.gpus:
-            gpu.fault_slow = 1.0
+        node.set_slow(1.0)
         engine = self._engine
         if engine._tracing:
             engine.tracer.emit(now, "slowdown_end", None, target=target,

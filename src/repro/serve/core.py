@@ -195,8 +195,9 @@ class SimCore:
             spec = spec.with_seed(config.seed)
         generator = TraceGenerator(spec)
         cluster = generator.build_cluster()
-        history = generator.generate_history()
-        scheduler = make_scheduler(config.scheduler, history)
+        # Only the learned schedulers call for the (costly) history.
+        scheduler = make_scheduler(config.scheduler,
+                                   generator.generate_history)
         faults = None
         if config.faults is not None:
             from repro.faults import FaultSpec

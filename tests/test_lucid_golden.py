@@ -11,6 +11,11 @@ exactly: a speed-up of the control loop, the forecast features, the
 queue bookkeeping or the cluster's occupancy counters must leave every
 one of them unchanged.  A change that is *meant* to alter decisions
 updates these values and says so.
+
+``EDGE_RUNS`` pin the Lucid runs an unchanged-VC retry skip could break
+if its invalidation rule were incomplete: SLO-Lucid's lifting mate veto,
+naive packing's live mate search, node failures / crashes / stragglers,
+and instability evictions.  They were recorded before the skip existed.
 """
 
 from collections import Counter
@@ -27,9 +32,12 @@ from repro.cluster.hetero import (
 from repro.core.factory import make_scheduler
 from repro.core.hetero_lucid import HeteroLucidScheduler
 from repro.core.lucid import LucidConfig, LucidScheduler
+from repro.core.slo_lucid import SLOLucidScheduler
+from repro.faults import FaultSpec
 from repro.serve.core import state_digest
 from repro.sim.engine import Simulator
 from repro.traces.generator import TraceGenerator
+from repro.traces.slo import assign_deadlines
 from repro.traces.spec import SATURN, VENUS, TraceSpec
 
 GOLDEN = {
@@ -131,3 +139,62 @@ def test_run_is_pinned(name):
     assert result.makespan == makespan
     assert state_digest(sim) == digest
     assert _utilization_hex(result) == utilization
+
+
+#: name -> (spec, scheduler factory, give deadlines, fault spec, records,
+#: avg JCT, makespan, digest).
+EDGE_RUNS = {
+    # A wide guard band (2.0) keeps running deadline jobs urgent long
+    # enough for their mate veto to lift mid-run.
+    "slo-saturn-deadlines": (
+        SATURN.with_jobs(800),
+        lambda h: SLOLucidScheduler(h, LucidConfig(seed=7),
+                                    slack_guard=2.0),
+        True, None,
+        800, 19285.184027362793, 733998.1434402384,
+        "32c4849122bba54022f4ddbbe9d9d7e4c9b42802492d7797e41e5b3ece1190d0",
+    ),
+    "naive-venus": (
+        VENUS.with_jobs(400),
+        lambda h: LucidScheduler(h, LucidConfig(seed=7,
+                                                packing_policy="naive")),
+        False, None,
+        400, 4103.069815060714, 303757.7983764063,
+        "8992e993d7ff66b83c45db52c6f43f5c8328b593cd13a86255af0295b09d9e68",
+    ),
+    "faulted-venus": (
+        VENUS.with_jobs(400),
+        lambda h: LucidScheduler(h, LucidConfig(seed=7)), False,
+        FaultSpec(seed=7, node_mtbf=43200.0, node_mttr=1800.0,
+                  crash_rate=0.2, slowdown_rate=0.2),
+        400, 4167.325454776137, 272569.62347645214,
+        "807e1c46cb29b554246c95f375eb7982620402d01aab0820597c48e50ed0734d",
+    ),
+    "unstable-venus": (
+        VENUS.with_jobs(400),
+        lambda h: LucidScheduler(h, LucidConfig(seed=7,
+                                                instability_rate=0.05)),
+        False, None,
+        400, 4326.949891811578, 303757.7983764063,
+        "7422c783031f15652dfe451809fcc129fa68311645ad5d91e96058b02bae7627",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RUNS))
+def test_edge_run_is_pinned(name):
+    (spec, make, deadlines, faults, n_records, avg_jct, makespan,
+     digest) = EDGE_RUNS[name]
+    generator = TraceGenerator(spec)
+    cluster = generator.build_cluster()
+    history = generator.generate_history()
+    jobs = generator.generate()
+    if deadlines:
+        assign_deadlines(jobs, fraction=0.5, seed=3)
+    sim = Simulator(cluster, jobs, make(history), faults=faults)
+    result = sim.run()
+
+    assert len(result.records) == n_records
+    assert result.avg_jct == avg_jct
+    assert result.makespan == makespan
+    assert state_digest(sim) == digest
