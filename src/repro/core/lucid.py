@@ -153,17 +153,20 @@ class LucidScheduler(Scheduler):
                 t_prof=cfg.t_prof, n_prof=cfg.n_prof,
                 space_aware=cfg.space_aware_profiling, rng=self._rng)
         if cfg.packing_policy != "off":
-            self.packing_model = PackingAnalyzeModel(
-                tiny_threshold=cfg.tiny_threshold,
-                medium_threshold=cfg.medium_threshold,
-            ).fit(self._train_interference)
+            with self.profile_span("lucid.fit.packing"):
+                self.packing_model = PackingAnalyzeModel(
+                    tiny_threshold=cfg.tiny_threshold,
+                    medium_threshold=cfg.medium_threshold,
+                ).fit(self._train_interference)
         if cfg.enable_estimator:
-            self.estimator = WorkloadEstimateModel(
-                use_profile=cfg.use_profile_features,
-                random_state=cfg.seed).fit(self.history)
-        self.throughput_model = ThroughputPredictModel(
-            random_state=cfg.seed).fit_events(
-                [j.submit_time for j in self.history])
+            with self.profile_span("lucid.fit.estimator"):
+                self.estimator = WorkloadEstimateModel(
+                    use_profile=cfg.use_profile_features,
+                    random_state=cfg.seed).fit(self.history)
+        with self.profile_span("lucid.fit.throughput"):
+            self.throughput_model = ThroughputPredictModel(
+                random_state=cfg.seed).fit_events(
+                    [j.submit_time for j in self.history])
         self.binder = AffineJobpairBinder(gss_capacity=cfg.gss_capacity)
         self.binder.audit = self.audit
         self.update_engine = UpdateEngine(self.estimator,

@@ -14,70 +14,113 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance between two strings (insert/delete/substitute = 1).
+#: DP cells (positions x pairs) per chunk, which keeps a chunk's buffers
+#: within a few MB of cache.  A chunk holds at least ``_MIN_CHUNK_PAIRS``
+#: pairs all the same: the insertion chain costs one numpy call per
+#: position and step, and each call should do real work.
+_CHUNK_CELLS = 1 << 17
+_MIN_CHUNK_PAIRS = 2048
 
-    Row-vectorized DP: substitutions and deletions are elementwise minima
-    over the previous row; the sequential insertion dependency
-    ``c[j] = min(c[j], c[j-1] + 1)`` is resolved in closed form as
-    ``min_k<=j (base[k] + (j - k))`` via a running minimum of
-    ``base - index``.
+
+def _encode(names: Sequence[str]) -> List[bytes]:
+    return [s.encode("utf-8", "replace") for s in names]
+
+
+def _pair_distances(encoded: Sequence[bytes], first: np.ndarray,
+                    second: np.ndarray) -> np.ndarray:
+    """Edit distances of the byte strings ``encoded[first[k]]`` and
+    ``encoded[second[k]]``, batched over every pair ``k`` at once.
+
+    Each pair runs the DP with its shorter string as the reference and
+    the longer one as the target.  Rows are kept shifted,
+    ``r[j] = D[step, j] - j``, so one reference step is
+
+        cand[j] = min(r[j-1] - match[j], r[j] + 1)     (substitute, delete)
+        r[0]    = step
+        r[j]    = min(r[j-1], cand[j])                 (insert)
+
+    The arrays are DP-position-major, so each step is a few in-place
+    numpy calls across all pairs plus one call per target position for
+    the insertion chain (numpy's ``minimum.accumulate`` along the
+    position axis is an order of magnitude slower).  Pairs are sorted by
+    reference length: a pair whose reference is exhausted leaves the
+    active suffix and its column keeps ``D[len(ref), :]``.  Every value
+    stays within ``±(longest + 1)``, so the DP runs in int16 unless some
+    string is 32k bytes or longer.
     """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    a_codes = np.frombuffer(a.encode("utf-8", "replace"), dtype=np.uint8)
-    b_codes = np.frombuffer(b.encode("utf-8", "replace"), dtype=np.uint8)
-    n = len(b_codes)
-    idx = np.arange(n + 1)
-    row = idx.astype(np.int64)
-    base = np.empty(n + 1, dtype=np.int64)
-    for i, ca in enumerate(a_codes, start=1):
-        base[0] = i
-        np.minimum(row[:-1] + (b_codes != ca), row[1:] + 1, out=base[1:])
-        row = np.minimum.accumulate(base - idx) + idx
-    return int(row[-1])
+    if first.size == 0:
+        return np.empty(0, dtype=np.int64)
+    lens = np.array([len(e) for e in encoded], dtype=np.intp)
+    swap = lens[first] > lens[second]
+    ref = np.where(swap, second, first)
+    tgt = np.where(swap, first, second)
+    order = np.argsort(lens[ref], kind="stable")
+    ref, tgt = ref[order], tgt[order]
+    ref_lens, tgt_lens = lens[ref], lens[tgt]
+    longest = int(lens.max())
+    dtype = np.int16 if longest < np.iinfo(np.int16).max else np.int64
+    padded = np.zeros((len(encoded), longest), dtype=np.uint8)
+    for row, enc in zip(padded, encoded):
+        row[:len(enc)] = np.frombuffer(enc, dtype=np.uint8)
+    chunk = max(_MIN_CHUNK_PAIRS, _CHUNK_CELLS // (longest + 1))
+    dists = np.empty(first.size, dtype=np.int64)
+    for lo in range(0, first.size, chunk):
+        c_ref_lens = ref_lens[lo:lo + chunk]
+        c_tgt_lens = tgt_lens[lo:lo + chunk]
+        width = int(c_tgt_lens.max())
+        target = padded[tgt[lo:lo + chunk], :width].T.copy()
+        refs = padded[ref[lo:lo + chunk], :int(c_ref_lens[-1])].T.copy()
+        r = np.zeros((width + 1, target.shape[1]), dtype=dtype)
+        cand = np.empty(target.shape, dtype=dtype)
+        match = np.empty(target.shape, dtype=bool)
+        for step, ref_bytes in enumerate(refs, start=1):
+            a = int(np.searchsorted(c_ref_lens, step))
+            r_a, cand_a, match_a = r[:, a:], cand[:, a:], match[:, a:]
+            np.equal(target[:, a:], ref_bytes[a:], out=match_a)
+            np.subtract(r_a[:-1], match_a, out=cand_a)
+            np.add(r_a[1:], 1, out=r_a[1:])
+            np.minimum(cand_a, r_a[1:], out=cand_a)
+            r_a[0] = step
+            for j in range(width):
+                np.minimum(r_a[j], cand_a[j], out=r_a[j + 1])
+        dists[lo:lo + chunk] = r[c_tgt_lens, np.arange(r.shape[1])] \
+            + c_tgt_lens
+    out = np.empty_like(dists)
+    out[order] = dists
+    return out
 
 
-def levenshtein_distance_matrix(names: Sequence[str]) -> np.ndarray:
-    """All-pairs edit distances, batch-vectorized.
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance between the UTF-8 bytes of two strings
+    (insert/delete/substitute = 1)."""
+    return int(_pair_distances(_encode([a, b]), np.array([0]),
+                               np.array([1]))[0])
 
-    For each reference string the DP advances one reference character per
-    step against *all* other strings at once (a padded uint8 matrix), so
-    the inner work is numpy row operations instead of per-pair Python
-    loops — the difference between seconds and minutes at a few hundred
-    unique job names.
+
+def levenshtein_distance_matrix(names: Sequence[str],
+                                others: Optional[Sequence[str]] = None
+                                ) -> np.ndarray:
+    """Edit distances between name lists, in one batched DP call.
+
+    Without ``others`` the result is the symmetric all-pairs matrix of
+    ``names``, and each unordered pair is computed once.  With ``others``
+    it is the ``len(names) x len(others)`` rectangle.  Batching all pairs
+    into one DP keeps a few hundred unique job names well under a second.
     """
     n = len(names)
-    encoded = [np.frombuffer(s.encode("utf-8", "replace"), dtype=np.uint8)
-               for s in names]
-    lens = np.array([len(e) for e in encoded], dtype=np.int64)
-    max_len = int(lens.max()) if n else 0
-    padded = np.zeros((n, max_len), dtype=np.uint8)  # 0 never matches text
-    for i, enc in enumerate(encoded):
-        padded[i, : len(enc)] = enc
-    idx = np.arange(max_len + 1, dtype=np.int64)
-    out = np.zeros((n, n), dtype=np.int64)
-    rows = np.arange(n)
-    for i in range(n):
-        ref = encoded[i]
-        if ref.size == 0:
-            out[i] = lens
-            continue
-        row = np.tile(idx, (n, 1))
-        base = np.empty_like(row)
-        for step, ch in enumerate(ref, start=1):
-            base[:, 0] = step
-            np.minimum(row[:, :-1] + (padded != ch), row[:, 1:] + 1,
-                       out=base[:, 1:])
-            row = np.minimum.accumulate(base - idx, axis=1) + idx
-        out[i] = row[rows, lens]
-    return out
+    if others is None:
+        out = np.zeros((n, n), dtype=np.int64)
+        first, second = np.triu_indices(n, 1)
+        dists = _pair_distances(_encode(names), first, second)
+        out[first, second] = dists
+        out[second, first] = dists
+        return out
+    m = len(others)
+    first = np.repeat(np.arange(n), m)
+    second = np.tile(np.arange(n, n + m), n)
+    dists = _pair_distances(_encode(list(names) + list(others)), first,
+                            second)
+    return dists.reshape(n, m)
 
 
 def levenshtein_similarity_matrix(names: Sequence[str]) -> np.ndarray:
@@ -215,16 +258,14 @@ def cluster_job_names(names: Sequence[str],
     sim = levenshtein_similarity_matrix(core)
     ap = AffinityPropagation().fit(sim)
     mapping = {name: int(label) for name, label in zip(core, ap.labels_)}
-    exemplars = [core[i] for i in ap.exemplars_]
-    ex_lens = [len(e) for e in exemplars]
-    for name in unique:
-        if name in mapping:
-            continue
-        best, best_dist = 0, float("inf")
-        for pos, (exemplar, ex_len) in enumerate(zip(exemplars, ex_lens)):
-            dist = levenshtein(name, exemplar) \
-                / max(len(name), ex_len, 1)
-            if dist < best_dist:
-                best, best_dist = pos, dist
-        mapping[name] = best
+    rest = [name for name in unique if name not in mapping]
+    if rest:
+        # Nearest exemplar by normalized distance; argmin keeps the first
+        # strict minimum on ties.
+        exemplars = [core[i] for i in ap.exemplars_]
+        dist = levenshtein_distance_matrix(rest, exemplars)
+        longer = np.maximum.outer([len(n) for n in rest],
+                                  [len(e) for e in exemplars])
+        nearest = np.argmin(dist / np.maximum(longer, 1), axis=1)
+        mapping.update(zip(rest, nearest.tolist()))
     return mapping

@@ -126,7 +126,7 @@ class InterferenceModel:
         avg = fitted_curve(load)
         # Deterministic scatter, reproducible across calls for a given pair.
         noise = (_pair_hash(*pair_key) - 0.5) * 2.0 * self.pair_noise_std
-        avg = float(np.clip(avg + noise, 0.25, 1.0))
+        avg = min(max(avg + noise, 0.25), 1.0)
         contention = max(0.0, load - _KNEE) / 140.0
         imbalance = 0.0
         total_util = a.gpu_util + b.gpu_util
@@ -134,8 +134,8 @@ class InterferenceModel:
             # Positive when `a` is the lighter job.
             imbalance = (b.gpu_util - a.gpu_util) / total_util
         skew = 0.12 * contention * imbalance
-        first = float(np.clip(avg - skew, 0.2, 1.0))
-        second = float(np.clip(avg + skew, 0.2, 1.0))
+        first = min(max(avg - skew, 0.2), 1.0)
+        second = min(max(avg + skew, 0.2), 1.0)
         return PairSpeeds(first=first, second=second)
 
     def k_way_speed(self, profiles: Sequence[ResourceProfile]) -> float:

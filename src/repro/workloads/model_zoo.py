@@ -22,6 +22,7 @@ both lowers utilization pressure and raises throughput.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -29,6 +30,11 @@ import numpy as np
 
 #: Device memory of the testbed GPUs (NVIDIA RTX 3090, 24 GB) in MB.
 GPU_MEMORY_MB = 24_576
+
+
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for a finite scalar, without numpy."""
+    return float(min(max(x, lo), hi))
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,9 @@ class ResourceProfile:
 
     def with_noise(self, rng: np.random.Generator, rel_std: float = 0.05) -> "ResourceProfile":
         """Return a noisy copy emulating NVIDIA-SMI sampling error."""
-        util = float(np.clip(self.gpu_util * rng.normal(1.0, rel_std), 0.5, 100.0))
-        mem_util = float(np.clip(self.gpu_mem_util * rng.normal(1.0, rel_std), 0.5, 100.0))
-        mem = float(np.clip(self.gpu_mem_mb * rng.normal(1.0, rel_std / 2), 64.0, GPU_MEMORY_MB))
+        util = _clamp(self.gpu_util * rng.normal(1.0, rel_std), 0.5, 100.0)
+        mem_util = _clamp(self.gpu_mem_util * rng.normal(1.0, rel_std), 0.5, 100.0)
+        mem = _clamp(self.gpu_mem_mb * rng.normal(1.0, rel_std / 2), 64.0, GPU_MEMORY_MB)
         return ResourceProfile(util, mem_util, mem, self.amp)
 
 
@@ -113,9 +119,9 @@ class ModelSpec:
             mem_util *= 0.85
             mem *= 0.72
         return ResourceProfile(
-            gpu_util=float(np.clip(util, 1.0, 100.0)),
-            gpu_mem_util=float(np.clip(mem_util, 1.0, 100.0)),
-            gpu_mem_mb=float(np.clip(mem, 128.0, GPU_MEMORY_MB * 0.92)),
+            gpu_util=_clamp(util, 1.0, 100.0),
+            gpu_mem_util=_clamp(mem_util, 1.0, 100.0),
+            gpu_mem_mb=_clamp(mem, 128.0, GPU_MEMORY_MB * 0.92),
             amp=amp,
         )
 
@@ -210,8 +216,13 @@ def get_model(name: str) -> ModelSpec:
         raise KeyError(f"unknown model {name!r}; known: {sorted(MODEL_ZOO)}") from None
 
 
+@functools.lru_cache(maxsize=None)
 def get_profile(config: WorkloadConfig) -> ResourceProfile:
-    """Resource profile of a workload configuration."""
+    """Resource profile of a workload configuration.
+
+    Pure, over a domain of 66 configurations, and the profile is frozen,
+    so each configuration's profile is computed once per process.
+    """
     return get_model(config.model).profile(config.batch_size, config.amp)
 
 
