@@ -135,7 +135,8 @@ class Cluster:
         self._memory_used = counts.memory_used
         #: Per-VC change epoch: rises on every attach, detach, health
         #: flip and straggler-window edge of the VC's GPUs.  Equal epochs
-        #: at two instants mean the VC's placement state is unchanged.
+        #: at two instants mean the VC's placement state is unchanged;
+        #: the serve digest cache keys each node's GPU rows on it.
         self.vc_epochs: Dict[str, int] = dict.fromkeys(self.vcs, 0)
 
     # ------------------------------------------------------------------

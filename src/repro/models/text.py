@@ -26,6 +26,11 @@ def _encode(names: Sequence[str]) -> List[bytes]:
     return [s.encode("utf-8", "replace") for s in names]
 
 
+def _byte_lengths(names: Sequence[str]) -> List[int]:
+    """UTF-8 lengths of ``names``: the unit the edit distances count in."""
+    return [len(e) for e in _encode(names)]
+
+
 def _pair_distances(encoded: Sequence[bytes], first: np.ndarray,
                     second: np.ndarray) -> np.ndarray:
     """Edit distances of the byte strings ``encoded[first[k]]`` and
@@ -128,13 +133,14 @@ def levenshtein_similarity_matrix(names: Sequence[str]) -> np.ndarray:
 
     Affinity propagation maximizes similarity, so distances are negated;
     normalizing by the longer string keeps scales comparable across short
-    and long names.
+    and long names.  Lengths are UTF-8 byte counts, like the distances,
+    so a normalized distance never exceeds 1.
     """
     n = len(names)
     if n == 0:
         return np.zeros((0, 0))
     distances = levenshtein_distance_matrix(names).astype(float)
-    lens = np.array([max(len(s), 1) for s in names], dtype=float)
+    lens = np.maximum(np.array(_byte_lengths(names), dtype=float), 1.0)
     longer = np.maximum(lens[:, None], lens[None, :])
     sim = -distances / longer
     np.fill_diagonal(sim, 0.0)
@@ -264,8 +270,8 @@ def cluster_job_names(names: Sequence[str],
         # strict minimum on ties.
         exemplars = [core[i] for i in ap.exemplars_]
         dist = levenshtein_distance_matrix(rest, exemplars)
-        longer = np.maximum.outer([len(n) for n in rest],
-                                  [len(e) for e in exemplars])
+        longer = np.maximum.outer(_byte_lengths(rest),
+                                  _byte_lengths(exemplars))
         nearest = np.argmin(dist / np.maximum(longer, 1), axis=1)
         mapping.update(zip(rest, nearest.tolist()))
     return mapping

@@ -18,22 +18,42 @@ into a sha256 over canonical JSON.  Floats are rendered with
 (pickle bytes, set iteration order) feeds it — the digest of the same
 logical state is stable across processes and Python runs.
 
-The digest bytes cover every job ever admitted, but a job in a terminal
-status (no outgoing transition in the sanitizer's state machine) can no
-longer change, so :class:`SimCore` encodes each terminal job's row once
-and hands that row cache to :func:`state_digest`, which streams the
-same canonical JSON into the hash.  Commit cost then follows the live
-jobs, not the history.  The cache is derived state: it is never
-snapshotted, and a loaded core starts with it empty.
+A commit digest covers every GPU and every job ever admitted, but a
+tick changes few of them, so :class:`SimCore` keeps a
+:class:`DigestCache` of encoded rows and :func:`state_digest` re-encodes
+only what may have changed:
+
+* *GPU rows, per node, keyed on the VC change epoch.*  A GPU row holds
+  the device id, its residents, ``healthy``, ``speed_factor`` and
+  ``fault_slow``.  The residents change only through ``GPU.attach`` /
+  ``GPU.detach``, health and straggler windows only through
+  ``Node.set_health`` / ``Node.set_slow``, and each of those raises
+  ``cluster.vc_epochs[node.vc]``; the id and ``speed_factor`` are fixed
+  once the cluster is built.  An unchanged epoch therefore means the
+  node's rows are unchanged.
+* *Job rows, re-encoded only while live.*  A job in a terminal status
+  (no outgoing transition in the sanitizer's state machine) can no
+  longer change, so its last encoding is final.  Serve admits jobs in
+  increasing id order, so the rows sit in a list in digest order and a
+  commit re-encodes the live jobs only.  Jobs added out of id order
+  make the digest fall back to the reference.
+
+The cached digest splices the same canonical JSON together, so its
+bytes equal the one-pass reference ``state_digest(sim)``.  The cache is
+derived state: it is never snapshotted, a loaded core starts with it
+empty, and it resets itself when handed a different cluster, because
+the epochs restart at zero when a cluster is unpickled.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import pickle
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.core.factory import make_scheduler
 from repro.sim.engine import SimulationError, Simulator
@@ -44,7 +64,11 @@ from repro.serve.inbox import highest_seq, name_seq
 from repro.serve.jobspec import JobSpecError, job_from_spec
 from repro.workloads.job import Job, JobStatus
 
-__all__ = ["SimCore", "state_digest"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+
+__all__ = ["DigestCache", "SimCore", "state_digest"]
 
 
 def _hex(value: Optional[float]) -> Optional[str]:
@@ -77,8 +101,19 @@ def encode_job_row(job_id: int, job: Job) -> str:
     return _encode(_job_row(job_id, job))
 
 
+def _gpu_rows(node: Node) -> List[List[Any]]:
+    return [[gpu.gpu_id, sorted(gpu.residents), gpu.healthy,
+             _hex(gpu.speed_factor), _hex(gpu.fault_slow)]
+            for gpu in node.gpus]
+
+
+def encode_node_gpus(node: Node) -> str:
+    """One node's GPU rows, comma-joined exactly as in the digest."""
+    return _encode(_gpu_rows(node))[1:-1]
+
+
 def _digest_parts(sim: Simulator) -> Dict[str, Any]:
-    """Every digest key except ``jobs``."""
+    """Every digest key except ``gpus`` and ``jobs``."""
     run_states = []
     for job_id in sorted(sim.run_states):
         state = sim.run_states[job_id]
@@ -86,11 +121,6 @@ def _digest_parts(sim: Simulator) -> Dict[str, Any]:
                            _hex(state.speed), _hex(state.last_update),
                            state.epoch, _hex(state.overhead_left),
                            _hex(state.time_limit_at), state.is_profiling])
-    gpus = []
-    for node in sim.cluster.nodes:
-        for gpu in node.gpus:
-            gpus.append([gpu.gpu_id, sorted(gpu.residents), gpu.healthy,
-                         _hex(gpu.speed_factor), _hex(gpu.fault_slow)])
     # Heap-list order (not sorted order) — identical operation sequences
     # produce identical heap layouts, and layout divergence is exactly
     # what the digest must catch.
@@ -105,7 +135,6 @@ def _digest_parts(sim: Simulator) -> Dict[str, Any]:
         "unfinished": sim._unfinished,
         "tick_scheduled": sim._tick_scheduled,
         "run_states": run_states,
-        "gpus": gpus,
         "heap": heap,
         "queue": (None if queue is None
                   else [job.job_id for job in queue]),
@@ -114,44 +143,104 @@ def _digest_parts(sim: Simulator) -> Dict[str, Any]:
     }
 
 
-def state_digest(sim: Simulator,
-                 rows: Optional[Dict[int, str]] = None) -> str:
+class DigestCache:
+    """Encoded digest rows that :func:`state_digest` reuses across calls.
+
+    Derived state (the module docstring says why each entry stays
+    valid): never snapshotted, and reset when handed another cluster.
+    """
+
+    def __init__(self) -> None:
+        self._reset(None)
+
+    def _reset(self, cluster: Optional[Cluster]) -> None:
+        #: The cluster the entries below belong to.
+        self.cluster = cluster
+        #: Per node, in cluster order: ``(VC epoch, encoded GPU rows)``.
+        self.nodes: List[Tuple[int, str]] = \
+            [] if cluster is None else [(-1, "")] * len(cluster.nodes)
+        #: Every job's encoded row, in job-id (= admission) order.
+        self.rows: List[str] = []
+        #: ``(index in rows, job_id)`` of the jobs not yet terminal.
+        self.live: List[Tuple[int, int]] = []
+        #: The highest job id in ``rows``.
+        self.last_id: float = float("-inf")
+
+    def splice(self, sim: Simulator) -> Optional[Dict[str, str]]:
+        """The encoded ``gpus`` and ``jobs`` arrays of ``sim``, or
+        ``None`` if its jobs were not added in increasing id order."""
+        if sim.cluster is not self.cluster:
+            self._reset(sim.cluster)
+        jobs = self._jobs(sim.jobs)
+        if jobs is None:
+            return None
+        return {"gpus": self._gpus(sim.cluster), "jobs": jobs}
+
+    def _gpus(self, cluster: Cluster) -> str:
+        """Re-encodes the nodes whose VC epoch moved since the last call."""
+        epochs, nodes = cluster.vc_epochs, self.nodes
+        pieces = []
+        for index, node in enumerate(cluster.nodes):
+            epoch = epochs[node.vc]
+            entry = nodes[index]
+            if entry[0] != epoch:
+                entry = nodes[index] = (epoch, encode_node_gpus(node))
+            if entry[1]:  # a node without GPUs adds no row
+                pieces.append(entry[1])
+        return "[" + ",".join(pieces) + "]"
+
+    def _jobs(self, jobs: Dict[int, Job]) -> Optional[str]:
+        """Appends the jobs added since the last call, then re-encodes
+        the live ones; a job that turns terminal keeps its last row."""
+        rows = self.rows
+        fresh = list(itertools.islice(reversed(jobs), len(jobs) - len(rows)))
+        fresh.reverse()
+        order = [self.last_id, *fresh]
+        if any(a >= b for a, b in zip(order, order[1:])):
+            return None
+        for job_id in fresh:
+            self.live.append((len(rows), job_id))
+            rows.append("")
+        if fresh:
+            self.last_id = fresh[-1]
+        terminal = terminal_statuses()
+        live = []
+        for index, job_id in self.live:
+            job = jobs[job_id]
+            rows[index] = encode_job_row(job_id, job)
+            if job.status not in terminal:
+                live.append((index, job_id))
+        self.live = live
+        return "[" + ",".join(rows) + "]"
+
+
+def state_digest(sim: Simulator, cache: Optional[DigestCache] = None) -> str:
     """sha256 over the canonical JSON of the engine's logical state.
 
     Exact (floats via ``float.hex``) and process-stable (no pickle
     bytes, no set/str-hash iteration orders): two engines that executed
     the identical operation sequence digest identically, on any host.
 
-    Without ``rows`` this encodes the whole state in one pass — the
-    reference.  With ``rows`` (a ``job_id -> encoded row`` cache that
-    this call fills with terminal jobs) it streams the same bytes into
-    the hash, encoding only the jobs not cached yet.
+    Without ``cache`` this encodes the whole state in one pass — the
+    reference.  With a :class:`DigestCache` it splices the cached GPU
+    and job rows into the same bytes, re-encoding only what changed.
     """
     parts = _digest_parts(sim)
-    if rows is None:
+    spliced = None if cache is None else cache.splice(sim)
+    if spliced is None:
+        parts["gpus"] = [row for node in sim.cluster.nodes
+                         for row in _gpu_rows(node)]
         parts["jobs"] = [_job_row(job_id, sim.jobs[job_id])
                          for job_id in sorted(sim.jobs)]
         blob = _encode(parts)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    # With sorted keys, the job rows sit between the keys that sort
-    # before "jobs" and those after it.
-    head = {key: parts.pop(key) for key in sorted(parts) if key < "jobs"}
-    terminal = terminal_statuses()
-    jobs = []
-    for job_id in sorted(sim.jobs):
-        row = rows.get(job_id)
-        if row is None:
-            job = sim.jobs[job_id]
-            row = encode_job_row(job_id, job)
-            if job.status in terminal:
-                rows[job_id] = row
-        jobs.append(row)
-    digest = hashlib.sha256(_encode(head)[:-1].encode("utf-8"))
-    digest.update(b',"jobs":[')
-    digest.update(",".join(jobs).encode("utf-8"))
-    digest.update(b"],")
-    digest.update(_encode(parts)[1:].encode("utf-8"))
-    return digest.hexdigest()
+    else:
+        # Exactly the bytes of ``_encode(parts)``: sorted keys, no
+        # whitespace, each value in the same canonical JSON.
+        encoded = {key: _encode(value) for key, value in parts.items()}
+        encoded.update(spliced)
+        blob = "{" + ",".join(f"{_encode(key)}:{encoded[key]}"
+                              for key in sorted(encoded)) + "}"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class SimCore:
@@ -174,9 +263,9 @@ class SimCore:
         #: (0 if none): the inbox names new files above it, so a name
         #: is never reused after its file was consumed and deleted.
         self.consumed_seq = highest_seq(self.consumed)
-        #: ``job_id -> encoded digest row`` of terminal jobs only; see
-        #: :func:`state_digest`.  Derived state, never snapshotted.
-        self._terminal_rows: Dict[int, str] = {}
+        #: Encoded digest rows reused across commits; see
+        #: :class:`DigestCache`.  Derived state, never snapshotted.
+        self._digest_cache = DigestCache()
         #: Degraded mode: set to the :class:`SimulationError` message
         #: when an advance fails.  A degraded core stops advancing and
         #: admitting, but keeps serving reads.  Deterministic — the same
@@ -213,7 +302,7 @@ class SimCore:
         return self.sim._unfinished > 0
 
     def digest(self) -> str:
-        return state_digest(self.sim, self._terminal_rows)
+        return state_digest(self.sim, self._digest_cache)
 
     def job_statuses(self) -> List[Dict[str, Any]]:
         """Status rows for ``/status`` (read-only, sorted by id)."""
@@ -317,8 +406,8 @@ class SimCore:
         the live-telemetry profiler are detached before pickling so the
         blob captures pure simulation state — a snapshot taken with
         telemetry on is byte-identical to one taken without — and both
-        are re-attached on the way out.  The terminal-row cache is not
-        part of the payload; :meth:`from_blob` starts it empty.
+        are re-attached on the way out.  The digest cache is not part
+        of the payload; :meth:`from_blob` starts it empty.
         """
         tracer, metrics = self.sim.tracer, self.sim.metrics
         profiler = self.sim.profiler

@@ -432,15 +432,17 @@ class ServeDaemon:
         assert self.store is not None
         specs = {str(name): spec
                  for name, spec in zip(rec["files"], rec["specs"])}
+        rows = []
         for dispo in dispositions:
             job_id = dispo["job_id"]
             if job_id is None:
                 continue  # rejected specs carry no catalog row
-            self.store.record_job(int(job_id), tick,
-                                  str(dispo["disposition"]),
-                                  specs.get(str(dispo["file"]), {}))
+            rows.append((int(job_id), tick, str(dispo["disposition"]),
+                         specs.get(str(dispo["file"]), {})))
             logger.info("tick %d: job %s %s (%s)", tick, job_id,
                         dispo["disposition"], dispo["file"])
+        if rows:
+            self.store.record_jobs(rows)
 
     def _snapshot(self) -> None:
         """Snapshot to the store and rotate the WAL segment."""

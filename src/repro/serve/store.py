@@ -24,12 +24,15 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.ioutil import ensure_parent
 from repro.serve.config import ServeConfig
 
 __all__ = ["Store"]
+
+#: One job-catalog row: ``(job_id, tick, disposition, spec)``.
+CatalogRow = Tuple[int, int, str, Dict[str, Any]]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -142,14 +145,20 @@ class Store:
         return total
 
     # -- job catalog ---------------------------------------------------
-    def record_job(self, job_id: int, tick: int, disposition: str,
-                   spec: Dict[str, Any]) -> None:
-        self._conn.execute(
+    def record_jobs(self, rows: Iterable[CatalogRow]) -> None:
+        """Catalog ``(job_id, tick, disposition, spec)`` rows in one
+        transaction: one commit (one fsync) per tick, not per job."""
+        self._conn.executemany(
             "INSERT OR REPLACE INTO jobs "
             "(job_id, tick, disposition, spec) VALUES (?, ?, ?, ?)",
-            (job_id, tick, disposition,
-             json.dumps(spec, sort_keys=True)))
+            [(job_id, tick, disposition, json.dumps(spec, sort_keys=True))
+             for job_id, tick, disposition, spec in rows])
         self._conn.commit()
+
+    def record_job(self, job_id: int, tick: int, disposition: str,
+                   spec: Dict[str, Any]) -> None:
+        """Catalog one row; see :meth:`record_jobs`."""
+        self.record_jobs([(job_id, tick, disposition, spec)])
 
     def jobs(self) -> List[Tuple[int, int, str, Dict[str, Any]]]:
         rows = self._conn.execute(

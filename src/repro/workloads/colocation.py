@@ -16,6 +16,7 @@ profiled all Table-1 jobpair combinations on their RTX 3090 testbed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -59,8 +60,18 @@ def fitted_curve(accumulated_util: float) -> float:
 def _pair_hash(a: str, b: str) -> float:
     """Deterministic pseudo-random value in [0, 1) for an unordered pair."""
     # Canonical order via a single comparison — no list/sort per call.
-    key = (a + "|" + b if a <= b else b + "|" + a).encode()
-    digest = hashlib.sha256(key).digest()
+    return _key_hash(a + "|" + b if a <= b else b + "|" + a)
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_hash(key: str) -> float:
+    """:func:`_pair_hash` of one canonical pair key.
+
+    Memoized: a packing fit measures each of the 66 x 67 / 2 unordered
+    configuration pairs from both sides, many times over.  Bounded,
+    because the engine also keys pairs by job name.
+    """
+    digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

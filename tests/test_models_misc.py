@@ -121,6 +121,15 @@ class TestLevenshtein:
         assert np.allclose(sim, sim.T)
         assert sim[0, 1] > sim[0, 2]  # aaa closer to aab than zzz
 
+    def test_similarity_normalises_by_utf8_bytes(self):
+        # Distances count UTF-8 bytes, so lengths must too: the empty
+        # name is exactly as far from "é-ü" (5 bytes) as from "abc".
+        sim = levenshtein_similarity_matrix(["", "é-ü", "abc"])
+        assert sim[0, 1] == sim[1, 0] == -1.0
+        assert sim[0, 2] == sim[2, 0] == -1.0
+        mixed = levenshtein_similarity_matrix(["日本語", "x", "ü-run", ""])
+        assert mixed.min() >= -1.0
+
 
 class TestAffinityPropagation:
     def test_clusters_two_blobs(self):

@@ -1,17 +1,20 @@
-"""The commit digest's terminal-row cache against the one-shot reference.
+"""The commit digest's row cache against the one-shot reference.
 
-``SimCore.digest()`` streams the canonical JSON into sha256 and encodes
-each terminal job's row once per core; ``state_digest(sim)`` with no
-cache encodes everything in one pass.  A fixed admission script drives
-cores through FIFO, Lucid (profiling jobs) and a faulted FIFO run
-(crash, retry, permanent failure), and the two must agree after every
-tick — across a snapshot round trip too.  The final digests are pinned
-to the values the uncached digest produced, so a state directory
-written before the cache existed still recovers.
+``SimCore.digest()`` reuses encoded rows from a ``DigestCache``: each
+node's GPU rows until its VC's change epoch moves, and each job's row
+once the job is terminal.  ``state_digest(sim)`` with no cache encodes
+everything in one pass.  A fixed admission script drives cores through
+FIFO, Lucid (profiling jobs), a faulted FIFO run (crash, retry,
+permanent failure) and a run with node failures and stragglers (every
+``Node.set_health`` / ``Node.set_slow`` edge), and the two digests must
+agree after every tick — across a snapshot round trip too.  The final
+digests are pinned to the values the uncached digest produced, so a
+state directory written before the cache existed still recovers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Set
 
 import pytest
@@ -31,6 +34,11 @@ SCRIPT_JOBS = 48
 SCRIPT_SEED = 11
 
 FAULTS = "seed=3,crash_rate=2,retry_limit=1"
+#: Node failures, recoveries and straggler windows: the GPU-row fields
+#: that change outside ``GPU.attach`` / ``GPU.detach``.  The fault
+#: timeline is pre-generated into the event heap, which every digest
+#: encodes, so a ~23-day MTBF keeps it short and still fails 7 nodes.
+NODE_FAULTS = "seed=3,node_mtbf=2000000,node_mttr=1200,slowdown_rate=0.5"
 
 
 def _config(scheduler: str = "fifo",
@@ -43,6 +51,7 @@ CONFIGS = {
     "fifo": _config(),
     "lucid": _config("lucid"),
     "fifo-faulted": _config(faults=FAULTS),
+    "fifo-node-faults": _config(faults=NODE_FAULTS),
 }
 
 #: Final ``SimCore.digest()`` of the script, recorded with the uncached
@@ -52,6 +61,8 @@ PINNED = {
             "ce3fc5e0c6bd6271f3d590772443f9a9",
     "fifo-faulted": "8fef3f9695c1e8494e4bfa450bf0a971"
                     "df5f0cdc207ee5a16de8b989f07fc98b",
+    "fifo-node-faults": "9744e0e80394319a4764191b56fb4372"
+                        "9d5e432ad02f275e483e95c782705921",
 }
 
 
@@ -115,13 +126,18 @@ def test_cached_digest_equals_reference_every_tick(name):
         assert JobStatus.PROFILING in seen
     if name == "fifo-faulted":
         assert {JobStatus.CRASHED, JobStatus.FAILED} <= seen
+    if name == "fifo-node-faults":
+        runtime = core.sim.fault_runtime
+        assert runtime.node_failures and runtime.node_recoveries
+        assert runtime.slowdowns
     if name in PINNED:
         assert core.digest() == PINNED[name]
 
 
 def test_commit_encodes_only_live_rows(monkeypatch):
-    """Once warm, a commit encodes exactly the non-terminal jobs' rows,
-    and each terminal job is encoded at most once per core."""
+    """A commit re-encodes exactly the jobs that were live at the last
+    commit plus the newly admitted ones, so each job is encoded at most
+    once after it turned terminal, and a drained history costs none."""
     encoded: List[int] = []
     real = core_mod.encode_job_row
 
@@ -132,18 +148,24 @@ def test_commit_encodes_only_live_rows(monkeypatch):
     monkeypatch.setattr(core_mod, "encode_job_row", counting)
     terminal = terminal_statuses()
     terminal_encodes: Dict[int, int] = {}
+    live: List[int] = []
+    admitted = 0
 
     def check(core: SimCore) -> None:
+        nonlocal admitted
         encoded.clear()
-        core.digest()  # caches the rows that turned terminal this tick
+        core.digest()
+        fresh = list(core.sim.jobs)[admitted:]
+        admitted = len(core.sim.jobs)
+        assert encoded == live + fresh
         for job_id in encoded:
             if core.sim.jobs[job_id].status in terminal:
                 terminal_encodes[job_id] = \
                     terminal_encodes.get(job_id, 0) + 1
+        live[:] = sorted(job_id for job_id, job in core.sim.jobs.items()
+                         if job.status not in terminal)
         encoded.clear()
         core.digest()
-        live = sorted(job_id for job_id, job in core.sim.jobs.items()
-                      if job.status not in terminal)
         assert encoded == live
 
     core = drive(CONFIGS["fifo-faulted"], check)
@@ -153,3 +175,62 @@ def test_commit_encodes_only_live_rows(monkeypatch):
     encoded.clear()
     core.digest()
     assert encoded == []  # history no longer costs encodings
+
+
+def test_commit_encodes_only_nodes_of_changed_vcs(monkeypatch):
+    """A warm commit re-encodes the GPU rows of exactly the nodes whose
+    VC change epoch moved since the last commit, in cluster order."""
+    encoded: List[int] = []
+    real = core_mod.encode_node_gpus
+
+    def counting(node):
+        encoded.append(node.node_id)
+        return real(node)
+
+    monkeypatch.setattr(core_mod, "encode_node_gpus", counting)
+    last: Dict[str, int] = {}
+    partial = 0
+
+    def check(core: SimCore) -> None:
+        nonlocal partial
+        nodes = core.sim.cluster.nodes
+        epochs = core.sim.cluster.vc_epochs
+        encoded.clear()
+        core.digest()
+        moved = [node.node_id for node in nodes
+                 if epochs[node.vc] != last.get(node.vc)]
+        assert encoded == moved
+        partial += 0 < len(moved) < len(nodes)
+        last.update(epochs)
+        encoded.clear()
+        core.digest()
+        assert encoded == []
+
+    drive(CONFIGS["fifo-node-faults"], check)
+    assert partial > 10  # most commits touch only some VCs
+
+
+def test_cache_resets_on_another_cluster():
+    """Epochs restart at zero when a cluster is unpickled, so a cache
+    handed another cluster must drop its entries even where the epochs
+    happen to match."""
+    core = SimCore.genesis(CONFIGS["fifo"])
+    stale = core._digest_cache
+    core.digest()  # every node cached at epoch 0, all healthy
+    core.sim.cluster.nodes[0].set_health(False)
+    loaded = SimCore.from_blob(core.to_blob())
+    assert set(loaded.sim.cluster.vc_epochs.values()) == {0}
+    assert state_digest(loaded.sim, stale) == state_digest(loaded.sim)
+
+
+def test_jobs_out_of_id_order_fall_back_to_reference():
+    """The job rows are kept in admission order, which is digest order
+    only while ids increase."""
+    core = SimCore.genesis(CONFIGS["fifo"])
+    jobs = TraceGenerator(VENUS.with_seed(SCRIPT_SEED).with_jobs(3)).generate()
+    cache = core_mod.DigestCache()
+    for job_id in (5, 9):
+        core.sim.add_job(dataclasses.replace(jobs[0], job_id=job_id))
+    assert state_digest(core.sim, cache) == state_digest(core.sim)
+    core.sim.add_job(dataclasses.replace(jobs[1], job_id=7))
+    assert state_digest(core.sim, cache) == state_digest(core.sim)

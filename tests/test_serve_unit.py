@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import List
 
 import pytest
 
@@ -162,6 +163,21 @@ class TestStore:
             assert [row[0] for row in rows] == [1, 2]
             assert rows[0][2] == "admitted"
             assert rows[0][3]["name"] == "resnet50"
+
+    def test_job_catalog_batch_is_one_transaction(self, tmp_path):
+        with Store(str(tmp_path)) as store:
+            store.record_job(1, 1, "admitted", SPEC)
+            statements: List[str] = []
+            store._conn.set_trace_callback(statements.append)
+            store.record_jobs([(3, 2, "admitted", SPEC),
+                               (2, 2, "admitted", dict(SPEC, gpu_num=2))])
+            store._conn.set_trace_callback(None)
+            assert statements.count("COMMIT") == 1
+            assert sum(s.startswith("INSERT") for s in statements) == 2
+            rows = store.jobs()
+            assert [(row[0], row[1]) for row in rows] == [(1, 1), (2, 2),
+                                                          (3, 2)]
+            assert rows[1][3]["gpu_num"] == 2
 
 
 # ----------------------------------------------------------------------
