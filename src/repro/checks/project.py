@@ -113,12 +113,9 @@ def lint_project(package_dir: str,
         findings.extend(lint_source(module.source, module.path, tracker))
 
     pyproject = os.path.join(repo_root, "pyproject.toml")
-    bench = os.path.join(repo_root, "benchmarks", "results",
-                         "bench_baseline.json")
     ctx = RuleContext(
         index=index, repo_root=repo_root,
         pyproject_path=pyproject if os.path.exists(pyproject) else None,
-        bench_baseline_path=bench if os.path.exists(bench) else None,
         tracker=tracker)
     graph_findings = run_graph_rules(ctx)
     findings.extend(_apply_noqa_by_module(graph_findings, index, tracker))

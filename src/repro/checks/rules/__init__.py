@@ -12,8 +12,8 @@ built once per ``repro lint --project`` run:
   ``apply_tick_record``, wall-clock/RNG and unordered iteration
   reachable from digest-computing code).
 * :mod:`repro.checks.rules.hotpath` — RPR120..RPR123: allocation and
-  per-item-model-call patterns inside functions the profiler baseline
-  (``benchmarks/results/bench_baseline.json``) marks hot.
+  per-item-model-call patterns inside functions that emit the
+  profiler's hot span and counter names (``hotpath.HOT_NAMES``).
 
 Suppression semantics match the file rules: a ``# repro: noqa`` (or
 ``# repro: noqa RPR121``) comment on the flagged line suppresses the
@@ -87,11 +87,10 @@ class RuleContext:
     """Everything a graph rule pack needs besides the index."""
 
     index: ProjectIndex
-    #: Repo root used to locate pyproject.toml / the bench baseline and
-    #: to relativize finding paths.
+    #: Repo root used to locate pyproject.toml and to relativize
+    #: finding paths.
     repo_root: str
     pyproject_path: Optional[str] = None
-    bench_baseline_path: Optional[str] = None
     #: When set, packs record allowlist suppressions they apply here so
     #: RPR130 can tell live entries from dead ones.
     tracker: Optional["SuppressionTracker"] = None

@@ -4,7 +4,7 @@ The authoritative layering DAG lives in ``pyproject.toml``::
 
     [tool.repro.layers.allowed]
     sim = ["cluster", "obs", "workloads"]
-    app = ["*"]                # top-level modules (cli, bench, ...)
+    app = ["*"]                # top-level modules (cli, __main__)
 
     [tool.repro.layers.overrides]
     "checks.sanitizer" = ["cluster", "workloads"]

@@ -1,12 +1,12 @@
 """Hot-path pack: RPR120–RPR123 inside profiler-hot functions.
 
-The hot set is seeded from the committed profiler baseline
-(``benchmarks/results/bench_baseline.json``): every span and counter
-name that appears there (``lucid.control``, ``binder_attempts``,
-``speed_refreshes``, …) is mapped to the functions that emit it —
-call sites of ``profile_span("…")`` / ``profile_count("…")`` (or the
-profiler's own ``span``/``count`` methods) with a matching string
-literal — and the set is closed over the call graph.
+The hot set is seeded from :data:`HOT_NAMES`, the profiler span and
+counter names of Lucid's per-pass work (``lucid.control``,
+``speed_refreshes``, …).  Each name is mapped to the functions that
+emit it — call sites of ``profile_span("…")`` / ``profile_count("…")``
+(or the profiler's own ``span``/``count`` methods) with a matching
+string literal — and the set is closed over the call graph.  The set
+lives in source, so the verdict on a tree depends on no data file.
 
 Propagation tracks *loop carry*: a function is "loop-hot" when some
 hot call chain to it passes through a call site inside a loop.  The
@@ -28,15 +28,19 @@ findings are exactly the allocation patterns the profiler blames.
 from __future__ import annotations
 
 import ast
-import json
-import os
-from typing import List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.checks.graph import FuncNode, ProjectIndex
 from repro.checks.lint import Finding
 from repro.checks.rules import GRAPH_RULES, RuleContext
 
-__all__ = ["check_hotpath", "hot_names_from_baseline"]
+__all__ = ["HOT_NAMES", "check_hotpath"]
+
+#: Profiler span and counter names whose emitting functions seed the
+#: hot set.  Adding a name widens the pack, so it changes lint output.
+HOT_NAMES: FrozenSet[str] = frozenset({
+    "lucid.control", "lucid.orchestrate", "lucid.profiler",
+    "estimator_predictions", "speed_refreshes"})
 
 #: Call names that register a profiler span/counter with a literal.
 _PROFILE_CALLS = frozenset({"profile_span", "profile_count", "span",
@@ -52,34 +56,9 @@ def _finding(code: str, path: str, line: int, col: int,
                    message=message, hint=GRAPH_RULES[code][1])
 
 
-def hot_names_from_baseline(path: str) -> Set[str]:
-    """Span + counter names recorded in a ``repro-bench`` baseline."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return set()
-    names: Set[str] = set()
-
-    def _collect(obj: object) -> None:
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                if key in ("spans", "counters") and isinstance(value,
-                                                               dict):
-                    names.update(str(k) for k in value)
-                else:
-                    _collect(value)
-        elif isinstance(obj, list):
-            for item in obj:
-                _collect(item)
-
-    _collect(data)
-    return names
-
-
-def _hot_roots(index: ProjectIndex, hot_names: Set[str]) -> List[str]:
+def _hot_roots(index: ProjectIndex) -> List[str]:
     """Functions containing a profile_span/count call whose literal
-    names a baseline span or counter."""
+    is one of :data:`HOT_NAMES`."""
     roots: Set[str] = set()
     for mod_name in sorted(index.modules):
         module = index.modules[mod_name]
@@ -99,7 +78,7 @@ def _hot_roots(index: ProjectIndex, hot_names: Set[str]) -> List[str]:
                 first = sub.args[0]
                 if isinstance(first, ast.Constant) \
                         and isinstance(first.value, str) \
-                        and first.value in hot_names:
+                        and first.value in HOT_NAMES:
                     roots.add(qname)
                     break
     return sorted(roots)
@@ -107,13 +86,7 @@ def _hot_roots(index: ProjectIndex, hot_names: Set[str]) -> List[str]:
 
 def check_hotpath(ctx: RuleContext) -> List[Finding]:
     index = ctx.index
-    baseline = ctx.bench_baseline_path
-    if baseline is None or not os.path.exists(baseline):
-        return []
-    hot_names = hot_names_from_baseline(baseline)
-    if not hot_names:
-        return []
-    roots = _hot_roots(index, hot_names)
+    roots = _hot_roots(index)
     if not roots:
         return []
     hot = index.loop_reachable(roots)

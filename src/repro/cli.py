@@ -19,16 +19,10 @@ models
 packing
     Print the colocation characterization and Indolent Packing decisions
     (Figures 2/5).
-bench
-    Run the seeded benchmark scenario matrix with the simulator
-    profiler attached and write a ``BENCH_<timestamp>.json`` perf
-    record; ``--against FILE`` diffs against a previous bench file and
-    exits non-zero when events/sec regressed beyond ``--threshold``.
 report
     Run one simulation with the full observability stack (profiler,
     series collector, attribution-enabled audit) and write a
-    self-contained ``report.html`` plus its ``report.json`` twin;
-    ``--against FILE`` embeds a bench-baseline diff table.
+    self-contained ``report.html`` plus its ``report.json`` twin.
 explain
     Print the recorded placement explanation of one job — either from a
     fresh run or from a previously exported ``audit.jsonl``; supports
@@ -159,26 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="rewrite the baseline file from this run's "
                            "findings and exit 0")
 
-    bench = sub.add_parser(
-        "bench", help="run the perf scenario matrix; exit 1 on regression")
-    bench.add_argument("--quick", action="store_true",
-                       help="run the small per-PR matrix instead of the "
-                            "full scheduler sweep")
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="output path (default: BENCH_<timestamp>.json)")
-    bench.add_argument("--against", metavar="FILE", default=None,
-                       help="baseline bench file to diff the run against")
-    bench.add_argument("--candidate", metavar="FILE", default=None,
-                       help="diff this existing bench file against "
-                            "--against instead of running the matrix")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="events/sec regression fraction that fails "
-                            "the diff (default: 0.25)")
-    bench.add_argument("--schedulers", default=None,
-                       help="comma-separated scheduler subset override")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="override the job count of every scenario")
-
     report = sub.add_parser(
         "report", help="run once and write a self-contained HTML+JSON "
                        "run report")
@@ -187,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=SCHEDULER_CHOICES)
     report.add_argument("--out", metavar="DIR", default="report-out",
                         help="output directory (default: report-out)")
-    report.add_argument("--against", metavar="FILE", default=None,
-                        help="bench baseline to diff this run against "
-                             "(matching scenarios only)")
     report.add_argument("--series-interval", type=float, default=300.0,
                         help="time-series sampling interval in simulated "
                              "seconds (default: 300)")
@@ -631,113 +602,6 @@ def cmd_packing(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        FULL_MATRIX,
-        QUICK_MATRIX,
-        BenchScenario,
-        bench_filename,
-        diff_bench,
-        format_diff,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.candidate is not None:
-        # Diff-only mode: compare two existing bench files, run nothing.
-        if args.against is None:
-            print("error: --candidate requires --against", file=sys.stderr)
-            return 2
-        try:
-            document = load_bench(args.candidate)
-        except ValueError as exc:
-            print(f"error: invalid bench file {args.candidate}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        scenarios = list(QUICK_MATRIX if args.quick else FULL_MATRIX)
-        if args.schedulers is not None:
-            wanted = [n.strip() for n in args.schedulers.split(",")
-                      if n.strip()]
-            for name in wanted:
-                if name not in SCHEDULER_CHOICES:
-                    print(f"error: unknown scheduler {name!r}",
-                          file=sys.stderr)
-                    return 2
-            base = {(s.trace, s.jobs, s.seed) for s in scenarios}
-            scenarios = [BenchScenario(name, trace, jobs, seed)
-                         for trace, jobs, seed in sorted(base)
-                         for name in wanted]
-        if args.jobs is not None:
-            scenarios = [BenchScenario(s.scheduler, s.trace, args.jobs,
-                                       s.seed) for s in scenarios]
-        document = run_bench(scenarios, quick=args.quick, progress=print)
-        out = args.out or bench_filename()
-        write_bench(document, out)
-        totals = document["totals"]
-        print(f"wrote {out}: {len(document['scenarios'])} scenarios, "
-              f"{totals['events']} events in {totals['wall_seconds']:.2f}s "
-              f"({totals['events_per_sec']:,.0f} ev/s)")
-    if args.against is None:
-        return 0
-    try:
-        baseline = load_bench(args.against)
-    except ValueError as exc:
-        print(f"error: invalid bench file {args.against}: {exc}",
-              file=sys.stderr)
-        return 2
-    rows, regressions = diff_bench(baseline, document,
-                                   threshold=args.threshold)
-    print(format_diff(rows, regressions, args.threshold))
-    return 1 if regressions else 0
-
-
-def _report_bench_diff(args, profiler, result, n_jobs: int):
-    """Diff this run against a bench baseline for the report.
-
-    Builds a one-scenario pseudo-candidate from the run's own profiler
-    and keeps only the rows touching this run's scenario key, so the
-    embedded table answers "did *this* run regress?" rather than
-    re-printing the whole baseline.
-    """
-    from repro.bench import BenchScenario, diff_bench, load_bench
-
-    baseline = load_bench(args.against)
-    seed = args.seed
-    if seed is None:
-        try:
-            seed = get_spec(args.trace.lower()).seed
-        except KeyError:
-            seed = 0
-    scenario = BenchScenario(args.scheduler, args.trace.lower(), n_jobs,
-                             seed)
-    profile = profiler.to_dict()
-    entry = {
-        "name": scenario.name,
-        "scheduler": scenario.scheduler,
-        "trace": scenario.trace,
-        "jobs": scenario.jobs,
-        "seed": scenario.seed,
-        "wall_seconds": profile["wall_seconds"],
-        "events": profile["events_processed"],
-        "events_per_sec": profile["events_per_sec"],
-        "peak_rss_mb": profile["peak_rss_mb"],
-        "makespan_hrs": result.makespan / 3600.0,
-        "avg_jct_hrs": result.avg_jct / 3600.0,
-        "phases": {},
-    }
-    rows, regressions = diff_bench(baseline, {"scenarios": [entry]})
-    rows = [row for row in rows if row["name"] == scenario.name]
-    regressions = [r for r in regressions if r.startswith(scenario.name)]
-    if not rows:
-        rows = [{"name": scenario.name, "baseline_eps": None,
-                 "candidate_eps": entry["events_per_sec"], "ratio": None,
-                 "note": "no matching baseline scenario"}]
-    return {"baseline": args.against, "threshold": 0.25, "rows": rows,
-            "regressions": regressions}
-
-
 def cmd_report(args) -> int:
     from repro.obs import SeriesCollector, SimProfiler
     from repro.obs.audit import DecisionAudit
@@ -764,20 +628,10 @@ def cmd_report(args) -> int:
     result = simulator.run()
     _print_sanitizer_summary(simulator)
     _print_fault_summary(result)
-    bench_diff = None
-    if args.against is not None:
-        try:
-            bench_diff = _report_bench_diff(args, profiler, result,
-                                            len(jobs))
-        except ValueError as exc:
-            print(f"error: invalid bench file {args.against}: {exc}",
-                  file=sys.stderr)
-            return 2
     document = build_report(result, scheduler=args.scheduler,
                             trace=args.trace, jobs=len(jobs),
                             seed=args.seed, profiler=profiler,
-                            series=series, audit=audit,
-                            bench_diff=bench_diff, lineage=lineage)
+                            series=series, audit=audit, lineage=lineage)
     html_path, json_path = write_report(document, args.out)
     if audit is not None:
         decisions, with_attr = audit.attribution_coverage()
@@ -1187,7 +1041,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "models": cmd_models,
         "packing": cmd_packing,
         "lint": cmd_lint,
-        "bench": cmd_bench,
         "report": cmd_report,
         "explain": cmd_explain,
         "why": cmd_why,

@@ -289,8 +289,8 @@ def publish_profiler(registry: LiveRegistry, profiler: SimProfiler,
     Idempotent re-publication: totals are *set* (not incremented), so
     calling this on every refresh interval never double-counts.  Span
     distributions ride in as p50/p95/max gauges from the profiler's
-    bounded reservoirs — the exact numbers ``repro bench`` reports, so
-    the daemon and the bench harness share one measurement pipeline.
+    bounded reservoirs — the exact numbers ``repro report`` embeds, so
+    the daemon and the offline report share one measurement pipeline.
     """
     registry.gauge("sim_events_processed",
                    "Simulator events dispatched since boot"

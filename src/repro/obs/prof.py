@@ -7,8 +7,9 @@ measure *itself*.  :class:`SimProfiler` is that instrument: attached via
 kind and per scheduler pass, counts hot-path invocations (binder mate
 searches, speed refreshes, estimator predictions, sanitizer sweeps),
 and derives throughput (dispatched events per wall second) plus the
-process peak RSS.  The ``repro bench`` harness (:mod:`repro.bench`)
-builds its ``BENCH_*.json`` trajectory on these numbers.
+process peak RSS.  ``repro report`` embeds these numbers, and the work
+counters of two contended replays are pinned exactly in
+``tests/test_lucid_golden.py``.
 
 The contract mirrors the tracer's and the sanitizer's:
 
@@ -53,7 +54,7 @@ def peak_rss_mb() -> Optional[float]:
     """Process peak resident-set size in MiB, or ``None`` if unknown.
 
     ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; both are
-    normalized to MiB so bench files compare across platforms.
+    normalized to MiB so reports compare across platforms.
     """
     if _resource is None:  # pragma: no cover - non-POSIX platform
         return None
@@ -131,7 +132,7 @@ class SimProfiler:
 
     :meth:`report` renders a text summary; :meth:`to_dict` /
     :meth:`report_json` produce the machine-readable form embedded in
-    ``BENCH_*.json`` files.
+    ``report.json``.
     """
 
     def __init__(self) -> None:
@@ -235,8 +236,8 @@ class SimProfiler:
         ``p95`` / ``max`` describe the last ``RESERVOIR_SIZE``
         observations (per-call seconds).  This is the payload
         :func:`repro.obs.live.publish_profiler` mirrors into the live
-        registry and ``repro bench`` embeds in span rows — one
-        measurement pipeline for both.
+        registry and ``repro report`` embeds — one measurement pipeline
+        for both.
         """
         out: Dict[str, Dict[str, float]] = {}
         for name, total in self.span_seconds.items():
@@ -265,7 +266,7 @@ class SimProfiler:
     # Reports
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot (the per-phase payload of bench files)."""
+        """JSON-ready snapshot (the ``profile`` section of reports)."""
         return {
             "wall_seconds": self.wall_seconds,
             "sim_seconds": self.sim_seconds,

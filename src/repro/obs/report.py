@@ -11,11 +11,10 @@ module distills them into a single pair of files:
   ``repro-report/v1`` schema, so dashboards and CI diff tooling never
   have to scrape the HTML.
 
-Like :mod:`repro.bench`, this module only *consumes* finished
-simulations; it lives outside the simulation packages, so its wall-clock
-reads (the ``created`` stamp) are outside RPR002's scope.  Both files are
-written atomically (write-to-temp then rename) via
-:mod:`repro.obs.ioutil`.
+This module only *consumes* finished simulations; it lives outside the
+simulation packages, so its wall-clock reads (the ``created`` stamp) are
+outside RPR002's scope.  Both files are written atomically
+(write-to-temp then rename) via :mod:`repro.obs.ioutil`.
 """
 
 from __future__ import annotations
@@ -43,8 +42,10 @@ REPORT_SCHEMA = "repro-report/v1"
 
 #: Top-level keys every report document must carry (``None`` marks an
 #: absent optional section, but the key itself is always present).
+#: Extra keys are tolerated, so older documents that still carry the
+#: retired ``bench_diff`` section stay valid.
 _DOC_KEYS = ("schema", "created", "run", "summary", "series", "profile",
-             "faults", "attributions", "audit", "bench_diff", "lineage")
+             "faults", "attributions", "audit", "lineage")
 
 #: Keys tolerated absent on load: documents written before the section
 #: existed stay valid under the same schema tag.
@@ -63,7 +64,6 @@ _ADDITIVE_TOL = 1e-6
 def build_report(result: Any, *, scheduler: str, trace: str, jobs: int,
                  seed: Optional[int], profiler: Optional[Any] = None,
                  series: Optional[Any] = None, audit: Optional[Any] = None,
-                 bench_diff: Optional[Dict[str, Any]] = None,
                  lineage: Optional[Any] = None,
                  created: Optional[str] = None) -> Dict[str, Any]:
     """Assemble the ``repro-report/v1`` document for one finished run.
@@ -82,9 +82,6 @@ def build_report(result: Any, *, scheduler: str, trace: str, jobs: int,
     audit:
         Optional :class:`~repro.obs.audit.DecisionAudit`; when it carries
         attributions the interpretability section is populated.
-    bench_diff:
-        Optional ``{"threshold": float, "rows": [...], "regressions":
-        [...]}`` produced by diffing this run against a bench baseline.
     lineage:
         Optional :class:`~repro.obs.lineage.LineageCollector` that
         observed the run; populates the JCT-decomposition waterfall and
@@ -104,7 +101,6 @@ def build_report(result: Any, *, scheduler: str, trace: str, jobs: int,
         "faults": _fault_section(result),
         "attributions": _attribution_section(audit),
         "audit": _audit_section(audit),
-        "bench_diff": bench_diff,
         "lineage": _lineage_section(lineage),
     }
     return document
@@ -576,25 +572,6 @@ def _lineage_html(lineage: Optional[Dict[str, Any]]) -> str:
     return out
 
 
-def _bench_diff_html(diff: Optional[Dict[str, Any]]) -> str:
-    if diff is None:
-        return ""
-    rows = [[row["name"], row["baseline_eps"], row["candidate_eps"],
-             row["ratio"], row["note"]] for row in diff.get("rows", [])]
-    out = "<h2>Bench diff</h2>"
-    out += _html_table(["scenario", "baseline ev/s", "candidate ev/s",
-                        "ratio", "note"], rows)
-    regressions = diff.get("regressions") or []
-    if regressions:
-        out += ("<p class=\"warn\">regressions:</p><ul>"
-                + "".join(f"<li>{_esc(r)}</li>" for r in regressions)
-                + "</ul>")
-    else:
-        out += (f"<p class=\"ok\">no events/sec regression beyond "
-                f"{diff.get('threshold', 0.25) * 100:.0f}%</p>")
-    return out
-
-
 def render_html(document: Dict[str, Any]) -> str:
     """Render the report document as one self-contained HTML page."""
     validate_report(document)
@@ -626,7 +603,6 @@ def render_html(document: Dict[str, Any]) -> str:
         _profile_html(document["profile"]),
         "<h2>Faults</h2>",
         _faults_html(document["faults"]),
-        _bench_diff_html(document["bench_diff"]),
         "</body></html>",
     ]
     return "\n".join(parts)

@@ -16,6 +16,14 @@ updates these values and says so.
 if its invalidation rule were incomplete: SLO-Lucid's lifting mate veto,
 naive packing's live mate search, node failures / crashes / stragglers,
 and instability evictions.  They were recorded before the skip existed.
+
+``COUNTER_RUNS`` replay the Lucid and Tiresias venus@400 runs with a
+:class:`~repro.obs.SimProfiler` attached and pin its work counters and
+event count exactly.  Counters do not depend on the host or the hash
+seed, so unlike a wall-clock bound they cannot flake; a change that
+alters one (say, a placement scan skipped) updates the pin and says so,
+as it would a golden value.  The pinned digest shows that profiling
+changes no decision.
 """
 
 from collections import Counter
@@ -34,6 +42,7 @@ from repro.core.hetero_lucid import HeteroLucidScheduler
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.core.slo_lucid import SLOLucidScheduler
 from repro.faults import FaultSpec
+from repro.obs import SimProfiler
 from repro.serve.core import state_digest
 from repro.sim.engine import Simulator
 from repro.traces.generator import TraceGenerator
@@ -198,3 +207,36 @@ def test_edge_run_is_pinned(name):
     assert result.avg_jct == avg_jct
     assert result.makespan == makespan
     assert state_digest(sim) == digest
+
+
+#: name -> (scheduler factory, digest, events processed, counters).  The
+#: digests are the unprofiled golden runs' own.
+COUNTER_RUNS = {
+    "lucid-venus": (
+        lambda h: LucidScheduler(h, LucidConfig(seed=7)),
+        GOLDEN["venus"][3], 3034,
+        {"binder_attempts": 77, "estimator_predictions": 214,
+         "placement_attempts": 268, "placement_skips": 1663,
+         "speed_refreshes": 1228},
+    ),
+    "tiresias-venus": (
+        GOLDEN_RUNS["tiresias-venus"][1], GOLDEN_RUNS["tiresias-venus"][6],
+        1504, {"speed_refreshes": 842},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_RUNS))
+def test_work_counters_are_pinned(name):
+    make, digest, events, counters = COUNTER_RUNS[name]
+    generator = TraceGenerator(VENUS.with_jobs(400))
+    cluster = generator.build_cluster()
+    history = generator.generate_history()
+    jobs = generator.generate()
+    profiler = SimProfiler()
+    sim = Simulator(cluster, jobs, make(history), profile=profiler)
+    sim.run()
+
+    assert state_digest(sim) == digest
+    assert profiler.events_processed == events
+    assert profiler.counters == counters

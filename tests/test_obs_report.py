@@ -105,7 +105,7 @@ class TestBuildReport:
         assert document["attributions"] is None
         assert document["audit"] is None
         assert document["faults"] is None
-        assert document["bench_diff"] is None
+        assert "bench_diff" not in document
 
 
 class TestValidateReport:
@@ -159,18 +159,12 @@ class TestRenderHtml:
         assert "attribution disabled" in page
         assert "profiler not attached" in page
 
-    def test_bench_diff_regression_rendered(self, lucid_report):
-        document = dict(lucid_report[0])
-        document["bench_diff"] = {
-            "threshold": 0.25,
-            "rows": [{"name": "lucid/tiny@40j-s21", "baseline_eps": 1000.0,
-                      "candidate_eps": 100.0, "ratio": 0.1,
-                      "note": "REGRESSION"}],
-            "regressions": ["lucid/tiny@40j-s21: events/sec fell 90.0%"],
-        }
-        page = render_html(document)
-        assert "REGRESSION" in page
-        assert "events/sec fell" in page
+    def test_retired_bench_diff_key_still_renders(self, lucid_report):
+        # Documents written while reports carried a ``bench_diff``
+        # section stay valid under the same schema tag.
+        document = dict(lucid_report[0], bench_diff=None)
+        validate_report(document)
+        assert "<h2>Summary</h2>" in render_html(document)
 
     def test_invalid_document_rejected(self):
         with pytest.raises(ValueError):
@@ -237,29 +231,13 @@ class TestReportCLI:
         page = (out / "report.html").read_text()
         assert page.startswith("<!DOCTYPE html>")
 
-    def test_report_against_missing_baseline_exits_2(self, tmp_path,
-                                                     capsys):
-        code = main(["report", "--trace", "venus", "--jobs", "60",
-                     "--seed", "7", "--out", str(tmp_path / "o"),
-                     "--against", str(tmp_path / "nope.json")])
-        assert code == 2
-
-    def test_report_against_baseline_embeds_diff(self, tmp_path, capsys):
-        from repro.bench import BenchScenario, run_bench, write_bench
-
-        baseline = tmp_path / "baseline.json"
-        write_bench(run_bench([BenchScenario("fifo", "venus", 60, 7)],
-                              quick=True), str(baseline))
-        out = tmp_path / "report-out"
-        code = main(["report", "--trace", "venus", "--jobs", "60",
-                     "--seed", "7", "--scheduler", "fifo",
-                     "--out", str(out), "--against", str(baseline)])
-        assert code == 0
-        document = load_report(str(out / "report.json"))
-        rows = document["bench_diff"]["rows"]
-        assert len(rows) == 1
-        assert rows[0]["name"] == "fifo/venus@60j-s7"
-        assert rows[0]["baseline_eps"] is not None
+    def test_bench_command_and_against_flag_are_gone(self, tmp_path):
+        for argv in (["bench", "--quick"],
+                     ["report", "--out", str(tmp_path / "o"),
+                      "--against", str(tmp_path / "b.json")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestExplainCLI:
