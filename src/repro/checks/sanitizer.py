@@ -25,6 +25,9 @@ on:
   jobs whose VC is unchanged since they last failed, each skipped job
   is dry-run against the pass-start state and must still fit nowhere
   (:meth:`SimSanitizer.check_skipped`).
+* **Exact forecast memo** — every control pass that reuses Lucid's
+  memoized throughput forecast recomputes it from scratch, and the two
+  must agree bit for bit (:meth:`SimSanitizer.check_forecast`).
 * **Occupancy counters** — every counter that ``GPU.attach`` /
   ``GPU.detach`` and ``Node.set_health`` keep incrementally (per-GPU
   residents and reserved memory, per-node free GPUs, cluster busy /
@@ -49,6 +52,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.cluster.cluster import Cluster, rescan_occupancy
@@ -137,6 +141,15 @@ class SimSanitizer:
                            f"job {job.job_id} was skipped as unchanged "
                            f"since its last failed placement, but it "
                            f"fits now")
+
+    def check_forecast(self, cached: Tuple[float, float],
+                       fresh: Tuple[float, float]) -> None:
+        """During a control pass: a memoized ``(current, forecast)``
+        must equal the pair recomputed from scratch, bit for bit."""
+        if [x.hex() for x in cached] != [x.hex() for x in fresh]:
+            self._fail("during control pass",
+                       f"memoized (current, forecast) {cached} differs "
+                       f"from the recomputed {fresh}")
 
     # ------------------------------------------------------------------
     # Invariant sweeps

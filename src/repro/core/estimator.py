@@ -22,7 +22,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.models.attrib import Attribution, attribute_gam
-from repro.models.encoding import LabelEncoder, time_features
+from repro.models.encoding import (
+    LabelEncoder,
+    day_of_week,
+    hour_of_day,
+    time_features,
+)
 from repro.models.gam import GA2MRegressor, GlobalExplanation, LocalExplanation
 from repro.models.metrics import r2_score
 from repro.models.text import cluster_job_names
@@ -56,12 +61,17 @@ class _HistoryRow:
     amp: bool
 
 
+def _record_amp(profile: Optional[ResourceProfile]) -> bool:
+    """The ``amp`` of a :class:`JobRecord`, which has no field of its own."""
+    return bool(profile and profile.amp)
+
+
 def _row_from(job: Union[Job, JobRecord]) -> _HistoryRow:
     profile = getattr(job, "measured_profile", None) or job.profile
     return _HistoryRow(
         user=job.user, name=job.name, gpu_num=job.gpu_num,
         submit_time=job.submit_time, duration=job.duration,
-        profile=profile, amp=getattr(job, "amp", bool(profile and profile.amp)),
+        profile=profile, amp=getattr(job, "amp", _record_amp(profile)),
     )
 
 
@@ -84,7 +94,7 @@ class WorkloadEstimateModel:
         self.n_interactions = n_interactions
         self.random_state = random_state
         self._user_encoder = LabelEncoder()
-        self._name_clusters: Dict[str, int] = {}
+        self._set_name_clusters({})
         self._model: Optional[GA2MRegressor] = None
         self._rows: List[_HistoryRow] = []
         self._template_durations: Dict[Tuple[str, str], List[float]] = {}
@@ -102,11 +112,25 @@ class WorkloadEstimateModel:
             names = names[:5]
         return names
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_unknown_name_code", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._set_name_clusters(self._name_clusters)
+
+    def _set_name_clusters(self, clusters: Dict[str, int]) -> None:
+        self._name_clusters = clusters
+        #: The code of a stem outside every cluster: one past the
+        #: cluster count.  Derived, so never pickled.
+        self._unknown_name_code = float(len(set(clusters.values())))
+
     def _name_code(self, name: str) -> float:
-        stem = _name_stem(name)
-        code = self._name_clusters.get(stem)
+        code = self._name_clusters.get(_name_stem(name))
         if code is None:
-            return float(len(set(self._name_clusters.values())))  # unknown
+            return self._unknown_name_code
         return float(code)
 
     def _profile_features(self, profile: Optional[ResourceProfile],
@@ -117,6 +141,21 @@ class WorkloadEstimateModel:
             util, mem_util, mem = (profile.gpu_util, profile.gpu_mem_util,
                                    profile.gpu_mem_mb)
         return [util, mem_util, mem, float(amp)]
+
+    def _feature_row(self, row: _HistoryRow) -> List[float]:
+        """One row of :meth:`_featurize` as Python floats, for the
+        one-row predictions of the scheduling path."""
+        submit_time = float(row.submit_time)
+        features = [
+            self._user_encoder.code_of(row.user),
+            self._name_code(row.name),
+            float(row.gpu_num),
+            hour_of_day(submit_time),
+            day_of_week(submit_time),
+        ]
+        if self.use_profile:
+            features.extend(self._profile_features(row.profile, row.amp))
+        return features
 
     def _featurize(self, rows: Sequence[_HistoryRow]) -> np.ndarray:
         cal = time_features([r.submit_time for r in rows])
@@ -140,7 +179,11 @@ class WorkloadEstimateModel:
             refresh_names: bool = True) -> "WorkloadEstimateModel":
         if not history:
             raise ValueError("history must be non-empty")
-        self._rows = [_row_from(j) for j in history]
+        return self._fit_rows([_row_from(j) for j in history], refresh_names)
+
+    def _fit_rows(self, rows: List[_HistoryRow],
+                  refresh_names: bool) -> "WorkloadEstimateModel":
+        self._rows = rows
         self._rebuild_stats()
         self._user_encoder = LabelEncoder().fit([r.user for r in self._rows])
         if refresh_names or not self._name_clusters:
@@ -149,7 +192,7 @@ class WorkloadEstimateModel:
             # Update Engine reuses the existing buckets (new stems map to
             # the dedicated unknown code until the next full fit).
             stems = [_name_stem(r.name) for r in self._rows]
-            self._name_clusters = cluster_job_names(stems)
+            self._set_name_clusters(cluster_job_names(stems))
         X = self._featurize(self._rows)
         y = np.log(np.array([r.duration for r in self._rows]))
         self._model = GA2MRegressor(
@@ -186,19 +229,18 @@ class WorkloadEstimateModel:
         self._gpu_durations[row.gpu_num].append(row.duration)
 
     def refit(self) -> None:
-        """Retrain on the accumulated history (Update Engine, §3.6.2)."""
+        """Retrain on the accumulated history (Update Engine, §3.6.2).
+
+        The rows are refit as a completed-job record would describe them:
+        a record carries no ``amp`` of its own, so a row's ``amp`` is its
+        profile's.
+        """
         if not self._rows:
             raise RuntimeError("no history to refit on")
-        self.fit(list(self._rows_as_records()), refresh_names=False)
-
-    def _rows_as_records(self):
-        for row in self._rows:
-            yield JobRecord(
-                job_id=-1, name=row.name, user=row.user, vc="",
-                submit_time=row.submit_time, duration=row.duration,
-                gpu_num=row.gpu_num, jct=row.duration, queue_delay=0.0,
-                preemptions=0, finished_in_profiler=False,
-                profile=row.profile)
+        rows = [row if row.amp == _record_amp(row.profile)
+                else _dc_replace(row, amp=_record_amp(row.profile))
+                for row in self._rows]
+        self._fit_rows(rows, refresh_names=False)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -208,8 +250,7 @@ class WorkloadEstimateModel:
             raise RuntimeError("WorkloadEstimateModel is not fitted")
 
     def _model_prediction(self, row: _HistoryRow) -> float:
-        X = self._featurize([row])
-        log_pred = float(self._model.predict(X)[0])
+        log_pred = self._model.predict_one(self._feature_row(row))
         return float(np.clip(np.exp(log_pred), 10.0, 30 * 86400.0))
 
     def predict(self, job: Union[Job, JobRecord, "object"]) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from repro.workloads.job import Job, JobRecord, JobStatus
 
 #: Fallback duration estimate when the estimator is ablated away.
 RUNTIME_AGNOSTIC_ESTIMATE = 3600.0
+
+#: Seconds from an hour boundary within which the forecast memo keys on
+#: ``now`` itself: the rounding of the hourly layout and of the forecast
+#: row's calendar stays below 2**-21 s while ``|now| < 2**30`` s.
+_HOUR_EDGE = 1e-6
 
 logger = get_logger("core.lucid")
 
@@ -135,6 +140,18 @@ class LucidScheduler(Scheduler):
         self._next_control = 0.0
         self._queue_peak = 0
         self.mode_history: List[PackingMode] = []
+        #: ``(key, (current, forecast))`` of the last control pass's
+        #: forecast; see :meth:`_forecast`.  Derived, so never pickled.
+        self._forecast_memo: Optional[Tuple[Tuple, Tuple[float, float]]] = None
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        state.pop("_forecast_memo", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        super().__setstate__(state)
+        self._forecast_memo = None
 
     # ------------------------------------------------------------------
     # Training / attachment
@@ -429,11 +446,48 @@ class LucidScheduler(Scheduler):
         series, _ = hourly_series(recent, start_time=cutoff, end_time=now)
         return series
 
-    def _control(self, now: float) -> None:
-        cfg = self.config
+    def _forecast(self, now: float) -> Tuple[float, float]:
+        """``(current, forecast)`` of the control pass at ``now``.
+
+        Memoized on :meth:`_forecast_key`.  Under the sanitizer every
+        memo hit is recomputed and compared.
+        """
+        key = self._forecast_key(now)
+        memo = self._forecast_memo
+        if memo is not None and memo[0] == key:
+            sanitizer = getattr(self.engine, "sanitizer", None)
+            if sanitizer is not None:
+                sanitizer.check_forecast(memo[1],
+                                         self._evaluate_forecast(now))
+            return memo[1]
+        self.profile_count("forecast_evaluations")
+        value = self._evaluate_forecast(now)
+        self._forecast_memo = (key, value)
+        return value
+
+    def _forecast_key(self, now: float) -> Tuple:
+        """``(hour of now, now past the hour, submissions so far)``.
+
+        The pair depends on nothing else: the forecast row reads only
+        whole hours after the 48 h cutoff, and an hour-aligned ``now``
+        lays the bins out differently (DESIGN.md §4).  Within
+        ``_HOUR_EDGE`` of an hour, rounding could shift the bins, so such
+        a ``now`` is its own key.
+        """
+        hours, into_hour = divmod(now, SECONDS_PER_HOUR)
+        if (0.0 < into_hour < _HOUR_EDGE
+                or into_hour > SECONDS_PER_HOUR - _HOUR_EDGE):
+            return now, len(self._submit_times)
+        return hours, into_hour > 0.0, len(self._submit_times)
+
+    def _evaluate_forecast(self, now: float) -> Tuple[float, float]:
         series = self._recent_hourly_series(now)
         current = float(series[-1]) if series.size else 0.0
-        forecast = self.throughput_model.forecast_next(series[:-1], now)
+        return current, self.throughput_model.forecast_next(series[:-1], now)
+
+    def _control(self, now: float) -> None:
+        cfg = self.config
+        current, forecast = self._forecast(now)
         current_level = self.throughput_model.load_level(current)
         forecast_level = self.throughput_model.load_level(forecast)
 

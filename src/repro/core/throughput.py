@@ -121,7 +121,7 @@ class ThroughputPredictModel:
         extended = np.append(np.asarray(recent_series, dtype=float), 0.0)
         start = next_time - (len(extended) - 1) * SECONDS_PER_HOUR
         row = throughput_feature_row(extended, start_time=start)
-        return float(max(0.0, self._model.predict(row[np.newaxis])[0]))
+        return max(0.0, self._model.predict_one(row))
 
     def load_level(self, forecast: float) -> float:
         """Forecast relative to the historical median (1.0 = typical)."""

@@ -37,6 +37,10 @@ class LabelEncoder:
     def unknown_code(self) -> int:
         return len(self._codes)
 
+    def code_of(self, value) -> float:
+        """One value's code as :meth:`transform` gives it."""
+        return float(self._codes.get(value, len(self._codes)))
+
     def transform(self, values: Sequence) -> np.ndarray:
         unknown = self.unknown_code
         return np.array([self._codes.get(v, unknown) for v in values],
@@ -49,12 +53,12 @@ class LabelEncoder:
         return len(self._codes)
 
 
-def _hour_of_day(timestamps):
+def hour_of_day(timestamps):
     """Hour of day of a timestamp (a scalar or an array of them)."""
     return np.floor((timestamps % SECONDS_PER_DAY) / SECONDS_PER_HOUR)
 
 
-def _day_of_week(timestamps, epoch_day_of_week: int = 2):
+def day_of_week(timestamps, epoch_day_of_week: int = 2):
     """Weekday index of a timestamp (a scalar or an array of them)."""
     return (np.floor(timestamps / SECONDS_PER_DAY) + epoch_day_of_week) % 7
 
@@ -71,8 +75,8 @@ def time_features(timestamps: Sequence[float],
     ts = np.asarray(timestamps, dtype=float)
     days = np.floor(ts / SECONDS_PER_DAY)
     return {
-        "hour": _hour_of_day(ts),
-        "dayofweek": _day_of_week(ts, epoch_day_of_week),
+        "hour": hour_of_day(ts),
+        "dayofweek": day_of_week(ts, epoch_day_of_week),
         "day": days,
         "month": np.floor(days / 30.0),
     }
@@ -164,8 +168,8 @@ def _throughput_features(step_seconds: float) -> Tuple[Tuple[str, _FeatureAt], .
     # would see them out of distribution and memorize per-day offsets.
     # Periodic encodings (hour, dayofweek) carry the generalizable signal.
     return (
-        ("hour", lambda v, i, t: _hour_of_day(t)),
-        ("dayofweek", lambda v, i, t: _day_of_week(t)),
+        ("hour", lambda v, i, t: hour_of_day(t)),
+        ("dayofweek", lambda v, i, t: day_of_week(t)),
         ("shift_1h", lambda v, i, t: _shift_at(v, i, 1)),
         ("shift_1d", lambda v, i, t: _shift_at(v, i, day)),
         ("roll_mean_1h", lambda v, i, t: _rolling_at(v, i, 1, np.mean)),

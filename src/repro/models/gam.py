@@ -14,6 +14,7 @@ residual screening) get 2-D shape functions boosted on top.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -126,6 +127,18 @@ class GA2MRegressor:
         self.shapes_: List[ShapeFunction] = []
         self.interactions_: List[InteractionFunction] = []
         self.n_features_: int = 0
+        #: :meth:`predict_one`'s lookup tables, built lazily from the
+        #: fitted terms.  Derived, so never pickled.
+        self._one_row: Optional[_OneRowTables] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_one_row", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._one_row = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -144,25 +157,32 @@ class GA2MRegressor:
         elif len(self.feature_names) != d:
             raise ValueError("feature_names length mismatch")
 
+        self._one_row = None
         self.intercept_ = float(np.mean(y))
         self.shapes_ = [self._init_shape(i, X[:, i]) for i in range(d)]
-        bins = np.column_stack(
-            [self.shapes_[i].bin_of(X[:, i]) for i in range(d)])
+        # Contiguous bin columns and each feature's ``count + smoothing``
+        # denominator, computed once: both are fixed for the whole fit.
+        columns = [self.shapes_[i].bin_of(X[:, i]) for i in range(d)]
+        denominators = [
+            np.bincount(col, minlength=len(shape.values)) + self.smoothing
+            for col, shape in zip(columns, self.shapes_)]
 
         prediction = np.full(n, self.intercept_)
+        residual = np.empty(n)
         for _ in range(self.n_rounds):
-            for i in range(d):
-                residual = y - prediction
-                update = self._bin_means(bins[:, i],
-                                         len(self.shapes_[i].values),
-                                         residual)
+            for shape, col, denominator in zip(self.shapes_, columns,
+                                               denominators):
+                np.subtract(y, prediction, out=residual)
+                update = np.bincount(col, weights=residual,
+                                     minlength=len(shape.values))
+                update /= denominator
                 update *= self.learning_rate
-                self.shapes_[i].values += update
-                prediction += update[bins[:, i]]
+                shape.values += update
+                prediction += update.take(col)
         self._center_shapes()
 
         if self.n_interactions > 0:
-            self._fit_interactions(X, y, bins, prediction)
+            self._fit_interactions(X, y, prediction)
         return self
 
     def _init_shape(self, feature: int, column: np.ndarray) -> ShapeFunction:
@@ -172,12 +192,6 @@ class GA2MRegressor:
         return ShapeFunction(feature=feature, bin_edges=edges,
                              values=np.zeros(n_bins),
                              bin_counts=counts.astype(float))
-
-    def _bin_means(self, bin_idx: np.ndarray, n_bins: int,
-                   residual: np.ndarray) -> np.ndarray:
-        sums = np.bincount(bin_idx, weights=residual, minlength=n_bins)
-        counts = np.bincount(bin_idx, minlength=n_bins).astype(float)
-        return sums / (counts + self.smoothing)
 
     def _center_shapes(self) -> None:
         """Shift each shape to zero weighted mean, folding into intercept."""
@@ -193,12 +207,12 @@ class GA2MRegressor:
     # Pairwise interactions
     # ------------------------------------------------------------------
     def _fit_interactions(self, X: np.ndarray, y: np.ndarray,
-                          bins: np.ndarray, prediction: np.ndarray) -> None:
+                          prediction: np.ndarray) -> None:
         residual = y - prediction
         candidates = self._rank_interaction_candidates(X, residual)
         chosen = candidates[: self.n_interactions]
         self.interactions_ = []
-        pair_bins: List[Tuple[np.ndarray, np.ndarray]] = []
+        cells: List[Tuple[np.ndarray, np.ndarray]] = []
         for i, j in chosen:
             edges_i = _quantile_edges(X[:, i], self.interaction_bins)
             edges_j = _quantile_edges(X[:, j], self.interaction_bins)
@@ -206,19 +220,20 @@ class GA2MRegressor:
                 features=(i, j), bin_edges=(edges_i, edges_j),
                 values=np.zeros((len(edges_i) + 1, len(edges_j) + 1)))
             self.interactions_.append(fn)
-            pair_bins.append(fn.bins_of(X[:, i], X[:, j]))
+            bi, bj = fn.bins_of(X[:, i], X[:, j])
+            flat = bi * fn.values.shape[1] + bj
+            cells.append((flat, np.bincount(flat, minlength=fn.values.size)
+                          + self.smoothing))
         rounds = max(1, self.n_rounds // 3)
         for _ in range(rounds):
-            for fn, (bi, bj) in zip(self.interactions_, pair_bins):
-                residual = y - prediction
-                ni, nj = fn.values.shape
-                flat = bi * nj + bj
-                sums = np.bincount(flat, weights=residual, minlength=ni * nj)
-                counts = np.bincount(flat, minlength=ni * nj).astype(float)
-                update = (sums / (counts + self.smoothing)).reshape(ni, nj)
+            for fn, (flat, denominator) in zip(self.interactions_, cells):
+                np.subtract(y, prediction, out=residual)
+                update = np.bincount(flat, weights=residual,
+                                     minlength=fn.values.size)
+                update /= denominator
                 update *= self.learning_rate
-                fn.values += update
-                prediction += update[bi, bj]
+                fn.values += update.reshape(fn.values.shape)
+                prediction += update.take(flat)
 
     def _rank_interaction_candidates(self, X: np.ndarray,
                                      residual: np.ndarray
@@ -264,6 +279,33 @@ class GA2MRegressor:
             i, j = fn.features
             out += fn(X[:, i], X[:, j])
         return out
+
+    def predict_one(self, row: Sequence[float]) -> float:
+        """``predict(row[None])[0]`` for one row, bit for bit, in plain
+        Python: the per-call cost of a scheduling decision, not of numpy.
+
+        ``np.digitize`` over increasing edges is ``searchsorted(side=
+        "right")``, which is ``bisect_right`` over the same floats (NaN
+        sorts last in both), and the terms are added as Python floats in
+        :meth:`predict`'s order.  Models with a NaN bin edge (fitted on
+        NaN data) take :meth:`predict` itself.
+        """
+        tables = self._one_row
+        if tables is None:
+            self._check_fitted()
+            tables = self._one_row = _OneRowTables.of(self)
+        if len(row) != self.n_features_:
+            raise ValueError(f"expected {self.n_features_} features")
+        if not tables.exact:
+            return float(self.predict(np.asarray(row, dtype=float)[None])[0])
+        x = [float(v) for v in row]
+        total = self.intercept_
+        for feature, edges, values in tables.shapes:
+            total += values[bisect_right(edges, x[feature])]
+        for i, j, edges_i, edges_j, values in tables.interactions:
+            total += values[bisect_right(edges_i, x[i])][
+                bisect_right(edges_j, x[j])]
+        return total
 
     def _check_fitted(self) -> None:
         if not self.shapes_:
@@ -337,6 +379,34 @@ class GA2MRegressor:
                               increasing=increasing)
         shape.values = fitted
         self._center_shapes()
+        self._one_row = None
+
+
+@dataclass
+class _OneRowTables:
+    """A fitted GA²M's terms as Python lists, for :meth:`GA2MRegressor.
+    predict_one`: ``(feature, edges, values)`` per shape and ``(i, j,
+    edges_i, edges_j, values)`` per interaction."""
+
+    shapes: List[Tuple[int, List[float], List[float]]]
+    interactions: List[Tuple[int, int, List[float], List[float],
+                             List[List[float]]]]
+    #: False when an edge is NaN, where ``bisect`` and ``searchsorted``
+    #: order differently.
+    exact: bool
+
+    @classmethod
+    def of(cls, model: GA2MRegressor) -> "_OneRowTables":
+        edges = [s.bin_edges for s in model.shapes_]
+        edges += [e for fn in model.interactions_ for e in fn.bin_edges]
+        return cls(
+            shapes=[(s.feature, s.bin_edges.tolist(), s.values.tolist())
+                    for s in model.shapes_],
+            interactions=[(fn.features[0], fn.features[1],
+                           fn.bin_edges[0].tolist(), fn.bin_edges[1].tolist(),
+                           fn.values.tolist())
+                          for fn in model.interactions_],
+            exact=not any(np.isnan(e).any() for e in edges))
 
 
 def _quantile_edges(column: np.ndarray, max_bins: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from repro.cluster.placement import find_consolidated
@@ -35,6 +36,29 @@ class Scheduler:
     def __init__(self) -> None:
         self.engine = None
         self.queue: List[Job] = []
+
+    # The engine owns its scheduler, so the scheduler refers back to it
+    # weakly: a dropped engine is then freed by reference counting, not
+    # left as a cyclic island of every job for a gen-2 collection.
+    @property
+    def engine(self):
+        ref = self._engine_ref
+        return None if ref is None else ref()
+
+    @engine.setter
+    def engine(self, engine) -> None:
+        self._engine_ref = None if engine is None else weakref.ref(engine)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["engine"] = self.engine
+        state.pop("_engine_ref", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        engine = state.pop("engine", None)
+        self.__dict__.update(state)
+        self.engine = engine
 
     # ------------------------------------------------------------------
     # Engine lifecycle

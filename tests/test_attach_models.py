@@ -7,6 +7,12 @@ existed: a speed-up of either must leave every cluster id and every tree
 prediction unchanged.  SATURN's history has 701 unique name stems, so
 301 of them go through the nearest-exemplar path; PHILLY's 399 all fit
 under the 400-name cap.
+
+The GA²M fits are pinned too, as a hash of every edge and score:
+the Workload Estimate Model's fit and its refit from the accumulated
+rows (recorded when a refit still round-tripped each row through a
+``JobRecord``, which resets ``amp`` to the profile's), and the
+Throughput Predict Model's fit.
 """
 
 import hashlib
@@ -16,8 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.estimator import _name_stem
+from repro.core.estimator import WorkloadEstimateModel, _name_stem
 from repro.core.packing_model import PackingAnalyzeModel
+from repro.core.throughput import ThroughputPredictModel
 from repro.models.text import (
     cluster_job_names,
     levenshtein,
@@ -26,6 +33,7 @@ from repro.models.text import (
 from repro.traces.generator import TraceGenerator
 from repro.traces.spec import PHILLY, SATURN, VENUS
 from repro.workloads import InterferenceModel, all_configurations, get_profile
+from repro.workloads.job import JobRecord
 
 #: Per preset: unique stems, clusters, sha256 of the sorted name->id map.
 CLUSTERS = {
@@ -73,6 +81,46 @@ def test_packing_tree_is_pinned():
     predicted = "".join(str(int(label))
                         for label in model.tree_.predict(features))
     assert predicted == PACKING_PREDICTIONS
+
+
+#: sha256 prefixes of the GA²M fits (see :func:`_gam_digest`).
+GAM_FITS = {"estimator": "4c4e2235c8ed40be",
+            "estimator_refit": "2cd5d15314fc0ed1",
+            "throughput": "4b1ecdf7d4afcbc1"}
+
+
+def _gam_digest(gam) -> str:
+    digest = hashlib.sha256(gam.intercept_.hex().encode())
+    for shape in gam.shapes_:
+        digest.update(shape.bin_edges.tobytes())
+        digest.update(shape.values.tobytes())
+    for fn in gam.interactions_:
+        digest.update(repr(fn.features).encode())
+        for edges in fn.bin_edges:
+            digest.update(edges.tobytes())
+        digest.update(fn.values.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_gam_fits_are_pinned():
+    generator = TraceGenerator(VENUS)
+    history = generator.generate_history()
+    jobs = generator.generate()
+    for job in history[::7]:
+        job.amp = not job.profile.amp  # a refit resets these to the profile
+    estimator = WorkloadEstimateModel(random_state=7).fit(history)
+    assert _gam_digest(estimator._model) == GAM_FITS["estimator"]
+    for job in jobs[:600]:
+        estimator.update(JobRecord(
+            job_id=job.job_id, name=job.name, user=job.user, vc=job.vc,
+            submit_time=job.submit_time, duration=job.duration,
+            gpu_num=job.gpu_num, jct=job.duration, queue_delay=0.0,
+            preemptions=0, finished_in_profiler=False, profile=job.profile))
+    estimator.refit()
+    assert _gam_digest(estimator._model) == GAM_FITS["estimator_refit"]
+    throughput = ThroughputPredictModel(random_state=7).fit_events(
+        [job.submit_time for job in history])
+    assert _gam_digest(throughput._model) == GAM_FITS["throughput"]
 
 
 def test_profiles_are_computed_once():

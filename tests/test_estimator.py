@@ -1,9 +1,16 @@
 """Tests for the Workload Estimate Model (§3.5.3)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.estimator import WorkloadEstimateModel, _name_stem
+from repro.core.estimator import (
+    WorkloadEstimateModel,
+    _HistoryRow,
+    _name_stem,
+)
 from repro.models.metrics import r2_score
 from repro.traces import TraceGenerator, VENUS
 
@@ -138,3 +145,40 @@ class TestInterpretation:
         idx = model._feature_names().index("gpu_num")
         _, values = model._model.shape_function(idx)
         assert is_monotonic(values, increasing=True)
+
+
+class TestOneRowFeatures:
+    """The scheduling path featurizes one job as a Python list; it must
+    be :meth:`_featurize`'s row, bit for bit."""
+
+    @given(data=st.data(),
+           gpu_num=st.integers(1, 64),
+           submit_time=st.one_of(st.floats(-1e9, 1e9), st.integers(0, 10**7)),
+           profiled=st.booleans(), amp=st.booleans(),
+           use_profile=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_feature_row_is_featurize_row(self, model, venus_data, data,
+                                          gpu_num, submit_time, profiled,
+                                          amp, use_profile):
+        history, _ = venus_data
+        user = data.draw(st.sampled_from([history[0].user, "nobody"]))
+        name = data.draw(st.sampled_from([history[0].name, "new-job_12"]))
+        row = _HistoryRow(user=user, name=name, gpu_num=gpu_num,
+                          submit_time=submit_time, duration=0.0,
+                          profile=history[0].profile if profiled else None,
+                          amp=amp)
+        model.use_profile = use_profile
+        try:
+            fast = [float(x).hex() for x in model._feature_row(row)]
+            table = [float(x).hex() for x in model._featurize([row])[0]]
+        finally:
+            model.use_profile = True
+        assert fast == table
+
+    def test_unknown_name_code_is_cached(self, model):
+        clusters = model._name_clusters
+        expected = float(len(set(clusters.values())))
+        assert model._name_code("never-seen-stem-xyz") == expected
+        assert "_unknown_name_code" not in model.__getstate__()
+        loaded = pickle.loads(pickle.dumps(model))
+        assert loaded._name_code("never-seen-stem-xyz") == expected

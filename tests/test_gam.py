@@ -1,7 +1,10 @@
 """Tests for the GA²M additive model."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models.gam import GA2MRegressor
 from repro.models.isotonic import is_monotonic
@@ -129,3 +132,88 @@ class TestMonotonicConstraint:
         model.constrain_monotonic(0, increasing=True)
         after = r2_score(y, model.predict(X))
         assert after > before - 0.05
+
+
+# ----------------------------------------------------------------------
+# One-row inference: predict_one is predict on one row, bit for bit
+# ----------------------------------------------------------------------
+def _one_row_model() -> GA2MRegressor:
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.integers(0, 6, 400).astype(float),
+                         rng.normal(size=400), rng.uniform(-3, 3, 400)])
+    y = X[:, 0] * X[:, 1] + np.sin(X[:, 2]) + rng.normal(0, 0.1, 400)
+    return GA2MRegressor(n_rounds=40, n_interactions=2).fit(X, y)
+
+
+@pytest.fixture(scope="module")
+def one_row_models():
+    constrained = _one_row_model()
+    constrained.predict_one([0.0, 0.0, 0.0])  # tables built, then stale
+    constrained.constrain_monotonic(0)
+    warm = _one_row_model()
+    warm.predict_one([0.0, 0.0, 0.0])
+    return {"fitted": _one_row_model(), "constrained": constrained,
+            "unpickled": pickle.loads(pickle.dumps(warm))}
+
+
+def _edges_of(model: GA2MRegressor, feature: int):
+    edges = list(model.shapes_[feature].bin_edges)
+    for fn in model.interactions_:
+        for axis, f in enumerate(fn.features):
+            if f == feature:
+                edges.extend(fn.bin_edges[axis])
+    return sorted({float(e) for e in edges})
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_predict_one_is_predict_bitwise(one_row_models, data):
+    """Binned by ``bisect_right`` over the edges as a list, summed in
+    :meth:`predict`'s order: identical bits on every row, including
+    NaN, infinities and values exactly on a bin edge."""
+    for model in one_row_models.values():
+        assert model.interactions_
+        row = [data.draw(st.one_of(
+            st.floats(),
+            st.sampled_from(_edges_of(model, feature)),
+            st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                             0.0, -0.0])))
+            for feature in range(model.n_features_)]
+        expected = model.predict(np.array([row]))[0]
+        assert _bits(model.predict_one(row)) == _bits(expected)
+
+
+def test_one_row_tables_are_derived_state():
+    model = _one_row_model()
+    model.predict_one([1.0, 0.5, -0.5])
+    assert model._one_row is not None
+    assert "_one_row" not in model.__getstate__()
+    loaded = pickle.loads(pickle.dumps(model))
+    assert loaded._one_row is None
+    model.fit(np.ones((20, 3)), np.arange(20.0))
+    assert model._one_row is None
+
+
+def test_predict_one_nan_edge_takes_predict():
+    """A model fitted on NaN data has a NaN edge, where ``bisect`` and
+    ``searchsorted`` disagree; predict_one then defers to predict."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 2))
+    X[4, 0] = np.nan
+    model = GA2MRegressor(n_rounds=5).fit(X, X[:, 1])
+    assert np.isnan(model.shapes_[0].bin_edges).any()
+    for row in ([0.0, 0.0], [np.nan, 1.0], [-np.inf, np.inf]):
+        assert (_bits(model.predict_one(row))
+                == _bits(model.predict(np.array([row]))[0]))
+
+
+def test_predict_one_validates():
+    model = _one_row_model()
+    with pytest.raises(ValueError):
+        model.predict_one([1.0, 2.0])
+    with pytest.raises(RuntimeError):
+        GA2MRegressor().predict_one([1.0])

@@ -216,6 +216,7 @@ COUNTER_RUNS = {
         lambda h: LucidScheduler(h, LucidConfig(seed=7)),
         GOLDEN["venus"][3], 3034,
         {"binder_attempts": 77, "estimator_predictions": 214,
+         "forecast_evaluations": 393,
          "placement_attempts": 268, "placement_skips": 1663,
          "speed_refreshes": 1228},
     ),

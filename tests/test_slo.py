@@ -112,7 +112,8 @@ class TestSLOLucid:
         class _Engine:
             now = 0.0
 
-        scheduler.engine = _Engine()
+        engine = _Engine()  # the scheduler refers to it weakly
+        scheduler.engine = engine
         urgent = make_job(1, duration=1000.0, submit_time=0.0)
         urgent.estimated_duration = 1000.0
         urgent.deadline = 1100.0  # slack 100 < guard 500
@@ -127,7 +128,8 @@ class TestSLOLucid:
         class _Engine:
             now = 0.0
 
-        scheduler.engine = _Engine()
+        engine = _Engine()  # the scheduler refers to it weakly
+        scheduler.engine = engine
         scheduler.estimator = object()  # estimator-enabled priority path
         relaxed = make_job(1, duration=1000.0, submit_time=0.0, gpu_num=2)
         relaxed.estimated_duration = 1000.0
