@@ -172,8 +172,6 @@ RPR002_ALLOWLIST: Dict[str, Optional[FrozenSet[str]]] = {
     # is outside per-file RPR002's scope, but the cross-function RPR112
     # (digest reachability) consults this list too.
     "obs/prof.py": None,
-    # Scheduler-pass latency telemetry (tracer metrics + SimProfiler).
-    "sim/engine.py": frozenset({"_invoke_scheduler"}),
 }
 
 #: RPR009 allowlist (same shape as :data:`RPR002_ALLOWLIST`): modules

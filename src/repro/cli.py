@@ -62,6 +62,7 @@ from repro.obs import (
     LOG_FORMATS,
     LOG_LEVELS,
     RingBufferTracer,
+    SimProfiler,
     configure_logging,
     get_logger,
     write_chrome_trace,
@@ -367,9 +368,7 @@ def _write_telemetry(out_dir: str, result: SimulationResult,
     telemetry = result.telemetry
     written = [os.path.join(out_dir, "events.jsonl")]
     timeline_path = os.path.join(out_dir, "timeline.json")
-    write_chrome_trace(timeline_path, telemetry.events,
-                       queue_depth=telemetry.registry.gauge_series(
-                           "queue_depth"))
+    write_chrome_trace(timeline_path, telemetry.events)
     written.append(timeline_path)
     if telemetry.audit is not None:
         audit_path = os.path.join(out_dir, "audit.jsonl")
@@ -378,12 +377,14 @@ def _write_telemetry(out_dir: str, result: SimulationResult,
     return written
 
 
-def _run_traced(args, out_dir: str):
+def _run_traced(args, out_dir: str,
+                profiler: Optional[SimProfiler] = None):
     """Run one traced simulation and export its artifacts.
 
-    The JSONL sink is flushed/closed in a ``finally`` block so a
-    simulation that raises mid-run still leaves a readable (partial)
-    event log behind for post-mortem analysis.
+    ``profiler``, when given, measures the run.  The JSONL sink is
+    flushed/closed in a ``finally`` block so a simulation that raises
+    mid-run still leaves a readable (partial) event log behind for
+    post-mortem analysis.
     """
     os.makedirs(out_dir, exist_ok=True)
     cluster, history, jobs = _load(args)
@@ -396,7 +397,7 @@ def _run_traced(args, out_dir: str):
         simulator = Simulator(cluster, jobs,
                               make_scheduler(args.scheduler, history),
                               tracer=tracer, faults=_fault_spec(args),
-                              sanitize=args.sanitize)
+                              sanitize=args.sanitize, profile=profiler)
         result = simulator.run()
         _print_sanitizer_summary(simulator)
     except BaseException:
@@ -467,7 +468,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    result, _ = _run_traced(args, args.out)
+    profiler = SimProfiler()
+    result, _ = _run_traced(args, args.out, profiler)
     _print_fault_summary(result)
     telemetry = result.telemetry
 
@@ -499,14 +501,11 @@ def cmd_trace(args) -> int:
               "events:")
         for event in tail:
             print(f"  {event.to_json()}")
-    metric_rows = []
-    for name, value in telemetry.metrics.items():
-        if isinstance(value, dict):  # histogram summary
-            metric_rows.append([f"{name}.mean", value["mean"]])
-            metric_rows.append([f"{name}.p99", value["p99"]])
-        elif value is not None:
-            metric_rows.append([name, value])
-    print(ascii_table(["metric", "value"], metric_rows, title="Metrics"))
+    passes = profiler.pass_summary()
+    print(f"scheduler passes: {int(passes['count'])}, latency "
+          f"p50 {1e3 * passes['p50']:.3f} ms, "
+          f"p95 {1e3 * passes['p95']:.3f} ms, "
+          f"max {1e3 * passes['max']:.3f} ms")
 
     audit = telemetry.audit
     if audit is not None and audit.records and args.explain > 0:
@@ -603,7 +602,7 @@ def cmd_packing(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.obs import SeriesCollector, SimProfiler
+    from repro.obs import SeriesCollector
     from repro.obs.audit import DecisionAudit
     from repro.obs.lineage import LineageCollector
     from repro.obs.report import build_report, write_report

@@ -356,8 +356,9 @@ class LucidScheduler(Scheduler):
 
     def _probe_mate(self, job: Job) -> Optional[Job]:
         """:meth:`_find_mate` without the profiler count, for the
-        sanitizer's dry run of a skipped job (skips happen only in
-        unaudited runs, so the binder records no verdict either)."""
+        sanitizer's dry run of a skipped job.  In an audited run the
+        binder notes a verdict for the skipped job; the job is not
+        placed this pass, and the next pass clears it unread."""
         if self.config.packing_policy != "indolent":
             return None
         return self.binder.find_mate(self.engine, job,
@@ -520,17 +521,4 @@ class LucidScheduler(Scheduler):
                 self.queue.append(job)
 
         if self.update_engine is not None:
-            refitted = self.update_engine.maybe_refit(now)
-            if refitted:
-                metrics = getattr(self.engine, "metrics", None)
-                if metrics is not None:
-                    # Surface refit quality in SimulationResult.telemetry
-                    # (traced runs only — metrics is None otherwise).
-                    metrics.counter("model_refits").inc()
-                    quality = self.update_engine.last_quality
-                    if quality is not None and quality[0] is not None:
-                        metrics.gauge("estimator_r2").set(
-                            float(quality[0]), now)
-                    if quality is not None and quality[1] is not None:
-                        metrics.gauge("estimator_fit_samples").set(
-                            float(quality[1]), now)
+            self.update_engine.maybe_refit(now)

@@ -86,13 +86,15 @@ class ResourceOrchestrator:
         When ``audit`` is given, every placement leaves a
         :class:`~repro.obs.audit.PlacementDecision` carrying its inputs
         (priority, duration estimate, sharing mode, starvation trigger,
-        binder verdict) so the allocation is explainable post-hoc.
+        and the binder verdict of this pass, if the binder ran for the
+        job) so the allocation is explainable post-hoc.  The audit only
+        records: audited and unaudited runs take the same path.
 
-        **Unchanged-VC skip.**  With a ``retry_context`` and no
-        ``audit``, a job is not attempted when its retry key — its VC's
-        change epoch at the start of this pass, ``sharing_mode``,
-        ``retry_context`` and whether it is starving — equals the key of
-        the pass in which it last failed.  The skip is exact when the
+        **Unchanged-VC skip.**  With a ``retry_context``, a job is not
+        attempted when its retry key — its VC's change epoch at the
+        start of this pass, ``sharing_mode``, ``retry_context`` and
+        whether it is starving — equals the key of the pass in which it
+        last failed.  The skip is exact when the
         mate search only reads the pass-start state and rejects more as
         time passes (Lucid's indolent binder: see DESIGN.md); callers
         whose search is not (naive packing, SLO vetoes) pass ``None``.
@@ -106,6 +108,8 @@ class ResourceOrchestrator:
         if sharing_mode not in ("eager", "fallback", "off"):
             raise ValueError(f"bad sharing_mode {sharing_mode!r}")
         node_gpus = engine.cluster.gpus_per_node
+        if audit is not None:
+            audit.clear_binder()
 
         def starving(job: Job) -> bool:
             return (job.gpu_num > node_gpus
@@ -113,7 +117,7 @@ class ResourceOrchestrator:
 
         keys: List[Optional[Tuple]] = []
         attempt = queue
-        if retry_context is not None and audit is None:
+        if retry_context is not None:
             keys = self._retry_keys(engine, queue, (sharing_mode,
                                                     retry_context),
                                     starving)

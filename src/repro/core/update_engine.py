@@ -52,9 +52,6 @@ class UpdateEngine:
         #: through its spans — simulation code never reads the wall clock
         #: directly (RPR002) — and is ``None`` on unprofiled runs.
         self.profiler = None
-        #: ``(r2, samples, wall_seconds)`` of the most recent refit, for
-        #: metric gauges; ``None`` until the first refit.
-        self.last_quality: Optional[tuple] = None
 
     def collect(self, record: JobRecord, now: float) -> None:
         """Absorb one completed job."""
@@ -91,7 +88,6 @@ class UpdateEngine:
             fit_quality = getattr(self.estimator, "fit_quality", None)
             if fit_quality is not None:
                 r2, samples = fit_quality()
-        self.last_quality = (r2, samples, wall_seconds)
         logger.info("refit workload estimator at t=%.0fs on %d new records",
                     now, self._new_records)
         if self.audit is not None:

@@ -104,7 +104,6 @@ class FaultRuntime:
         if engine._tracing:
             engine.tracer.emit(now, "node_fail", None, target=target,
                                node=node.node_id, victims=sorted(victims))
-            self._count("fault_node_failures")
         logger.debug("t=%.0fs node_fail %s[%d]: %d victims", now, target,
                      index, len(victims))
         for job_id in sorted(victims):
@@ -124,7 +123,6 @@ class FaultRuntime:
         if engine._tracing:
             engine.tracer.emit(now, "node_recover", None, target=target,
                                node=node.node_id)
-            self._count("fault_node_recoveries")
 
     # ------------------------------------------------------------------
     # Job crashes and retry
@@ -181,7 +179,6 @@ class FaultRuntime:
                                    nodes=[g.node_id for g in gpus],
                                    progress=job.progress,
                                    profiling=state.is_profiling)
-                self._count("fault_job_crashes", "job_restarts")
         engine._refresh_speeds_around(gpus)
         engine.utilization.update(now)
 
@@ -202,7 +199,6 @@ class FaultRuntime:
                                gpus=[g.gpu_id for g in gpus],
                                nodes=[g.node_id for g in gpus],
                                progress=job.progress, profiling=profiling)
-            self._count("fault_job_crashes", "jobs_failed")
         self._notify_scheduler(job, now, permanent=True)
 
     def _handle_retry(self, event, now: float) -> None:
@@ -214,13 +210,6 @@ class FaultRuntime:
             self._engine.tracer.emit(now, "retry", job.job_id,
                                      restarts=job.restarts)
         self._notify_scheduler(job, now, permanent=False)
-
-    def _count(self, *names: str) -> None:
-        """Bump engine fault counters (no-op on an unmetered engine)."""
-        metrics = self._engine.metrics
-        if metrics is not None:
-            for name in names:
-                metrics.counter(name).inc()
 
     def _notify_scheduler(self, job: Job, now: float, permanent: bool) -> None:
         scheduler = self._engine.scheduler
@@ -247,7 +236,6 @@ class FaultRuntime:
         if engine._tracing:
             engine.tracer.emit(now, "slowdown", None, target=target,
                                node=node.node_id, factor=factor)
-            self._count("fault_slowdowns")
         engine._refresh_speeds_around(node.gpus)
 
     def _handle_slowdown_end(self, event, now: float) -> None:
@@ -302,10 +290,3 @@ class FaultRuntime:
             censored_repairs=len(self._down_since),
             censored_repair_hours=censored_seconds / 3600.0,
         )
-
-    def export_metrics(self, registry, stats: FaultStats) -> None:
-        """Publish final fault aggregates into the telemetry registry."""
-        registry.gauge("lost_gpu_hours").set(stats.lost_gpu_hours)
-        registry.gauge("goodput").set(stats.goodput)
-        registry.gauge("mttr_seconds").set(stats.mttr)
-        registry.gauge("censored_repairs").set(float(stats.censored_repairs))

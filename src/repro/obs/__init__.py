@@ -4,14 +4,15 @@ Lucid's differentiator is *interpretability*; this package is the layer
 that makes the reproduction observable end to end:
 
 * :mod:`repro.obs.tracer` — structured simulator events in a ring buffer
-  with an optional JSONL sink (no-op :data:`NULL_TRACER` by default).
+  with an optional JSONL sink (no-op :data:`NULL_TRACER` by default); a
+  traced run's events and audit reach
+  :class:`~repro.sim.metrics.SimulationResult` as ``result.telemetry``.
 * :mod:`repro.obs.audit` — per-placement decision records explaining every
   allocation (priority, binder verdict, sharing mode, starvation relief).
-* :mod:`repro.obs.metrics` — counters / gauges / histograms surfaced on
-  :class:`~repro.sim.metrics.SimulationResult` as ``result.telemetry``.
-* :mod:`repro.obs.live` — the serve daemon's live telemetry plane:
-  labeled metric families, Prometheus text exposition, and the
-  zero-dependency ``/dashboard`` page.
+* :mod:`repro.obs.live` — the one metrics registry, the serve daemon's
+  live telemetry plane: labeled counter / gauge / histogram families,
+  Prometheus text exposition, and the zero-dependency ``/dashboard``
+  page.
 * :mod:`repro.obs.lineage` — the causal event DAG and exact JCT
   decomposition (``Simulator(tracer=LineageCollector())``): why a job
   was slow, which jobs blocked it, the event chain that determined its
@@ -35,7 +36,7 @@ Quickstart::
 
     tracer = RingBufferTracer(sink="events.jsonl")
     result = quick_simulation("venus", n_jobs=200, tracer=tracer)
-    print(result.telemetry.metrics)
+    print(tracer.counts_by_kind())
     print(result.telemetry.audit.explain(42))
     write_chrome_trace("timeline.json", tracer.events)
 """
@@ -62,6 +63,9 @@ from repro.obs.lineage import (
 from repro.obs.live import (
     CONTENT_TYPE_PROMETHEUS,
     DEFAULT_LATENCY_BUCKETS,
+    BucketHistogram,
+    Counter,
+    Gauge,
     LiveRegistry,
     publish_profiler,
     render_dashboard,
@@ -72,14 +76,6 @@ from repro.obs.logutil import (
     configure_logging,
     get_logger,
     log_context,
-)
-from repro.obs.metrics import (
-    BucketHistogram,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Telemetry,
 )
 from repro.obs.prof import NULL_SPAN, SimProfiler, peak_rss_mb
 from repro.obs.report import (
@@ -100,6 +96,7 @@ from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     RingBufferTracer,
+    Telemetry,
     TraceEvent,
     Tracer,
     events_from_dicts,
@@ -147,8 +144,6 @@ __all__ = [
     "BucketHistogram",
     "Counter",
     "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Telemetry",
     "build_chrome_trace",
     "write_chrome_trace",

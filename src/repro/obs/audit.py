@@ -351,13 +351,18 @@ class DecisionAudit:
         """Stash the latest binder verdict for a job.
 
         The orchestrator collects it into the job's placement decision via
-        :meth:`take_binder`; verdicts for jobs that end up unplaced are
-        simply overwritten on the next pass.
+        :meth:`take_binder`, in the same pass: :meth:`clear_binder` drops
+        every verdict at the start of the next one.
         """
         self._pending_binder[verdict.job_id] = verdict
 
     def take_binder(self, job_id: int) -> Optional[BinderVerdict]:
         return self._pending_binder.pop(job_id, None)
+
+    def clear_binder(self) -> None:
+        """Drop the verdicts of earlier passes, so a placement never
+        carries the verdict of a search it did not make."""
+        self._pending_binder.clear()
 
     def record(self, decision: PlacementDecision) -> PlacementDecision:
         self.records.append(decision)

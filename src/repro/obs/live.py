@@ -1,19 +1,19 @@
 """Live telemetry plane: labeled metric families + Prometheus exposition.
 
-The offline :class:`~repro.obs.metrics.MetricsRegistry` serves one-shot
-simulation runs; a long-running ``repro serve`` daemon needs the
-service-monitoring shape instead — *labeled* series (HTTP latency by
+The repo's one metrics registry.  A long-running ``repro serve`` daemon
+needs the service-monitoring shape — *labeled* series (HTTP latency by
 route and status, WAL appends by kind), *bounded* histograms (a daemon
 must not grow memory with uptime), and a wire format scrapers already
-speak.  :class:`LiveRegistry` provides exactly that on top of the same
-primitives:
+speak.  :class:`LiveRegistry` provides exactly that.  Offline runs keep
+no registry: each of their facts has one home elsewhere (event counts
+in the trace stream, fault counts in
+:class:`~repro.sim.metrics.FaultStats`, refit quality in the decision
+audit, pass latency in :class:`~repro.obs.prof.SimProfiler`).
 
 * :meth:`LiveRegistry.counter` / :meth:`~LiveRegistry.gauge` /
   :meth:`~LiveRegistry.histogram` — get-or-create, optionally with a
   ``labels`` mapping; every ``(name, label-values)`` pair owns one child
-  metric (:class:`~repro.obs.metrics.Counter`,
-  :class:`~repro.obs.metrics.Gauge`,
-  :class:`~repro.obs.metrics.BucketHistogram`).
+  metric (:class:`Counter`, :class:`Gauge`, :class:`BucketHistogram`).
 * :meth:`LiveRegistry.render_prometheus` — the Prometheus text format
   (``text/plain; version=0.0.4``): ``# HELP`` / ``# TYPE`` headers,
   escaped label values, cumulative ``_bucket{le=...}`` rows ending at
@@ -46,14 +46,16 @@ import re
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import BucketHistogram, Counter, Gauge
 from repro.obs.prof import SimProfiler
 from repro.obs.report import _CSS, _esc, _svg_line_chart
 
 __all__ = [
+    "BucketHistogram",
     "CONTENT_TYPE_PROMETHEUS",
+    "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
+    "Gauge",
     "LiveRegistry",
     "publish_profiler",
     "render_dashboard",
@@ -79,6 +81,120 @@ GAUGE_HISTORY = 512
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+
+class Counter:
+    """Monotonically increasing count."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self.value += amount
+
+
+class Gauge:
+    """Last-value metric with an optional time series of samples."""
+
+    __slots__ = ("name", "value", "samples", "max_samples")
+
+    def __init__(self, name: str,
+                 max_samples: Optional[int] = None) -> None:
+        self.name = name
+        self.value: Optional[float] = None
+        #: ``(time, value)`` samples in recording order; consecutive
+        #: duplicates are collapsed to keep long runs compact.
+        self.samples: List[Tuple[float, float]] = []
+        #: When set, only the newest ``max_samples`` samples are kept —
+        #: the bound long-running daemons need.
+        self.max_samples = max_samples
+
+    def set(self, value: float, time: Optional[float] = None) -> None:
+        self.value = value
+        if time is not None:
+            if self.samples and self.samples[-1][1] == value:
+                return
+            self.samples.append((time, value))
+            if (self.max_samples is not None
+                    and len(self.samples) > self.max_samples):
+                del self.samples[:len(self.samples) - self.max_samples]
+
+
+class BucketHistogram:
+    """Fixed-bucket histogram in the Prometheus exposition shape.
+
+    Holds only per-bucket counts plus a running sum — O(buckets) memory
+    regardless of how long a service runs, which is what the live
+    ``/metrics`` endpoint needs.
+    ``bounds`` are the *upper* bucket bounds; an implicit ``+Inf`` bucket
+    always exists, so :meth:`cumulative` is monotone and its last count
+    equals :attr:`count`.
+    """
+
+    __slots__ = ("name", "bounds", "counts", "total", "count")
+
+    def __init__(self, name: str, bounds: Tuple[float, ...]) -> None:
+        if not bounds:
+            raise ValueError("BucketHistogram needs at least one bound")
+        if any(a > b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"bucket bounds must be sorted: {bounds}")
+        self.name = name
+        self.bounds = tuple(float(b) for b in bounds)
+        #: Per-bucket observation counts; index -1 is the +Inf bucket.
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.total = 0.0
+        self.count = 0
+
+    def observe(self, value: float) -> None:
+        self.total += value
+        self.count += 1
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.counts[index] += 1
+                return
+        self.counts[-1] += 1
+
+    def cumulative(self) -> List[Tuple[float, int]]:
+        """``(upper_bound, cumulative_count)`` rows ending at ``+Inf``."""
+        rows: List[Tuple[float, int]] = []
+        running = 0
+        for bound, bucket_count in zip(self.bounds, self.counts):
+            running += bucket_count
+            rows.append((bound, running))
+        rows.append((math.inf, running + self.counts[-1]))
+        return rows
+
+    def quantile(self, q: float) -> float:
+        """Bucket-resolution quantile estimate, ``q`` in [0, 1].
+
+        Returns the upper bound of the bucket holding the q-th
+        observation (the finest answer bucketed counts can give); the
+        largest finite bound when the rank lands in ``+Inf``.
+        """
+        if self.count == 0:
+            return 0.0
+        rank = max(1, int(math.ceil(q * self.count)))
+        running = 0
+        for bound, bucket_count in zip(self.bounds, self.counts):
+            running += bucket_count
+            if running >= rank:
+                return bound
+        return self.bounds[-1]
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "count": float(self.count),
+            "sum": self.total,
+            "mean": self.total / self.count if self.count else 0.0,
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
+        }
 
 
 def _escape_label_value(value: str) -> str:

@@ -22,9 +22,10 @@ The contract mirrors the tracer's and the sanitizer's:
   time, job state or scheduler decisions — a profiled run is therefore
   also bit-identical to a plain one (guarded by regression test).
 
-Wall-clock reads live in this module by design: it is the RPR002
-instrumentation allowlist's anchor (see :mod:`repro.checks.lint`), which
-keeps ``time.perf_counter`` out of simulation packages without per-line
+Wall-clock reads live in this module by design: it is the only entry of
+the RPR002 instrumentation allowlist (see :mod:`repro.checks.lint`), so
+the engine brackets its work with profiler calls and never reads the
+clock itself, and simulation packages need no per-line
 ``# repro: noqa`` escapes.
 """
 
@@ -121,9 +122,8 @@ class SimProfiler:
 
     * :meth:`enter` / :meth:`exit_event` bracket each event dispatch and
       bill the elapsed wall time to the event's kind.
-    * :meth:`add_pass` records one scheduler ``schedule()`` pass (the
-      engine reads the clock itself there to share the read with the
-      tracing metrics).
+    * :meth:`enter` / :meth:`exit_pass` bracket each scheduler
+      ``schedule()`` pass the same way.
     * :meth:`count` bumps a named hot-path counter (``binder_attempts``,
       ``speed_refreshes``, ``estimator_predictions``,
       ``sanitizer_sweeps``, ...).
@@ -174,6 +174,10 @@ class SimProfiler:
         elapsed = time.perf_counter() - self._stack.pop()
         self.event_seconds[kind] = self.event_seconds.get(kind, 0.0) + elapsed
         self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
+
+    def exit_pass(self) -> None:
+        """Close the innermost bracket as one scheduler pass."""
+        self.add_pass(time.perf_counter() - self._stack.pop())
 
     def add_pass(self, seconds: float) -> None:
         """Record one scheduler pass of ``seconds`` wall time."""

@@ -6,8 +6,10 @@ trace-event JSON format, loadable in ``chrome://tracing`` or Perfetto
 each GPU a *thread* lane; every execution interval of a job is a complete
 ("X") event on the lanes of the GPUs it occupied, annotated with the job's
 speed, mates and whether the run was a profiling run.  Submission and
-placement decisions appear as instant events, and the queue-depth gauge
-becomes a counter track — the same at-a-glance story as the paper's
+placement decisions appear as instant events, and the ``queue_depth``
+payload of the ``sched_*`` events becomes a counter track, so a
+timeline rebuilt from ``events.jsonl`` alone draws it too — the same
+at-a-glance story as the paper's
 cluster-timeline figures.  Which kinds close a lane (the job is off its
 GPUs) and which go on the faults track is read from
 :data:`repro.obs.tracer.TRACE_KINDS`.
@@ -19,7 +21,7 @@ one simulated day spans one "day" of trace time.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.obs.ioutil import atomic_write_text
 from repro.obs.tracer import FAULT_KINDS, RELEASE_KINDS, TraceEvent
@@ -37,21 +39,13 @@ _SCHED_PID = 99_999
 _FAULT_PID = 88_888
 
 
-def build_chrome_trace(events: Iterable[TraceEvent],
-                       queue_depth: Optional[Sequence[Tuple[float, float]]]
-                       = None) -> Dict[str, Any]:
+def build_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     """Build a Chrome trace-event document from tracer events.
 
-    Parameters
-    ----------
-    events:
-        Tracer events; only ``start`` and the releasing kinds (lanes),
-        ``submit``/``decision`` and the fault kinds (instants) and
-        ``speed`` (lane annotations) are consumed, other kinds are
-        ignored.
-    queue_depth:
-        Optional ``(time, depth)`` samples rendered as a counter track
-        (pass ``registry.gauge_series("queue_depth")``).
+    Only ``start`` and the releasing kinds (lanes), ``submit``/
+    ``decision`` and the fault kinds (instants), ``speed`` (lane
+    annotations) and the ``queue_depth`` of ``sched_*`` events (the
+    counter track) are consumed; other kinds are ignored.
     """
     events = sorted(events, key=lambda e: e.time)
     trace: List[Dict[str, Any]] = []
@@ -145,18 +139,18 @@ def build_chrome_trace(events: Iterable[TraceEvent],
                 "pid": _SCHED_PID, "tid": 1,
                 "args": dict(event.data, job_id=event.job_id),
             })
+        elif event.kind.startswith("sched_"):
+            depth = event.data.get("queue_depth")
+            if depth is not None:
+                trace.append({
+                    "name": "queue depth", "cat": "scheduler", "ph": "C",
+                    "ts": event.time * _US, "pid": _SCHED_PID, "tid": 0,
+                    "args": {"jobs": depth},
+                })
 
     # Close anything still running at the end of the trace.
     for job_id in list(open_runs):
         close_run(job_id, end_time, "running")
-
-    if queue_depth:
-        for time, depth in queue_depth:
-            trace.append({
-                "name": "queue depth", "cat": "scheduler", "ph": "C",
-                "ts": time * _US, "pid": _SCHED_PID, "tid": 0,
-                "args": {"jobs": depth},
-            })
 
     # Metadata: name the process and thread rows so lanes read naturally.
     meta: List[Dict[str, Any]] = []
@@ -176,10 +170,8 @@ def build_chrome_trace(events: Iterable[TraceEvent],
     return {"traceEvents": meta + trace, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path: str, events: Iterable[TraceEvent],
-                       queue_depth: Optional[Sequence[Tuple[float, float]]]
-                       = None) -> int:
+def write_chrome_trace(path: str, events: Iterable[TraceEvent]) -> int:
     """Write a Chrome trace JSON file; returns the number of trace events."""
-    document = build_chrome_trace(events, queue_depth=queue_depth)
+    document = build_chrome_trace(events)
     atomic_write_text(path, json.dumps(document))
     return len(document["traceEvents"])

@@ -35,6 +35,7 @@ __all__ = [
     "TRACE_KINDS",
     "TraceEvent",
     "TraceKind",
+    "Telemetry",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -243,6 +244,24 @@ class RingBufferTracer(Tracer):
     def counts_by_kind(self) -> Dict[str, int]:
         """Histogram of retained event kinds."""
         return dict(Counter(e.kind for e in self._buffer))
+
+
+@dataclass
+class Telemetry:
+    """What a traced run leaves on its result.
+
+    Attached to :class:`~repro.sim.metrics.SimulationResult` as the
+    ``telemetry`` field when (and only when) the simulator was built
+    with an enabled tracer.
+    """
+
+    #: Structured events retained by the tracer's ring buffer.
+    events: List[TraceEvent] = field(default_factory=list)
+    #: Scheduler decision audit, when the active scheduler kept one.
+    audit: Optional[Any] = None
+    #: Events evicted from the tracer's ring buffer on overflow; nonzero
+    #: means :attr:`events` is a truncated suffix of the run.
+    dropped_events: int = 0
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -409,8 +409,7 @@ class SimCore:
         are re-attached on the way out.  The digest cache is not part
         of the payload; :meth:`from_blob` starts it empty.
         """
-        tracer, metrics = self.sim.tracer, self.sim.metrics
-        profiler = self.sim.profiler
+        tracer, profiler = self.sim.tracer, self.sim.profiler
         self.sim.attach_tracer(None)
         self.sim.profiler = None
         try:
@@ -425,7 +424,6 @@ class SimCore:
             return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         finally:
             self.sim.attach_tracer(tracer)
-            self.sim.metrics = metrics
             self.sim.profiler = profiler
 
     @classmethod

@@ -27,17 +27,15 @@ The paper validates its simulator against a 32-GPU physical testbed with
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU
 from repro.obs.logutil import get_logger
-from repro.obs.metrics import MetricsRegistry, Telemetry
 from repro.obs.prof import SimProfiler
 from repro.obs.series import SeriesCollector
-from repro.obs.tracer import NULL_TRACER, RingBufferTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, RingBufferTracer, Telemetry, Tracer
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import FaultStats, SimulationResult, UtilizationTracker
 from repro.workloads.colocation import InterferenceModel
@@ -143,10 +141,8 @@ class Simulator:
 
         #: Observability: disabled by default (zero overhead contract —
         #: hot paths check the cached ``_tracing`` flag before building
-        #: any event payload); metrics exist only for a constructor tracer.
+        #: any event payload).
         self.attach_tracer(tracer)
-        if self._tracing:
-            self.metrics = MetricsRegistry()
 
         #: Fault model (:class:`~repro.faults.spec.FaultSpec` or a prebuilt
         #: injector).  ``None`` — and a spec with no rates/script — leaves
@@ -187,15 +183,11 @@ class Simulator:
         """Route engine events to ``tracer`` (``None``: the disabled
         :data:`~repro.obs.tracer.NULL_TRACER`).
 
-        The one place that sets the tracer, the cached ``_tracing`` flag
-        and ``metrics`` together.  Metrics belong to the constructor's
-        tracer only: a tracer attached later — the serve daemon's
-        lineage collector — runs without them, so a long-lived engine
-        does not keep a ``schedule_seconds`` sample per pass.
+        The one place that sets the tracer and the cached ``_tracing``
+        flag together.
         """
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer.enabled
-        self.metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Public API for schedulers
@@ -272,21 +264,14 @@ class Simulator:
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
         if self._tracing:
-            mates = list(self.mate_ids(job))
             self.tracer.emit(
                 self.now, "start", job.job_id,
                 name=job.name, gpus=[g.gpu_id for g in gpus],
                 nodes=[g.node_id for g in gpus], speed=state.speed,
-                mates=mates, profiling=profiling,
+                mates=list(self.mate_ids(job)), profiling=profiling,
                 overhead=state.overhead_left,
                 progress=job.progress,
                 time_limit=time_limit)
-            if self.metrics is not None:
-                self.metrics.counter("jobs_started").inc()
-                if profiling:
-                    self.metrics.counter("profiler_runs").inc()
-                elif mates:
-                    self.metrics.counter("placements_shared").inc()
 
     def stop_job(self, job: Job, preempted: bool = False) -> None:
         """Remove a running job from its GPUs without finishing it."""
@@ -309,8 +294,6 @@ class Simulator:
                 gpus=[g.gpu_id for g in gpus],
                 nodes=[g.node_id for g in gpus],
                 progress=job.progress, profiling=state.is_profiling)
-            if preempted and self.metrics is not None:
-                self.metrics.counter("preemptions").inc()
 
     # ------------------------------------------------------------------
     # Run loop
@@ -436,8 +419,6 @@ class Simulator:
         fault_stats: Optional[FaultStats] = None
         if self.fault_runtime is not None:
             fault_stats = self.fault_runtime.stats()
-            if self.metrics is not None:
-                self.fault_runtime.export_metrics(self.metrics, fault_stats)
         return SimulationResult(records=list(self.records),
                                 makespan=self.now,
                                 utilization=self.utilization.summary(),
@@ -475,40 +456,24 @@ class Simulator:
         profiler.exit_event(event.kind.value)
 
     def _invoke_scheduler(self) -> None:
-        """Run one scheduling pass, timing it when metered or profiled.
-
-        Wall-clock telemetry of scheduler latency never feeds back into
-        simulated time; this method is on the RPR002 instrumentation
-        allowlist (see :mod:`repro.checks.lint`).
-        """
+        """Run one scheduling pass, billing its wall time when profiling."""
         profiler = self.profiler
-        metrics = self.metrics
-        if metrics is None and profiler is None:
+        if profiler is None:
             self.scheduler.schedule(self.now)
             return
-        started = _time.perf_counter()
+        profiler.enter()
         self.scheduler.schedule(self.now)
-        elapsed = _time.perf_counter() - started
-        if profiler is not None:
-            profiler.add_pass(elapsed)
-        if metrics is not None:
-            metrics.histogram("schedule_seconds").observe(elapsed)
-            queue = getattr(self.scheduler, "queue", None)
-            if queue is not None:
-                metrics.gauge("queue_depth").set(float(len(queue)),
-                                                 time=self.now)
+        profiler.exit_pass()
 
     def _build_telemetry(self) -> Optional[Telemetry]:
-        if self.metrics is None:
+        if not self._tracing:
             return None
         tracer = self.tracer
         return Telemetry(events=(tracer.events
                                  if isinstance(tracer, RingBufferTracer)
                                  else []),
-                         metrics=self.metrics.snapshot(),
-                         registry=self.metrics,
                          audit=getattr(self.scheduler, "audit", None),
-                         dropped_events=getattr(self.tracer, "n_dropped", 0))
+                         dropped_events=getattr(tracer, "n_dropped", 0))
 
     # ------------------------------------------------------------------
     # Event dispatch
@@ -524,8 +489,6 @@ class Simulator:
             if self._tracing:
                 self.tracer.emit(self.now, "submit", job.job_id,
                                  gpu_num=job.gpu_num, vc=job.vc)
-                if self.metrics is not None:
-                    self.metrics.counter("jobs_submitted").inc()
             self.scheduler.on_job_submit(job, self.now)
         elif event.kind is EventKind.FINISH:
             self._handle_finish(event)
@@ -566,8 +529,6 @@ class Simulator:
                              jct=job.jct, queue_delay=job.queue_delay,
                              progress=job.progress,
                              profiling=state.is_profiling)
-            if self.metrics is not None:
-                self.metrics.counter("jobs_finished").inc()
         self.scheduler.on_job_finish(job, self.now)
 
     def _handle_time_limit(self, event) -> None:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import Telemetry
+from repro.obs.tracer import Telemetry
 from repro.workloads.job import JobRecord
 
 #: Job-scale boundary used by Table 5 (large = more than one 8-GPU node).
@@ -135,7 +135,7 @@ class SimulationResult:
     records: List[JobRecord]
     makespan: float
     utilization: UtilizationSummary
-    #: Observability payload (:class:`repro.obs.metrics.Telemetry`) when
+    #: Observability payload (:class:`repro.obs.tracer.Telemetry`) when
     #: the run was traced; ``None`` — and every other field bit-identical
     #: to an untraced run — otherwise.
     telemetry: Optional["Telemetry"] = None

@@ -12,7 +12,7 @@ from repro.obs import (
     RingBufferTracer,
 )
 from repro.sim import Simulator
-from repro.traces import TraceGenerator, TraceSpec
+from repro.traces import VENUS, TraceGenerator, TraceSpec
 
 
 def _lucid_run(tracer=None, audit=None, **config_changes):
@@ -90,6 +90,26 @@ class TestLucidAudit:
                    for line in lines)
 
 
+def test_no_placement_carries_a_verdict_from_an_earlier_pass():
+    """A verdict belongs to the pass whose binder search made it.  In
+    ``fallback`` mode an exclusive placement runs no search before it
+    lands, and in ``off`` mode no search runs at all, so those
+    decisions carry no verdict; the contended venus@400 replay used to
+    attach five verdicts noted minutes before."""
+    generator = TraceGenerator(VENUS.with_jobs(400))
+    audit = DecisionAudit(attribution=True)
+    scheduler = LucidScheduler(generator.generate_history(),
+                               LucidConfig(seed=7), audit=audit)
+    Simulator(generator.build_cluster(), generator.generate(),
+              scheduler).run()
+    searchless = [d for d in audit.records
+                  if d.mode in ("exclusive", "relaxed")
+                  and d.sharing_mode in ("fallback", "off")]
+    assert searchless
+    assert [d for d in searchless if d.binder is not None] == []
+    assert any(d.binder is not None for d in audit.records)
+
+
 class TestBinderVerdict:
     def test_accept_and_decline_render(self):
         accept = BinderVerdict(job_id=1, mate_id=2, mode="DEFAULT",
@@ -164,7 +184,6 @@ class TestRefitAudit:
         assert record.r2 == 0.75
         assert record.samples == 42
         assert record.wall_seconds is None  # unprofiled run
-        assert engine.last_quality == (0.75, 42, None)
         exported = record.to_dict()
         assert exported["r2"] == 0.75 and exported["samples"] == 42
         assert "wall_seconds" not in exported
@@ -175,9 +194,10 @@ class TestRefitAudit:
         engine = UpdateEngine(self._StubEstimator(), interval=100.0,
                               min_new_records=1)
         engine.profiler = SimProfiler()
+        engine.audit = DecisionAudit()
         engine.collect(self._Record(), now=0.0)
         assert engine.maybe_refit(150.0)
-        _, _, wall = engine.last_quality
+        wall = engine.audit.refits[0].wall_seconds
         assert wall is not None and wall >= 0.0
         assert engine.profiler.span_counts.get("lucid.refit") == 1
 

@@ -1,9 +1,9 @@
 """Unit tests for the live telemetry plane (:mod:`repro.obs.live`).
 
-Covers the registry/exposition layer in isolation: bucketed
-histograms, labeled families, Prometheus text escaping, the JSON
-render, profiler publication, dashboard self-containment, and the
-structured-logging context plumbing.  The end-to-end daemon scrape
+Covers the registry/exposition layer in isolation: the counter, gauge
+and bucketed-histogram primitives, labeled families, Prometheus text
+escaping, the JSON render, profiler publication, dashboard
+self-containment, and the structured-logging context plumbing.  The end-to-end daemon scrape
 lives in :mod:`tests.test_serve_telemetry`.
 """
 
@@ -21,6 +21,9 @@ from repro.obs.live import (
     CONTENT_TYPE_PROMETHEUS,
     DEFAULT_LATENCY_BUCKETS,
     GAUGE_HISTORY,
+    BucketHistogram,
+    Counter,
+    Gauge,
     LiveRegistry,
     publish_profiler,
     render_dashboard,
@@ -32,7 +35,6 @@ from repro.obs.logutil import (
     current_context,
     log_context,
 )
-from repro.obs.metrics import BucketHistogram, Gauge
 from repro.obs.prof import SimProfiler
 
 
@@ -79,6 +81,24 @@ class TestBucketHistogram:
             BucketHistogram("h", ())
         with pytest.raises(ValueError, match="sorted"):
             BucketHistogram("h", (2.0, 1.0))
+
+
+class TestMetricPrimitives:
+    def test_counter_rejects_negative_and_gauge_dedupes(self):
+        counter = Counter("jobs")
+        counter.inc()
+        counter.inc(2)
+        with pytest.raises(ValueError, match="only go up"):
+            counter.inc(-1)
+        assert counter.value == 3.0
+
+        gauge = Gauge("queue")
+        gauge.set(3.0, time=0.0)
+        gauge.set(3.0, time=1.0)  # consecutive duplicate: collapsed
+        gauge.set(5.0, time=10.0)
+        gauge.set(7.0)  # no time: last value only
+        assert gauge.value == 7.0
+        assert gauge.samples == [(0.0, 3.0), (10.0, 5.0)]
 
 
 class TestGaugeHistoryBound:

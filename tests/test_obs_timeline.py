@@ -1,16 +1,14 @@
-"""Tests for the Chrome trace-event timeline exporter and the metrics
-registry that feeds its counter track."""
+"""Tests for the Chrome trace-event timeline exporter."""
 
 import json
 
-import pytest
-
 from repro.faults import FaultScriptEntry, FaultSpec
 from repro.obs import (
-    MetricsRegistry,
     RingBufferTracer,
     TraceEvent,
     build_chrome_trace,
+    events_from_dicts,
+    read_jsonl,
     write_chrome_trace,
 )
 from repro.schedulers import TiresiasScheduler
@@ -24,6 +22,8 @@ from test_faults import run_sim
 def _synthetic_events():
     return [
         TraceEvent(0.0, "submit", 1, {}),
+        TraceEvent(0.0, "sched_submit", 1, {"queue_depth": 1}),
+        TraceEvent(10.0, "sched_finish", 1, {"queue_depth": 0}),
         TraceEvent(10.0, "start", 1,
                    {"name": "resnet", "gpus": [0, 1], "nodes": [0, 0],
                     "speed": 1.0, "mates": [], "profiling": False}),
@@ -38,8 +38,7 @@ def _synthetic_events():
 
 class TestBuildChromeTrace:
     def test_lanes_instants_and_metadata(self):
-        doc = build_chrome_trace(_synthetic_events(),
-                                 queue_depth=[(0.0, 1.0), (10.0, 0.0)])
+        doc = build_chrome_trace(_synthetic_events())
         events = doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
 
@@ -64,7 +63,8 @@ class TestBuildChromeTrace:
         assert {e["name"] for e in instants} == {"submit job 1",
                                                 "shared job 3"}
         counters = [e for e in events if e["ph"] == "C"]
-        assert [c["args"]["jobs"] for c in counters] == [1.0, 0.0]
+        assert [(c["ts"], c["args"]["jobs"]) for c in counters] == \
+            [(0.0, 1), (10.0e6, 0)]
 
         labels = {(e["pid"], e["tid"]): e["args"]["name"]
                   for e in events if e["ph"] == "M"
@@ -78,19 +78,22 @@ class TestBuildChromeTrace:
         doc = build_chrome_trace([])
         assert doc["traceEvents"] == []
 
-    def test_real_run_round_trip(self, tmp_path):
+    @staticmethod
+    def _tiresias_run(tracer):
         spec = TraceSpec(name="tiny", n_nodes=4, n_vcs=2, n_jobs=50,
                          full_n_jobs=50, mean_duration=1500.0,
                          span_days=0.25, n_users=8, seed=5)
         generator = TraceGenerator(spec)
-        tracer = RingBufferTracer()
         sim = Simulator(generator.build_cluster(), generator.generate(),
                         TiresiasScheduler(), tracer=tracer)
-        result = sim.run()
+        return sim.run()
+
+    def test_real_run_round_trip(self, tmp_path):
+        tracer = RingBufferTracer()
+        result = self._tiresias_run(tracer)
 
         path = str(tmp_path / "timeline.json")
-        series = result.telemetry.registry.gauge_series("queue_depth")
-        n = write_chrome_trace(path, tracer.events, queue_depth=series)
+        n = write_chrome_trace(path, tracer.events)
         doc = json.loads(open(path).read())
         assert len(doc["traceEvents"]) == n
 
@@ -104,6 +107,21 @@ class TestBuildChromeTrace:
         assert "finish" in outcomes
         # Queue-depth counter track present.
         assert any(e["ph"] == "C" for e in doc["traceEvents"])
+
+    def test_queue_depth_track_rebuilt_from_the_event_log(self, tmp_path):
+        """The event log alone carries the queue-depth track: one
+        counter point per ``sched_*`` event, at its time and depth."""
+        log = str(tmp_path / "events.jsonl")
+        with RingBufferTracer(sink=log) as tracer:
+            self._tiresias_run(tracer)
+        events = events_from_dicts(read_jsonl(log))
+        sched = [e for e in events if e.kind.startswith("sched_")]
+        assert sched
+        counters = [e for e in build_chrome_trace(events)["traceEvents"]
+                    if e["ph"] == "C"]
+        assert all(e["name"] == "queue depth" for e in counters)
+        assert sorted((c["ts"], c["args"]["jobs"]) for c in counters) == \
+            sorted((e.time * 1e6, e.data["queue_depth"]) for e in sched)
 
 
 class TestFaultsTrack:
@@ -175,33 +193,3 @@ class TestFaultsTrack:
         assert not any(e["pid"] == self._FAULT_PID
                        for e in doc["traceEvents"])
 
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc()
-        registry.counter("jobs").inc(2)
-        with pytest.raises(ValueError):
-            registry.counter("jobs").inc(-1)
-
-        gauge = registry.gauge("queue")
-        gauge.set(3.0, time=0.0)
-        gauge.set(3.0, time=0.0)  # deduped
-        gauge.set(5.0, time=10.0)
-        assert gauge.value == 5.0
-        assert gauge.max == 5.0
-        assert registry.gauge_series("queue") == [(0.0, 3.0), (10.0, 5.0)]
-
-        hist = registry.histogram("lat")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            hist.observe(v)
-        assert hist.count == 4
-        assert hist.mean == 2.5
-        assert hist.percentile(50) == 2.0
-        assert hist.percentile(100) == 4.0
-
-        snap = registry.snapshot()
-        assert snap["jobs"] == 3
-        assert snap["queue"] == 5.0
-        assert snap["lat"]["count"] == 4
-        assert snap["lat"]["p99"] == 4.0

@@ -119,11 +119,11 @@ class TestEngineTracing:
             assert kinds.index("start") < kinds.index("finish")
             assert kinds[-1] in ("finish", "sched_finish")
 
-        # Telemetry metrics agree with the simulation outcome.
-        metrics = result.telemetry.metrics
-        assert metrics["jobs_submitted"] == len(result.records)
-        assert metrics["jobs_finished"] == len(result.records)
-        assert metrics["schedule_seconds"]["count"] > 0
+        # Event counts agree with the simulation outcome.
+        counts = tracer.counts_by_kind()
+        assert counts["submit"] == len(result.records)
+        assert counts["finish"] == len(result.records)
+        assert counts["start"] >= len(result.records)
 
     def test_start_events_carry_gpu_sets(self):
         tracer = RingBufferTracer()

@@ -5,7 +5,8 @@ its VC's change epoch moves (or the sharing mode, the binder's GSS
 capacity or the job's starvation flag does).  These tests pin what the
 epoch counts, that the sanitizer dry-runs every skip and catches a memo
 that ignores the epoch, the exact work counters of one contended run,
-and that snapshots neither carry the memo nor depend on it.
+that an audited run takes the same path and records what a full walk
+records, and that snapshots neither carry the memo nor depend on it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.cluster import Cluster
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults import FaultSpec
+from repro.obs import RingBufferTracer
 from repro.obs.audit import DecisionAudit
 from repro.serve.config import ServeConfig
 from repro.serve.core import SimCore, state_digest
@@ -118,20 +120,58 @@ def test_placement_counters_are_pinned():
     assert "placement_attempts" in sim.profiler.report()
 
 
-def test_audited_runs_attempt_every_job():
-    """With a decision audit every queued job is attempted each pass, so
-    the audit records the same verdicts as before the skip existed."""
+class FullWalkLucid(LucidScheduler):
+    """Reference: a Lucid that attempts every queued job each pass."""
+
+    def _retry_context(self):
+        return None
+
+
+def _audited_sim(scheduler_cls=LucidScheduler, **kwargs):
+    audit = DecisionAudit(attribution=True)
     generator = TraceGenerator(TIGHT)
-    scheduler = LucidScheduler(generator.generate_history(),
-                               LucidConfig(seed=7), audit=DecisionAudit())
-    sim = tight_sim(scheduler, profile=True)
+    scheduler = scheduler_cls(generator.generate_history(),
+                              LucidConfig(seed=7), audit=audit)
+    return tight_sim(scheduler, **kwargs), audit
+
+
+def _decisions(audit):
+    return [decision.to_dict() for decision in audit.records]
+
+
+def test_audited_runs_take_the_unaudited_path():
+    """The audit only records: an audited run skips exactly the jobs an
+    unaudited run skips, decides the same, and records what the full
+    walk would have recorded (verdicts are pass-local, and a skipped
+    job is not placed)."""
+    sim, audit = _audited_sim(profile=True)
+    full, full_audit = _audited_sim(FullWalkLucid, profile=True)
     plain = tight_sim()
-    sim.run()
-    plain.run()
+    for run in (sim, full, plain):
+        run.run()
     counters = sim.profiler.counters
-    assert counters["placement_skips"] == 0
-    assert counters["placement_attempts"] == 514 + 4237
-    assert state_digest(sim) == state_digest(plain)
+    assert counters["placement_attempts"] == 514
+    assert counters["placement_skips"] == 4237
+    assert full.profiler.counters["placement_skips"] == 0
+    assert state_digest(sim) == state_digest(plain) == state_digest(full)
+    assert audit.records
+    assert _decisions(audit) == _decisions(full_audit)
+
+
+def test_sanitizer_leaves_the_audit_unchanged(tmp_path):
+    """The sanitizer's dry run of a skipped job probes through the
+    audited binder; the verdict it notes is never placed, so a
+    sanitized traced run writes the audit of an unsanitized one."""
+    paths = []
+    for sanitize in (True, False):
+        tracer = RingBufferTracer()
+        sim, audit = _audited_sim(tracer=tracer, sanitize=sanitize,
+                                  faults=FAULTS)
+        sim.run()
+        path = tmp_path / f"audit-{sanitize}.jsonl"
+        audit.to_jsonl(str(path))
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ----------------------------------------------------------------------

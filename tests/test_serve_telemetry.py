@@ -449,7 +449,7 @@ class TestSnapshotBytes:
         assert collector.events, "the collector observed nothing"
         assert observed.to_blob() == plain.to_blob()
         assert observed.sim.tracer is collector
-        assert observed.sim._tracing and observed.sim.metrics is None
+        assert observed.sim._tracing and observed.sim.profiler is not None
 
 
 class TestDroppedEvents:
