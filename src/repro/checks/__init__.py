@@ -8,7 +8,7 @@ three tools:
   repo-specific per-file rules (RPR000..RPR010): no global RNG calls, no
   wall-clock reads in simulation paths, no unordered ``set``/dict-view
   iteration in decision code, no float ``==`` on simulated time, and
-  more.  Run it with ``python -m repro lint src tests``.
+  more.
 * :mod:`repro.checks.graph` + :mod:`repro.checks.rules` — a
   whole-program analyzer: one pass builds the module import graph,
   per-module symbol tables and an approximate call graph, then three
@@ -17,20 +17,23 @@ three tools:
   safety (RPR110..RPR113: state mutation outside the WAL apply path,
   uncovered event kinds, wall-clock/RNG reachability into digest code)
   and hot path (RPR120..RPR123: allocation patterns in profiler-hot
-  functions).  Run it with ``python -m repro lint --project``;
-  :mod:`repro.checks.project` adds SARIF output and baseline
-  ratcheting (RPR130 flags suppressions that no longer fire).
+  functions).  :mod:`repro.checks.project` runs it together with the
+  file rules, flags suppressions that no longer fire (RPR130) and
+  writes SARIF.
 * :mod:`repro.checks.sanitizer` — a runtime :class:`SimSanitizer` that,
   when enabled via ``Simulator(sanitize=True)`` / ``--sanitize``, asserts
   cluster/job state invariants at every event dispatch (GPU allocation
   conservation, monotone event clock, legal job state-machine transitions,
   queue consistency, fault-flag coherence).
+
+``python -m repro lint src tests`` runs both linters: whole-program
+mode on each path that names a top-level package (``src``), the
+per-file rules on the rest (``tests``).  Any finding fails it.
 """
 
 from repro.checks.graph import ProjectIndex, build_index
 from repro.checks.lint import (
     RPR002_ALLOWLIST,
-    RPR009_ALLOWLIST,
     RULES,
     Finding,
     SuppressionTracker,
@@ -43,11 +46,9 @@ from repro.checks.lint import (
 )
 from repro.checks.project import (
     ALL_RULES,
-    baseline_delta,
+    find_package_dir,
     format_sarif,
     lint_project,
-    load_baseline,
-    write_baseline,
 )
 from repro.checks.rules import GRAPH_RULES, RuleContext, run_graph_rules
 from repro.checks.sanitizer import SanitizerError, SimSanitizer
@@ -56,7 +57,6 @@ __all__ = [
     "ALL_RULES",
     "GRAPH_RULES",
     "RPR002_ALLOWLIST",
-    "RPR009_ALLOWLIST",
     "RULES",
     "Finding",
     "ProjectIndex",
@@ -65,8 +65,8 @@ __all__ = [
     "SimSanitizer",
     "SuppressionTracker",
     "apply_noqa",
-    "baseline_delta",
     "build_index",
+    "find_package_dir",
     "format_json",
     "format_sarif",
     "format_text",
@@ -74,7 +74,5 @@ __all__ = [
     "lint_paths",
     "lint_project",
     "lint_source",
-    "load_baseline",
     "run_graph_rules",
-    "write_baseline",
 ]

@@ -713,12 +713,6 @@ class ProjectIndex:
                 queue.append((callee, loop or site.in_loop))
         return state
 
-    def functions_in_module(self, module: str) -> List[FunctionInfo]:
-        mod = self.modules.get(module)
-        if mod is None:
-            return []
-        return [mod.functions[q] for q in sorted(mod.functions)]
-
 
 def _module_name(package: str, package_dir: str, path: str,
                  ) -> Tuple[str, bool]:

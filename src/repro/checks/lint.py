@@ -15,8 +15,8 @@ RPR002    No wall-clock reads (``time.time``, ``time.monotonic``,
           paths; simulated time is ``engine.now``, full stop.
           Instrumentation that measures the *simulator itself* (and
           never feeds wall time back into simulated state) is exempted
-          by :data:`RPR002_ALLOWLIST` — a per-module (optionally
-          per-function) allowlist — instead of per-line noqa comments.
+          by :data:`RPR002_ALLOWLIST` — a per-module allowlist —
+          instead of per-line noqa comments.
 RPR003    No iteration over a raw ``set`` / ``frozenset`` / dict view in
           scheduling or placement decision code without ``sorted(...)``
           — unordered iteration makes tie-breaking depend on hash seeds
@@ -37,8 +37,7 @@ RPR009    No raw ``open(path, "w")`` writes to state/sink paths in the
           must go through :mod:`repro.obs.ioutil`
           (``atomic_write_text`` or the stream-to-``tmp_path``-then-
           rename pattern).  Streaming into ``open(tmp_path(p), "w")``
-          is recognized and allowed; ``obs/ioutil.py`` itself is
-          allowlisted (:data:`RPR009_ALLOWLIST`).
+          is recognized and allowed.
 RPR010    No builtin ``hash()`` of a non-int value in decision, model,
           trace or digest code: ``str``/``bytes`` hashes are salted per
           process (``PYTHONHASHSEED``), so a decision or digest built on
@@ -65,7 +64,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "RPR002_ALLOWLIST",
-    "RPR009_ALLOWLIST",
     "RULES",
     "Finding",
     "SuppressionTracker",
@@ -75,6 +73,7 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
+    "python_files",
 ]
 
 #: code -> (one-line summary, fix hint).
@@ -159,25 +158,17 @@ _ENTRYPOINT_PREFIXES = (
 #: Parameter names that satisfy RPR008 (a *Spec carries its own seed).
 _SEED_PARAMS = frozenset({"seed", "rng", "random_state", "generator", "spec"})
 
-#: RPR002 instrumentation allowlist: wall-clock reads that measure the
-#: simulator itself (profiling, latency telemetry) rather than simulated
-#: time.  Keys are path suffixes (``/``-separated); a value of ``None``
-#: exempts the whole module, a frozenset of function names exempts only
-#: reads whose innermost enclosing function matches.  Prefer this list
-#: over per-line noqa comments: the exemption is reviewed in one place
-#: and survives line moves.  Entries that stop matching any finding are
-#: flagged RPR130 by ``repro lint --project`` — delete them.
-RPR002_ALLOWLIST: Dict[str, Optional[FrozenSet[str]]] = {
-    # The self-profiler is wall-clock measurement by definition.  obs/
-    # is outside per-file RPR002's scope, but the cross-function RPR112
-    # (digest reachability) consults this list too.
-    "obs/prof.py": None,
-}
-
-#: RPR009 allowlist (same shape as :data:`RPR002_ALLOWLIST`): modules
-#: allowed to issue raw in-place writes.  Currently empty — the atomic
-#: write helper's tmp-file + rename dance already satisfies the rule.
-RPR009_ALLOWLIST: Dict[str, Optional[FrozenSet[str]]] = {}
+#: RPR002 instrumentation allowlist: modules whose wall-clock reads
+#: measure the simulator itself (profiling, latency telemetry) rather
+#: than simulated time.  Entries are path suffixes (``/``-separated)
+#: and exempt the whole module.  Prefer this list over per-line noqa
+#: comments: the exemption is reviewed in one place and survives line
+#: moves.  An entry that suppresses no finding in a whole-program run
+#: is flagged RPR130 — delete it.  The self-profiler is wall-clock
+#: measurement by definition; ``obs/`` is outside per-file RPR002's
+#: scope, but the cross-function RPR112 (digest reachability) consults
+#: this list too.
+RPR002_ALLOWLIST: FrozenSet[str] = frozenset({"obs/prof.py"})
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s+(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*))?",
@@ -234,19 +225,18 @@ def _noqa_map(source: str) -> Dict[int, Optional[Set[str]]]:
 class SuppressionTracker:
     """Records which suppressions actually fired during a lint run.
 
-    ``repro lint --project`` threads one tracker through every file and
+    A whole-program run threads one tracker through every file and
     graph rule; suppressions that never matched a finding surface as
     RPR130 ("unused suppression") so the suppression surface can only
-    ratchet down.  ``# repro: noqa`` comments are keyed by
-    ``(path, line)``; allowlist entries by
-    ``(allowlist name, path-suffix key, function-or-None)``.
+    shrink.  ``# repro: noqa`` comments are keyed by ``(path, line)``;
+    :data:`RPR002_ALLOWLIST` entries by their path suffix.
     """
 
     def __init__(self) -> None:
         #: (path, line) -> codes the comment names (None = all codes).
         self.noqa: Dict[Tuple[str, int], Optional[Set[str]]] = {}
         self.noqa_used: Set[Tuple[str, int]] = set()
-        self.allowlist_used: Set[Tuple[str, str, Optional[str]]] = set()
+        self.allowlist_used: Set[str] = set()
 
     def register_noqa(self, path: str, line: int,
                       codes: Optional[Set[str]]) -> None:
@@ -255,9 +245,22 @@ class SuppressionTracker:
     def mark_noqa_used(self, path: str, line: int) -> None:
         self.noqa_used.add((path, line))
 
-    def mark_allowlist_used(self, name: str, key: str,
-                            function: Optional[str]) -> None:
-        self.allowlist_used.add((name, key, function))
+
+def _rpr002_allowlisted(path: str,
+                        tracker: Optional[SuppressionTracker]) -> bool:
+    """Whether ``path`` is an :data:`RPR002_ALLOWLIST` module.
+
+    Call only once a wall-clock read was *detected*: a hit is recorded
+    with the tracker as a suppression that fired, which is what the
+    RPR130 unused-suppression rule needs to know.
+    """
+    normalized = os.path.normpath(path).replace(os.sep, "/")
+    for suffix in sorted(RPR002_ALLOWLIST):
+        if normalized == suffix or normalized.endswith("/" + suffix):
+            if tracker is not None:
+                tracker.allowlist_used.add(suffix)
+            return True
+    return False
 
 
 def _is_int_expr(node: ast.expr) -> bool:
@@ -324,36 +327,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     def _is_set_var(self, name: str) -> bool:
         return any(name in scope.set_vars for scope in reversed(self._scopes))
-
-    def _allowlist_match(
-            self,
-            allowlist: Dict[str, Optional[FrozenSet[str]]],
-    ) -> Optional[Tuple[str, Optional[str]]]:
-        """``(key, function)`` when the current location is allowlisted.
-
-        Called only once a finding was *detected*, so a hit means the
-        entry genuinely suppressed something — which is what the
-        RPR130 unused-suppression rule needs to know.
-        """
-        path = os.path.normpath(self.path).replace(os.sep, "/")
-        for suffix, functions in allowlist.items():
-            if path == suffix or path.endswith("/" + suffix):
-                if functions is None:
-                    return (suffix, None)
-                if self._func_names and self._func_names[-1] in functions:
-                    return (suffix, self._func_names[-1])
-        return None
-
-    def _suppressed_by(self, name: str,
-                       allowlist: Dict[str, Optional[FrozenSet[str]]],
-                       ) -> bool:
-        """Check an allowlist and record the hit with the tracker."""
-        match = self._allowlist_match(allowlist)
-        if match is None:
-            return False
-        if self.tracker is not None:
-            self.tracker.mark_allowlist_used(name, match[0], match[1])
-        return True
 
     # -- imports -------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -443,8 +416,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
             return
         if isinstance(target, ast.Name) and target.id in self.tmp_path_vars:
             return
-        if self._suppressed_by("RPR009_ALLOWLIST", RPR009_ALLOWLIST):
-            return
         self._report("RPR009", node,
                      f"open(..., {mode!r}) truncates the destination in "
                      "place; a crash mid-write corrupts it")
@@ -487,7 +458,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def _report_clock(self, node: ast.Call, message: str) -> None:
         """RPR002 report point: allowlist checked *after* detection so
         suppression hits are observable (RPR130)."""
-        if self._suppressed_by("RPR002_ALLOWLIST", RPR002_ALLOWLIST):
+        if _rpr002_allowlisted(self.path, self.tracker):
             return
         self._report("RPR002", node, message)
 
@@ -823,8 +794,9 @@ def lint_file(path: str,
     return lint_source(source, path, tracker)
 
 
-def lint_paths(paths: Sequence[str]) -> List[Finding]:
-    """Lint files and/or directory trees (``__pycache__`` skipped).
+def python_files(paths: Sequence[str]) -> List[str]:
+    """The ``.py`` files named by or under ``paths`` (``__pycache__``
+    and dot-directories skipped).
 
     Raises ``FileNotFoundError`` for a path that does not exist, so CLI
     typos fail loudly instead of reporting a clean empty run.
@@ -842,8 +814,13 @@ def lint_paths(paths: Sequence[str]) -> List[Finding]:
                              if n.endswith(".py"))
         else:
             raise FileNotFoundError(path)
+    return files
+
+
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
+    """Lint files and/or directory trees; see :func:`python_files`."""
     findings: List[Finding] = []
-    for name in files:
+    for name in python_files(paths):
         findings.extend(lint_file(name))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

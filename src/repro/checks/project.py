@@ -1,6 +1,8 @@
-"""``repro lint --project``: file rules + graph rules, SARIF, ratchet.
+"""Whole-program lint: file rules + graph rules, and SARIF output.
 
-One project run:
+``repro lint PATH...`` runs this mode on every path that names a
+top-level package (:func:`find_package_dir`) and the per-file rules on
+the rest.  One project run:
 
 1. builds the whole-program :class:`~repro.checks.graph.ProjectIndex`
    over ``src/repro`` (every module parsed once, parse failures become
@@ -9,14 +11,11 @@ One project run:
    and the graph rule packs (RPR100+) over the index, with one shared
    :class:`~repro.checks.lint.SuppressionTracker` so ``# repro: noqa``
    comments and allowlist entries suppress uniformly;
-3. reports suppressions that fired nothing as RPR130 — the suppression
-   surface ratchets down, not just up.
+3. reports suppressions that fired nothing as RPR130, so the
+   suppression surface can only shrink.
 
 Output formats: text, JSON, and SARIF 2.1.0 (for GitHub code
-scanning).  The committed findings baseline
-(``benchmarks/lint_baseline.json``) supports ``--ratchet``: CI fails
-only on findings *not* in the baseline, so pre-existing debt never
-blocks an unrelated change while new debt always does.
+scanning).  Any finding fails the run.
 """
 
 from __future__ import annotations
@@ -28,30 +27,24 @@ from typing import Dict, List, Optional, Tuple
 from repro.checks.graph import ProjectIndex, build_index
 from repro.checks.lint import (
     RPR002_ALLOWLIST,
-    RPR009_ALLOWLIST,
     RULES,
     Finding,
     SuppressionTracker,
     apply_noqa,
     lint_source,
+    python_files,
 )
 from repro.checks.rules import GRAPH_RULES, RuleContext, run_graph_rules
 
 __all__ = [
     "ALL_RULES",
-    "BASELINE_SCHEMA",
-    "baseline_delta",
-    "fingerprint",
+    "find_package_dir",
     "format_sarif",
     "lint_project",
-    "load_baseline",
-    "write_baseline",
 ]
 
 #: Every rule the project mode can emit: file rules + graph rules.
 ALL_RULES: Dict[str, Tuple[str, str]] = {**RULES, **GRAPH_RULES}
-
-BASELINE_SCHEMA = "repro-lint-baseline/v1"
 
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
@@ -65,28 +58,34 @@ def _repo_root_for(package_dir: str) -> str:
     return parent
 
 
-def find_package_dir(path: str) -> str:
-    """Resolve a CLI path to the package root to index.
+def _is_package(path: str) -> bool:
+    return os.path.isfile(os.path.join(path, "__init__.py"))
 
-    ``path`` may be the package itself (has ``__init__.py``) or a
-    directory holding exactly one package (the ``src`` layout).
+
+def find_package_dir(path: str) -> Optional[str]:
+    """The top-level package ``path`` names, or ``None``.
+
+    That is ``path`` itself when it is a package whose parent is not
+    one, or the single such package inside ``path`` when ``path`` holds
+    no other Python file (the ``src`` layout), so that no file goes
+    unlinted.  A subpackage is not a root: indexed on its own it would
+    mis-name its modules for the layering rules, so it gets only the
+    per-file rules.
     """
-    if os.path.isfile(os.path.join(path, "__init__.py")):
-        return path
-    candidates = []
-    try:
-        entries = sorted(os.listdir(path))
-    except OSError:
-        raise FileNotFoundError(path)
-    for entry in entries:
-        full = os.path.join(path, entry)
-        if os.path.isfile(os.path.join(full, "__init__.py")):
-            candidates.append(full)
-    if len(candidates) == 1:
-        return candidates[0]
-    raise FileNotFoundError(
-        f"{path}: expected a package directory (or a src/ directory "
-        f"holding exactly one package); found {len(candidates)}")
+    if _is_package(path):
+        parent = os.path.dirname(os.path.abspath(path))
+        return None if _is_package(parent) else path
+    if not os.path.isdir(path):
+        return None
+    packages = [os.path.join(path, entry)
+                for entry in sorted(os.listdir(path))
+                if _is_package(os.path.join(path, entry))]
+    if len(packages) != 1:
+        return None
+    inside = os.path.join(packages[0], "")
+    loose = [name for name in python_files([path])
+             if not name.startswith(inside)]
+    return None if loose else packages[0]
 
 
 def lint_project(package_dir: str,
@@ -164,40 +163,16 @@ def _unused_suppressions(tracker: SuppressionTracker,
             code="RPR130", path=path, line=line, col=0,
             message=f"'# repro: noqa' ({what}) suppresses nothing on "
                     "this line", hint=hint))
-    allowlists: List[Tuple[str, Dict[str, object]]] = [
-        ("RPR002_ALLOWLIST", dict(RPR002_ALLOWLIST)),
-        ("RPR009_ALLOWLIST", dict(RPR009_ALLOWLIST)),
-    ]
-    for name, allowlist in allowlists:
-        for suffix in sorted(allowlist):
-            target = _resolve_suffix(index, suffix)
-            if target is None:
-                continue  # module outside this scan; cannot judge
-            functions = allowlist[suffix]
-            if functions is None:
-                if (name, suffix, None) not in tracker.allowlist_used:
-                    findings.append(Finding(
-                        code="RPR130", path=target, line=1, col=0,
-                        message=f"{name} entry {suffix!r} suppresses "
-                                "nothing", hint=hint))
-            elif isinstance(functions, frozenset):
-                for fn in sorted(functions):
-                    if (name, suffix, fn) not in tracker.allowlist_used:
-                        findings.append(Finding(
-                            code="RPR130", path=target, line=1, col=0,
-                            message=f"{name} entry {suffix!r} function "
-                                    f"{fn!r} suppresses nothing",
-                            hint=hint))
+    for suffix in sorted(RPR002_ALLOWLIST):
+        target = _resolve_suffix(index, suffix)
+        if target is None:
+            continue  # module outside this scan; cannot judge
+        if suffix not in tracker.allowlist_used:
+            findings.append(Finding(
+                code="RPR130", path=target, line=1, col=0,
+                message=f"RPR002_ALLOWLIST entry {suffix!r} suppresses "
+                        "nothing", hint=hint))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Baseline / ratchet
-# ----------------------------------------------------------------------
-def fingerprint(finding: Finding, repo_root: str) -> str:
-    """Line-number-free identity of a finding, stable across edits."""
-    return "|".join((finding.code, _rel(finding.path, repo_root),
-                     finding.message))
 
 
 def _rel(path: str, repo_root: str) -> str:
@@ -206,50 +181,6 @@ def _rel(path: str, repo_root: str) -> str:
     if abspath.startswith(root + os.sep):
         path = abspath[len(root) + 1:]
     return path.replace(os.sep, "/")
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Fingerprint -> allowed count; empty when the file is absent."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    raw = data.get("fingerprints", {}) if isinstance(data, dict) else {}
-    if not isinstance(raw, dict):
-        return {}
-    return {str(k): int(v) for k, v in raw.items()
-            if isinstance(v, int) and v > 0}
-
-
-def write_baseline(path: str, findings: List[Finding],
-                   repo_root: str) -> None:
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        key = fingerprint(finding, repo_root)
-        counts[key] = counts.get(key, 0) + 1
-    payload = {"schema": BASELINE_SCHEMA, "fingerprints": counts}
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def baseline_delta(findings: List[Finding], baseline: Dict[str, int],
-                   repo_root: str) -> List[Finding]:
-    """Findings beyond the baseline's per-fingerprint allowance."""
-    groups: Dict[str, List[Finding]] = {}
-    for finding in findings:
-        groups.setdefault(fingerprint(finding, repo_root),
-                          []).append(finding)
-    fresh: List[Finding] = []
-    for key in sorted(groups):
-        allowed = baseline.get(key, 0)
-        extra = groups[key][allowed:]
-        fresh.extend(extra)
-    fresh.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return fresh
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Graph rule packs (RPR1xx) over the whole-program project index.
 
 Three packs, each consuming the :class:`~repro.checks.graph.ProjectIndex`
-built once per ``repro lint --project`` run:
+built once per whole-program lint run (``repro lint`` on a top-level
+package):
 
 * :mod:`repro.checks.rules.architecture` — RPR100..RPR104: import
   cycles, layering conformance against the DAG declared in
@@ -60,7 +61,8 @@ GRAPH_RULES: Dict[str, Tuple[str, str]] = {
     "RPR112": ("wall-clock/RNG call reachable from digest/replay code",
                "digest-feeding state must be a pure function of the "
                "journaled inputs; hoist the read out of the replay "
-               "path or allowlist instrumentation in RPR002_ALLOWLIST"),
+               "path, or allowlist an instrumentation module in "
+               "RPR002_ALLOWLIST"),
     "RPR113": ("unordered iteration reachable from digest/replay code",
                "wrap the iterable in sorted(...); iteration order feeds "
                "the digest via state mutation order"),
@@ -77,8 +79,9 @@ GRAPH_RULES: Dict[str, Tuple[str, str]] = {
                "batch the predictions (predict over a vector) outside "
                "the loop instead of one model call per item"),
     "RPR130": ("unused suppression",
-               "delete the stale # repro: noqa comment or allowlist "
-               "entry; the suppression surface must ratchet down"),
+               "delete the stale # repro: noqa comment or "
+               "RPR002_ALLOWLIST entry; the suppression surface must "
+               "only shrink"),
 }
 
 

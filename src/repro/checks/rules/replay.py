@@ -39,13 +39,13 @@ from repro.checks.graph import (
 )
 from repro.checks.lint import (
     DECISION_PACKAGES,
-    RPR002_ALLOWLIST,
     SIM_PACKAGES,
     _DATETIME_BANNED,
     _NP_RANDOM_ALLOWED,
     _SET_COMBINATORS,
     _TIME_BANNED,
     Finding,
+    _rpr002_allowlisted,
 )
 from repro.checks.rules import GRAPH_RULES, RuleContext
 
@@ -322,26 +322,6 @@ def _banned_call(node: ast.Call, aliases: _Aliases) -> Optional[str]:
     return None
 
 
-def _rpr002_allowlisted(ctx: RuleContext, path: str,
-                        func_name: str) -> bool:
-    normalized = path.replace("\\", "/")
-    for suffix in sorted(RPR002_ALLOWLIST):
-        functions = RPR002_ALLOWLIST[suffix]
-        if normalized == suffix or normalized.endswith("/" + suffix):
-            if functions is None:
-                if ctx.tracker is not None:
-                    ctx.tracker.mark_allowlist_used(
-                        "RPR002_ALLOWLIST", suffix, None)
-                return True
-            if func_name in functions:
-                if ctx.tracker is not None:
-                    ctx.tracker.mark_allowlist_used(
-                        "RPR002_ALLOWLIST", suffix, func_name)
-                return True
-            return False
-    return False
-
-
 def _digest_roots(index: ProjectIndex) -> List[str]:
     roots: List[str] = []
     core = _module(index, "serve.core")
@@ -404,15 +384,17 @@ def _check_rpr112_113(ctx: RuleContext) -> List[Finding]:
             continue
         package = index.package_of(info.module)
         chain = _chain(parents, qname, index)
-        if package not in SIM_PACKAGES \
-                and not _rpr002_allowlisted(ctx, module.path, info.name):
+        if package not in SIM_PACKAGES:
             if info.module not in alias_cache:
                 alias_cache[info.module] = _Aliases(module.tree)
             aliases = alias_cache[info.module]
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Call):
                     reason = _banned_call(node, aliases)
-                    if reason is not None:
+                    # The allowlist is consulted only for a detected
+                    # read, so RPR130 sees an entry that exempts nothing.
+                    if reason is not None and not _rpr002_allowlisted(
+                            module.path, ctx.tracker):
                         findings.append(_finding(
                             "RPR112", module.path, node.lineno,
                             node.col_offset,

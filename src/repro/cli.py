@@ -58,6 +58,7 @@ from typing import List, Optional, Sequence
 
 from repro import Simulator, TraceGenerator, get_spec, make_scheduler
 from repro.analysis import ascii_table, user_fairness
+from repro.models.text import levenshtein_distance_matrix
 from repro.obs import (
     LOG_FORMATS,
     LOG_LEVELS,
@@ -132,27 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="determinism linter (RPR rules; exit 1 on findings)")
     lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--project", action="store_true",
-                      help="whole-program mode: index the package's "
-                           "import/call graphs and run the architecture "
+                      help="files or directories to lint (default: "
+                           "src); a path naming a top-level package "
+                           "(or a src/ directory holding only one) also "
+                           "gets the whole-program architecture "
                            "(RPR10x), replay-safety (RPR11x) and "
-                           "hot-path (RPR12x) packs on top of the "
-                           "per-file rules")
+                           "hot-path (RPR12x) packs")
     lint.add_argument("--format", choices=("text", "json", "sarif"),
                       default="text", help="report format")
-    lint.add_argument("--baseline", metavar="FILE",
-                      default=os.path.join("benchmarks",
-                                           "lint_baseline.json"),
-                      help="ratchet baseline (default: "
-                           "benchmarks/lint_baseline.json)")
-    lint.add_argument("--ratchet", action="store_true",
-                      help="fail only on findings absent from the "
-                           "baseline (existing debt is tolerated, new "
-                           "debt is not)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline file from this run's "
-                           "findings and exit 0")
 
     report = sub.add_parser(
         "report", help="run once and write a self-contained HTML+JSON "
@@ -643,32 +631,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _edit_distance(a: str, b: str) -> int:
-    """Plain Levenshtein distance (small inputs: job-id digit strings)."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1,
-                               previous[j - 1] + (ch_a != ch_b)))
-        previous = current
-    return previous[-1]
-
-
 def _nearest_ids(target: int, known, n: int = 3) -> List[int]:
     """The n known job ids nearest ``target`` by digit edit distance.
 
     Ties break on numeric distance then on the id itself, so the
     suggestion list is deterministic for a given index.
     """
-    text = str(target)
-    ranked = sorted(
-        set(known),
-        key=lambda jid: (_edit_distance(text, str(jid)),
-                         abs(jid - target), jid))
-    return ranked[:n]
+    ids = sorted(set(known))
+    distances = levenshtein_distance_matrix(
+        [str(target)], [str(jid) for jid in ids])[0].tolist()
+    ranked = sorted(zip(distances, ids),
+                    key=lambda pair: (pair[0], abs(pair[1] - target),
+                                      pair[1]))
+    return [jid for _, jid in ranked[:n]]
 
 
 def _suggest_ids(target: int, known) -> str:
@@ -986,48 +961,32 @@ def cmd_serve_chaos(args) -> int:
 
 def cmd_lint(args) -> int:
     from repro.checks import (
-        baseline_delta,
+        find_package_dir,
         format_json,
         format_sarif,
         format_text,
         lint_paths,
         lint_project,
-        load_baseline,
-        write_baseline,
     )
-    from repro.checks.project import find_package_dir
 
-    if args.project:
-        if len(args.paths) != 1:
-            print("error: --project takes exactly one path (the package "
-                  "or its src/ directory)", file=sys.stderr)
-            return 2
-        package_dir = find_package_dir(args.paths[0])
-        findings = lint_project(package_dir)
-    else:
-        findings = lint_paths(args.paths)
-    repo_root = os.getcwd()
+    findings = []
+    plain = []
+    for path in args.paths:
+        package_dir = find_package_dir(path)
+        if package_dir is None:
+            plain.append(path)
+        else:
+            findings.extend(lint_project(package_dir))
+    findings.extend(lint_paths(plain))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
 
-    if args.update_baseline:
-        write_baseline(args.baseline, findings, repo_root)
-        print(f"baseline: {len(findings)} finding(s) recorded in "
-              f"{args.baseline}")
-        return 0
-
-    gating = findings
-    if args.ratchet:
-        gating = baseline_delta(findings, load_baseline(args.baseline),
-                                repo_root)
     if args.format == "sarif":
-        print(format_sarif(gating, repo_root))
+        print(format_sarif(findings, os.getcwd()))
     elif args.format == "json":
-        print(format_json(gating))
+        print(format_json(findings))
     else:
-        print(format_text(gating))
-        if args.ratchet and len(findings) != len(gating):
-            print(f"(ratchet: {len(findings) - len(gating)} baselined "
-                  "finding(s) tolerated)", file=sys.stderr)
-    return 1 if gating else 0
+        print(format_text(findings))
+    return 1 if findings else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -82,9 +82,6 @@ class AffineJobpairBinder:
             return 1
         return 0
 
-    def set_mode(self, mode: PackingMode) -> None:
-        self.mode = mode
-
     # ------------------------------------------------------------------
     def find_mate(self, engine, job: Job,
                   remaining_estimate: Callable[[Job], float]
@@ -177,8 +174,9 @@ class AffineJobpairBinder:
 
     def begin_pass(self, engine) -> None:
         """Index exclusive running jobs by (VC, GPU count) for one
-        scheduling pass.  Pure performance aid: :meth:`_mate_ok` re-checks
-        every condition, so a stale entry is filtered, never mis-packed."""
+        scheduling pass.  Pure performance aid: :meth:`_reject_reason`
+        re-checks every condition, so a stale entry is filtered, never
+        mis-packed."""
         index: dict = {}
         if self.sharing_enabled:
             for mate in engine.running_jobs():
@@ -191,11 +189,6 @@ class AffineJobpairBinder:
 
     def end_pass(self) -> None:
         self._pass_index = None
-
-    def _mate_ok(self, engine, job: Job, mate: Job,
-                 remaining_estimate: Callable[[Job], float]) -> bool:
-        return self._reject_reason(engine, job, mate,
-                                   remaining_estimate) is None
 
     def _reject_reason(self, engine, job: Job, mate: Job,
                        remaining_estimate: Callable[[Job], float]

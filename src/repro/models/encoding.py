@@ -46,9 +46,6 @@ class LabelEncoder:
         return np.array([self._codes.get(v, unknown) for v in values],
                         dtype=float)
 
-    def fit_transform(self, values: Sequence) -> np.ndarray:
-        return self.fit(values).transform(values)
-
     def __len__(self) -> int:
         return len(self._codes)
 

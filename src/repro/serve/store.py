@@ -5,8 +5,11 @@ The store holds three things:
 * ``meta`` — a key/value table with the genesis :class:`ServeConfig`
   JSON, the ``clean`` shutdown flag, and the WAL sequence/tick cursors
   of the newest snapshot.
-* ``snapshots`` — pickled :class:`~repro.serve.core.SimCore` blobs
-  keyed by tick, each with the state digest taken at snapshot time.
+* ``snapshots`` — the newest pickled :class:`~repro.serve.core.SimCore`
+  blob, keyed by tick, with the state digest taken at snapshot time.
+  Recovery reads only the newest snapshot, so writing one deletes the
+  older rows; the WAL segments they opened stay on disk, so the state
+  remains replayable from genesis (as perfbench's WAL fold does).
 * ``jobs`` — a catalog of every admitted job (spec JSON + disposition)
   for offline inspection; *not* used by recovery, which re-derives the
   job set from the WAL.
@@ -107,11 +110,13 @@ class Store:
     # -- snapshots -----------------------------------------------------
     def put_snapshot(self, tick: int, next_seq: int, digest: str,
                      blob: bytes) -> None:
-        """Persist the snapshot at ``tick`` in one transaction."""
+        """Persist the snapshot at ``tick`` and drop older ones, in one
+        transaction."""
         self._conn.execute(
             "INSERT OR REPLACE INTO snapshots "
             "(tick, next_seq, digest, blob) VALUES (?, ?, ?, ?)",
             (tick, next_seq, digest, sqlite3.Binary(blob)))
+        self._conn.execute("DELETE FROM snapshots WHERE tick < ?", (tick,))
         self._conn.commit()
 
     def latest_snapshot(self) -> Optional[Tuple[int, int, str, bytes]]:

@@ -128,10 +128,6 @@ class WriteAheadLog:
                  if segment_tick(n) is not None]
         return sorted(names)
 
-    def latest_segment(self) -> Optional[str]:
-        names = self.segments()
-        return names[-1] if names else None
-
     def replay_segment(self, name: str) -> Iterator[WalRecord]:
         """Yield the valid records of one segment.
 

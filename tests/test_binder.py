@@ -70,10 +70,10 @@ class TestGSSBudget:
         job = make_job(2, gpu_util=50.0)
         job.sharing_score = 1
         # M+M is allowed in Default mode (sum == GSS capacity 2) ...
-        binder.set_mode(PackingMode.DEFAULT)
+        binder.mode = PackingMode.DEFAULT
         assert binder.find_mate(sim, job, const_estimate()) is mate
         # ... but not in Apathetic mode (capacity 1).
-        binder.set_mode(PackingMode.APATHETIC)
+        binder.mode = PackingMode.APATHETIC
         assert binder.find_mate(sim, job, const_estimate()) is None
 
     def test_disabled_mode(self, binder):
@@ -82,7 +82,7 @@ class TestGSSBudget:
         sim = engine_with_running([mate])
         job = make_job(2, gpu_util=10.0)
         job.sharing_score = 0
-        binder.set_mode(PackingMode.DISABLED)
+        binder.mode = PackingMode.DISABLED
         assert binder.find_mate(sim, job, const_estimate()) is None
 
 

@@ -147,37 +147,10 @@ class TestRPR002Allowlist:
                      path=os.path.join("src", "repro", "obs", "prof.py"))
         assert found == []
 
-    @pytest.fixture
-    def engine_entry(self, monkeypatch):
-        """A per-function entry for the engine (the real list has none)."""
-        from repro.checks import RPR002_ALLOWLIST
-        monkeypatch.setitem(RPR002_ALLOWLIST, "sim/engine.py",
-                            frozenset({"_invoke_scheduler"}))
-
     def test_engine_has_no_exemption(self):
         found = lint(
             textwrap.dedent(self.CLOCK_READ).format(name="_invoke_scheduler"),
             path=os.path.join("src", "repro", "sim", "engine.py"))
-        assert codes(found) == ["RPR002"]
-
-    def test_engine_exempt_only_inside_named_function(self, engine_entry):
-        path = os.path.join("src", "repro", "sim", "engine.py")
-        found = lint(
-            textwrap.dedent(self.CLOCK_READ).format(name="_invoke_scheduler"),
-            path=path)
-        assert found == []
-        found = lint(
-            textwrap.dedent(self.CLOCK_READ).format(name="_dispatch"),
-            path=path)
-        assert codes(found) == ["RPR002"]
-
-    def test_module_level_read_not_exempt_by_function_list(
-            self, engine_entry):
-        # A per-function allowlist never exempts module-level reads.
-        found = lint("""\
-            import time
-            STARTED = time.perf_counter()
-        """, path=os.path.join("src", "repro", "sim", "engine.py"))
         assert codes(found) == ["RPR002"]
 
     def test_other_sim_modules_still_flagged(self):
@@ -188,7 +161,7 @@ class TestRPR002Allowlist:
 
     def test_allowlist_shape(self):
         from repro.checks import RPR002_ALLOWLIST
-        assert RPR002_ALLOWLIST == {"obs/prof.py": None}
+        assert RPR002_ALLOWLIST == frozenset({"obs/prof.py"})
 
     def test_engine_source_has_no_rpr002_noqa_left(self):
         # The engine times its passes through the profiler: it reads no
@@ -657,8 +630,10 @@ class TestRealTree:
         assert lint_paths([os.path.join(repo_root(), "tests")]) == []
 
     def test_cli_lint_clean_exit(self, capsys):
+        # A subpackage: per-file rules only (whole-program: see project).
         from repro.cli import main
-        assert main(["lint", os.path.join(repo_root(), "src")]) == 0
+        sim = os.path.join(repo_root(), "src", "repro", "sim")
+        assert main(["lint", sim]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_cli_lint_findings_exit_one(self, tmp_path, capsys):

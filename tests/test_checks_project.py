@@ -1,10 +1,10 @@
-"""End-to-end tests for ``repro lint --project`` (repro.checks.project).
+"""End-to-end tests for the whole-program lint (repro.checks.project).
 
-Covers: the real tree lints clean; seeded regressions each produce
-exactly the expected RPR1xx finding (layering, replay-safety,
-hot-path), and an ``EventKind`` member without its declared stories
-fails at import; SARIF 2.1.0 structural validity; the ratchet failing
-on an injected violation; RPR130 unused-suppression detection; and the CLI's
+Covers: the real tree lints clean; the mode follows from the path;
+seeded regressions each produce exactly the expected RPR1xx finding
+(layering, replay-safety, hot-path), and an ``EventKind`` member
+without its declared stories fails at import; SARIF 2.1.0 structural
+validity; RPR130 unused-suppression detection; and the CLI's
 parse-failure behavior (RPR000, exit 1, no traceback).
 """
 
@@ -19,14 +19,8 @@ import textwrap
 
 import pytest
 
-from repro.checks import (
-    baseline_delta,
-    format_sarif,
-    lint_project,
-    load_baseline,
-    write_baseline,
-)
-from repro.checks.project import BASELINE_SCHEMA, find_package_dir
+from repro.checks import find_package_dir, format_sarif, lint_project
+from repro.cli import main
 from repro.sim.events import EventKind
 
 
@@ -34,16 +28,27 @@ def repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture()
-def tree_copy(tmp_path):
-    """A disposable copy of the real project tree: ``src/`` plus
+@pytest.fixture(scope="session")
+def real_tree_findings():
+    """One whole-program lint of the real ``src/repro``, shared."""
+    return lint_project(os.path.join(repo_root(), "src", "repro"))
+
+
+def copy_tree(dest):
+    """Copy the real project tree into ``dest``: ``src/`` plus
     ``pyproject.toml``, with no ``benchmarks/`` data files."""
     root = repo_root()
     shutil.copytree(os.path.join(root, "src", "repro"),
-                    tmp_path / "src" / "repro")
+                    dest / "src" / "repro")
     shutil.copy(os.path.join(root, "pyproject.toml"),
-                tmp_path / "pyproject.toml")
-    return tmp_path
+                dest / "pyproject.toml")
+    return dest
+
+
+@pytest.fixture()
+def tree_copy(tmp_path):
+    """A disposable copy of the real project tree."""
+    return copy_tree(tmp_path)
 
 
 def inject(tree, rel, marker, addition):
@@ -62,30 +67,46 @@ def inject(tree, rel, marker, addition):
         handle.writelines(lines)
 
 
-class TestRealTree:
-    def test_project_lint_is_clean(self):
-        findings = lint_project(os.path.join(repo_root(), "src", "repro"))
-        assert findings == [], "\n".join(
-            f"{f.code} {f.path}:{f.line} {f.message}" for f in findings)
+@pytest.fixture(scope="module")
+def smuggled_tree(tmp_path_factory):
+    """A tree copy whose engine imports serve (a forbidden layering
+    edge), with its whole-program findings; shared, so read-only."""
+    tree = copy_tree(tmp_path_factory.mktemp("smuggled"))
+    inject(tree, "src/repro/sim/engine.py",
+           "from __future__ import annotations",
+           "from repro.serve.core import SimCore as _Smuggled")
+    return tree, lint_project(str(tree / "src" / "repro"))
 
-    def test_copy_without_benchmarks_is_clean(self, tree_copy):
+
+class TestRealTree:
+    def test_project_lint_is_clean(self, real_tree_findings):
+        assert real_tree_findings == [], "\n".join(
+            f"{f.code} {f.path}:{f.line} {f.message}"
+            for f in real_tree_findings)
+
+    def test_copy_without_benchmarks_is_clean(self, tree_copy, capsys):
         # The hot-path pack's hot set lives in source: without any
         # benchmark data file every hot-path noqa must still fire.
         assert not (tree_copy / "benchmarks").exists()
-        findings = lint_project(str(tree_copy / "src" / "repro"))
-        assert findings == [], "\n".join(
-            f"{f.code} {f.path}:{f.line} {f.message}" for f in findings)
-
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(os.path.join(
-            repo_root(), "benchmarks", "lint_baseline.json"))
-        assert baseline == {}
+        assert main(["lint", str(tree_copy / "src")]) == 0, \
+            capsys.readouterr().out
 
     def test_find_package_dir_src_layout(self):
         src = os.path.join(repo_root(), "src")
         assert find_package_dir(src) == os.path.join(src, "repro")
         assert find_package_dir(os.path.join(src, "repro")) \
             == os.path.join(src, "repro")
+
+    def test_find_package_dir_rejects_non_roots(self, tmp_path):
+        # Subpackage, loose-module directory, file: per-file rules only.
+        for rel in ("src/repro/sim", "tests", "src/repro/cli.py"):
+            assert find_package_dir(os.path.join(repo_root(), rel)) is None
+        # One package beside a loose module is not a src layout: the
+        # loose module would go unlinted.
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "loose.py").write_text("")
+        assert find_package_dir(str(tmp_path)) is None
 
 
 class TestSeededRegressions:
@@ -96,11 +117,8 @@ class TestSeededRegressions:
     def lint(self, tree):
         return lint_project(str(tree / "src" / "repro"))
 
-    def test_sim_to_serve_import_is_layering_violation(self, tree_copy):
-        inject(tree_copy, "src/repro/sim/engine.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        findings = self.lint(tree_copy)
+    def test_sim_to_serve_import_is_layering_violation(self, smuggled_tree):
+        findings = smuggled_tree[1]
         # The edge violates the layering DAG (RPR101, via both the
         # forbidden list and the allowed list) and — because serve
         # already imports sim — closes an import cycle (RPR100).
@@ -164,55 +182,10 @@ class TestSeededRegressions:
             self.load_events(tree_copy)
 
 
-class TestRatchet:
-    def test_ratchet_fails_on_injected_violation(self, tree_copy):
-        pkg = str(tree_copy / "src" / "repro")
-        root = str(tree_copy)
-        baseline_path = str(tree_copy / "lint_baseline.json")
-        write_baseline(baseline_path, lint_project(pkg), root)
-        data = json.load(open(baseline_path))
-        assert data["schema"] == BASELINE_SCHEMA
-        assert data["fingerprints"] == {}
-
-        inject(tree_copy, "src/repro/sim/engine.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        fresh = baseline_delta(lint_project(pkg),
-                               load_baseline(baseline_path), root)
-        assert fresh and {f.code for f in fresh} <= {"RPR100", "RPR101"}
-        assert "RPR101" in {f.code for f in fresh}
-
-    def test_baselined_debt_is_tolerated_until_it_grows(self, tree_copy):
-        pkg = str(tree_copy / "src" / "repro")
-        root = str(tree_copy)
-        baseline_path = str(tree_copy / "lint_baseline.json")
-        inject(tree_copy, "src/repro/sim/engine.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        dirty = lint_project(pkg)
-        assert dirty
-        write_baseline(baseline_path, dirty, root)
-        # Same debt: the ratchet passes.
-        assert baseline_delta(lint_project(pkg),
-                              load_baseline(baseline_path), root) == []
-        # New debt on top: only the new finding fails the ratchet.
-        inject(tree_copy, "src/repro/cluster/placement.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        fresh = baseline_delta(lint_project(pkg),
-                               load_baseline(baseline_path), root)
-        assert fresh and {f.code for f in fresh} == {"RPR101"}
-        assert all(f.path.endswith("cluster/placement.py")
-                   for f in fresh)
-
-
 class TestSarif:
-    def test_sarif_is_structurally_valid(self, tree_copy):
-        inject(tree_copy, "src/repro/sim/engine.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        findings = lint_project(str(tree_copy / "src" / "repro"))
-        document = json.loads(format_sarif(findings, str(tree_copy)))
+    def test_sarif_is_structurally_valid(self, smuggled_tree):
+        tree, findings = smuggled_tree
+        document = json.loads(format_sarif(findings, str(tree)))
 
         assert document["version"] == "2.1.0"
         assert document["$schema"].startswith("https://")
@@ -237,9 +210,10 @@ class TestSarif:
             assert region["startLine"] >= 1
             assert region["startColumn"] >= 1
 
-    def test_empty_sarif_still_valid(self):
-        document = json.loads(format_sarif([], repo_root()))
+    def test_empty_sarif_still_valid(self, real_tree_findings):
+        document = json.loads(format_sarif(real_tree_findings, repo_root()))
         assert document["version"] == "2.1.0"
+        assert document["runs"][0]["tool"]["driver"]["rules"] == []
         assert document["runs"][0]["results"] == []
 
 
@@ -289,11 +263,40 @@ class TestUnusedSuppressions:
         })
         assert [f.code for f in findings] == ["RPR002"]
 
+    #: A digest root that reaches a clock-reading profiler and a
+    #: clock-free module.
+    DIGEST_TREE = {
+        "serve/core.py": """\
+            from pkg.obs.live import gauge
+            from pkg.obs.prof import stamp
+
+            def state_digest():
+                return gauge() + stamp()
+        """,
+        "obs/live.py": "def gauge():\n    return 1\n",
+        "obs/prof.py": "import time\ndef stamp():\n    return time.time()\n",
+    }
+
+    @pytest.mark.parametrize("entries,expected", [
+        ({"obs/prof.py"}, []),
+        # Reachable from the digest root but reads no clock: dead entry.
+        ({"obs/prof.py", "obs/live.py"}, [("RPR130", "live.py", 1)]),
+        ((), [("RPR112", "prof.py", 3)]),
+    ])
+    def test_allowlist_entries(self, tmp_path, monkeypatch, entries,
+                               expected):
+        from repro.checks import lint, project
+        monkeypatch.setattr(lint, "RPR002_ALLOWLIST", frozenset(entries))
+        monkeypatch.setattr(project, "RPR002_ALLOWLIST",
+                            frozenset(entries))
+        findings = self.build(tmp_path, self.DIGEST_TREE)
+        assert [(f.code, os.path.basename(f.path), f.line)
+                for f in findings] == expected
+
 
 class TestCli:
     def test_syntax_error_file_exits_one_with_rpr000(self, tmp_path,
                                                      capsys):
-        from repro.cli import main
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
         code = main(["lint", str(bad)])
@@ -303,31 +306,33 @@ class TestCli:
         assert str(bad) in out.out
         assert "Traceback" not in out.out + out.err
 
-    def test_project_mode_end_to_end(self, tree_copy, capsys):
-        from repro.cli import main
-        src = str(tree_copy / "src")
-        baseline = str(tree_copy / "lint_baseline.json")
-        assert main(["lint", "--project", src]) == 0
-        assert main(["lint", "--project", src, "--update-baseline",
-                     "--baseline", baseline]) == 0
-        inject(tree_copy, "src/repro/sim/engine.py",
-               "from __future__ import annotations",
-               "from repro.serve.core import SimCore as _Smuggled")
-        code = main(["lint", "--project", src, "--ratchet",
-                     "--baseline", baseline])
-        out = capsys.readouterr()
+    def test_project_mode_end_to_end(self, smuggled_tree, tmp_path,
+                                     capsys):
+        # A package path and a plain directory, merged and sorted.
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "test_bad.py").write_text(
+            "import random\nrandom.random()\n")
+        code = main(["lint", str(smuggled_tree[0] / "src"), str(tmp_path),
+                     "--format", "json"])
+        findings = json.loads(capsys.readouterr().out)["findings"]
         assert code == 1
-        assert "RPR101" in out.out
+        found = {(f["code"], os.path.basename(f["path"])) for f in findings}
+        assert {("RPR101", "engine.py"), ("RPR001", "test_bad.py")} <= found
+        assert findings == sorted(findings, key=lambda f: (f["path"],
+                                                           f["line"]))
+
+    def test_subpackage_gets_file_rules_only(self, smuggled_tree, capsys):
+        sim = smuggled_tree[0] / "src" / "repro" / "sim"
+        assert main(["lint", str(sim)]) == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_project_mode_sarif_output(self, capsys):
-        from repro.cli import main
-        code = main(["lint", "--project", os.path.join(repo_root(), "src"),
+        # The CI gate: whole-program src/, per-file tests/.
+        code = main(["lint", os.path.join(repo_root(), "src"),
+                     os.path.join(repo_root(), "tests"),
                      "--format", "sarif"])
         out = capsys.readouterr()
         assert code == 0
         document = json.loads(out.out)
         assert document["version"] == "2.1.0"
-
-    def test_project_mode_rejects_multiple_paths(self, capsys):
-        from repro.cli import main
-        assert main(["lint", "--project", "src", "tests"]) == 2
+        assert document["runs"][0]["results"] == []

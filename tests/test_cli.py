@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _nearest_ids, build_parser, main
 from repro.traces import TraceGenerator, VENUS
 from repro.traces.io import write_native_csv
 
@@ -119,3 +119,18 @@ class TestModelsAndPacking:
         out = capsys.readouterr().out
         assert "Indolent Packing decisions" in out
         assert "interference-free rate" in out
+
+
+KNOWN_IDS = list(range(200, 240)) + [17, 71, 107, 170, 1007, 2011, 2101, 3]
+
+
+@pytest.mark.parametrize("target,known,expected", [
+    (371, KNOWN_IDS, [71, 237, 231]),
+    (2110, KNOWN_IDS, [211, 210, 2101]),
+    (-5, KNOWN_IDS, [3, 17, 71]),
+    (5, [1, 9, 4, 6, 55], [4, 6, 1]),  # ties: numeric distance first
+    (12, [21, 3, 112, 120], [112, 120, 3]),  # then the id itself
+    (7, [], []),
+])
+def test_nearest_ids_are_pinned(target, known, expected):
+    assert _nearest_ids(target, known) == expected

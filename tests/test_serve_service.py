@@ -143,27 +143,28 @@ class TestCrashRecovery:
         return commit_digests(str(state_dir)), final_state(str(state_dir))
 
     def test_recovery_is_bit_identical_mid_run(self, tmp_path):
-        digests, final = self._control(tmp_path / "control")
-        assert len(digests) >= 5, "workload too small to crash mid-run"
+        digests, final = self._control(tmp_path / "control", jobs=12)
+        assert len(digests) > 10, "workload too small to crash mid-run"
 
         crashed = tmp_path / "crashed"
         daemon = make_daemon(crashed, config=RECOVERY_CONFIG)
         daemon.start()
-        submit_n(daemon, 6)
-        for _ in range(4):  # past snapshot_every=3: replay over snapshot
+        submit_n(daemon, 12)
+        for _ in range(10):  # past 3 x snapshot_every=3: replay over one
             daemon.tick()
         crash(daemon)
         with Store(str(crashed)) as store:
             assert not store.is_clean()
+            assert store.snapshot_ticks() == [9]  # older ones dropped
 
         revived = make_daemon(crashed, config=RECOVERY_CONFIG)
         report = revived.start()
         assert not report.genesis and not report.clean
-        assert report.snapshot_tick == 3
+        assert report.snapshot_tick == 9
         assert report.replayed_ticks >= 1
         # The recovered state equals the control's at the same tick …
-        assert revived.core.tick == 4
-        assert revived.core.digest() == digests[4]
+        assert revived.core.tick == 10
+        assert revived.core.digest() == digests[10]
         # … and the rest of the run stays on the control's rails.
         run_to_idle(revived)
         revived.close()

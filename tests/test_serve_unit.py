@@ -150,7 +150,7 @@ class TestStore:
             assert store.latest_snapshot() is None
             store.put_snapshot(0, 1, "d0", b"blob0")
             store.put_snapshot(25, 60, "d25", b"blob25")
-            assert store.snapshot_ticks() == [0, 25]
+            assert store.snapshot_ticks() == [25]
             tick, next_seq, digest, blob = store.latest_snapshot()
             assert (tick, next_seq, digest, blob) == (25, 60, "d25",
                                                       b"blob25")
