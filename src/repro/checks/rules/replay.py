@@ -29,7 +29,7 @@ without one, so no rule here re-reads it.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checks.graph import (
     MODULE_SCOPE,
@@ -277,48 +277,51 @@ class _Aliases:
                         self.datetime_names.add(bound)
 
 
-def _banned_call(node: ast.Call, aliases: _Aliases) -> Optional[str]:
-    """Describe a wall-clock/RNG call, or None when the call is clean."""
+def _banned_call(node: ast.Call, aliases: _Aliases
+                 ) -> Optional[Tuple[str, bool]]:
+    """Describe a wall-clock/RNG call and say whether it reads the wall
+    clock, or return None when the call is clean."""
     func = node.func
     if isinstance(func, ast.Name):
         if func.id in aliases.time_funcs and func.id in _TIME_BANNED:
-            return f"{func.id}() reads the wall clock"
+            return f"{func.id}() reads the wall clock", True
         if func.id in aliases.random_funcs:
-            return f"random.{func.id}() draws from the global RNG"
+            return f"random.{func.id}() draws from the global RNG", False
         return None
     if not isinstance(func, ast.Attribute):
         return None
     owner = func.value
     if isinstance(owner, ast.Name):
         if owner.id in aliases.time_aliases and func.attr in _TIME_BANNED:
-            return f"time.{func.attr}() reads the wall clock"
+            return f"time.{func.attr}() reads the wall clock", True
         if owner.id in aliases.random_aliases:
-            return f"random.{func.attr}() draws from the global RNG"
+            return f"random.{func.attr}() draws from the global RNG", False
         if owner.id in aliases.datetime_names \
                 and func.attr in _DATETIME_BANNED:
-            return f"datetime.{func.attr}() reads the wall clock"
+            return f"datetime.{func.attr}() reads the wall clock", True
         if owner.id in aliases.np_random_aliases:
             if func.attr not in _NP_RANDOM_ALLOWED:
                 return (f"np.random.{func.attr}() draws from the global "
-                        "NumPy RNG")
+                        "NumPy RNG", False)
             if func.attr == "default_rng" and not node.args \
                     and not node.keywords:
-                return "np.random.default_rng() without a seed"
+                return "np.random.default_rng() without a seed", False
         return None
     if isinstance(owner, ast.Attribute):
         if owner.attr == "random" and isinstance(owner.value, ast.Name) \
                 and owner.value.id in aliases.numpy_aliases:
             if func.attr not in _NP_RANDOM_ALLOWED:
                 return (f"np.random.{func.attr}() draws from the global "
-                        "NumPy RNG")
+                        "NumPy RNG", False)
             if func.attr == "default_rng" and not node.args \
                     and not node.keywords:
-                return "np.random.default_rng() without a seed"
+                return "np.random.default_rng() without a seed", False
         if owner.attr in ("datetime", "date") \
                 and isinstance(owner.value, ast.Name) \
                 and owner.value.id in aliases.datetime_modules \
                 and func.attr in _DATETIME_BANNED:
-            return f"datetime.{owner.attr}.{func.attr}() reads the wall clock"
+            return (f"datetime.{owner.attr}.{func.attr}() reads the wall "
+                    "clock", True)
     return None
 
 
@@ -390,11 +393,15 @@ def _check_rpr112_113(ctx: RuleContext) -> List[Finding]:
             aliases = alias_cache[info.module]
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Call):
-                    reason = _banned_call(node, aliases)
-                    # The allowlist is consulted only for a detected
-                    # read, so RPR130 sees an entry that exempts nothing.
-                    if reason is not None and not _rpr002_allowlisted(
-                            module.path, ctx.tracker):
+                    banned = _banned_call(node, aliases)
+                    if banned is None:
+                        continue
+                    reason, clock = banned
+                    # The allowlist exempts wall-clock reads only, and
+                    # it is consulted only for a detected read, so
+                    # RPR130 sees an entry that exempts nothing.
+                    if not (clock and _rpr002_allowlisted(module.path,
+                                                          ctx.tracker)):
                         findings.append(_finding(
                             "RPR112", module.path, node.lineno,
                             node.col_offset,

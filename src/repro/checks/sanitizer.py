@@ -25,6 +25,10 @@ on:
   jobs whose VC is unchanged since they last failed, each skipped job
   is dry-run against the pass-start state and must still fit nowhere
   (:meth:`SimSanitizer.check_skipped`).
+* **Exact stage skips** — a Lucid pass runs its profiler and
+  orchestrator stages even when their wake keys say nothing changed,
+  and such a stage must start, drain or attempt nothing
+  (:meth:`SimSanitizer.check_idle`).
 * **Exact forecast memo** — every control pass that reuses Lucid's
   memoized throughput forecast recomputes it from scratch, and the two
   must agree bit for bit (:meth:`SimSanitizer.check_forecast`).
@@ -150,6 +154,16 @@ class SimSanitizer:
             self._fail("during control pass",
                        f"memoized (current, forecast) {cached} differs "
                        f"from the recomputed {fresh}")
+
+    def check_idle(self, stage: str, work: int) -> None:
+        """During a scheduling pass: a Lucid stage that its wake key
+        called idle, and that ran anyway, must have started, drained or
+        attempted nothing (``work`` jobs)."""
+        if work:
+            self._fail("during scheduling pass",
+                       f"the {stage} stage's wake key said nothing had "
+                       f"changed since it last ran, but the stage "
+                       f"started, drained or attempted {work} job(s)")
 
     # ------------------------------------------------------------------
     # Invariant sweeps

@@ -143,15 +143,20 @@ class LucidScheduler(Scheduler):
         #: ``(key, (current, forecast))`` of the last control pass's
         #: forecast; see :meth:`_forecast`.  Derived, so never pickled.
         self._forecast_memo: Optional[Tuple[Tuple, Tuple[float, float]]] = None
+        #: :meth:`_profiler_token` after the last profiler stage.
+        #: Derived, so never pickled: epochs restart at 0 on unpickling.
+        self._profiler_seen: Optional[Tuple] = None
 
     def __getstate__(self):
         state = super().__getstate__()
         state.pop("_forecast_memo", None)
+        state.pop("_profiler_seen", None)
         return state
 
     def __setstate__(self, state) -> None:
         super().__setstate__(state)
         self._forecast_memo = None
+        self._profiler_seen = None
 
     # ------------------------------------------------------------------
     # Training / attachment
@@ -397,43 +402,98 @@ class LucidScheduler(Scheduler):
     # Scheduling loop
     # ------------------------------------------------------------------
     def schedule(self, now: float) -> None:
+        """One pass: the control plane when due, then the profiler and
+        the orchestrator stages, each skipped while its wake key says
+        its inputs have not moved since it last ran (DESIGN.md §4).
+        Under ``engine.sanitizer`` both stages always run, and one the
+        keys call idle must start and attempt nothing."""
         self._queue_peak = max(self._queue_peak, len(self.queue))
         if now >= self._next_control:
             with self.profile_span("lucid.control"):
                 self._control(now)
             self._next_control = now + self.config.control_interval
-        if self.profiler is not None and self.profiler.is_down:
-            # Degradation: move waiting candidates to the main queue so
-            # they are not stranded behind dead profiler nodes.
-            for waiting in self.profiler.drain():
-                self._admit_to_main(waiting)
+        sanitizer = getattr(self.engine, "sanitizer", None)
         if self.profiler is not None:
-            with self.profile_span("lucid.profiler"):
-                started = self.profiler.allocate(self.engine)
-            if self.audit is not None:
-                for job in started:
-                    gpus = self.engine.gpus_of(job)
-                    self.audit.record(PlacementDecision(
-                        time=now, job_id=job.job_id, mode="profiling",
-                        gpu_ids=tuple(g.gpu_id for g in gpus),
-                        node_ids=tuple(g.node_id for g in gpus),
-                        note=f"T_prof={self.profiler.t_prof:.0f}s, "
-                             f"N_prof={self.profiler.n_prof}"))
-        with self.profile_span("lucid.orchestrate"):
-            placed = self.orchestrator.schedule(
-                self.engine, self.queue, priority_fn=self._priority,
-                find_mate=self._find_mate, sharing_mode=self._sharing_mode,
-                now=now, audit=self.audit,
-                retry_context=self._retry_context(),
-                begin_pass=self._begin_pass, probe_mate=self._probe_mate,
-                count=self.profile_count)
-        self.binder.end_pass()
+            self._profile_stage(now, sanitizer)
+        placed = self._orchestrate_stage(now, sanitizer)
         if placed:
             placed_ids = {id(job) for job in placed}
             self.queue[:] = [job for job in self.queue
                              if id(job) not in placed_ids]
         for job in placed:
             self._main_start[job.job_id] = now
+
+    def _profiler_token(self) -> Tuple:
+        """Everything :meth:`NonIntrusiveProfiler.allocate` reads that
+        can change: the queue only grows between passes, and every
+        attach, detach and health or speed change on the profiling
+        cluster bumps its epoch."""
+        profiler = self.profiler
+        return (len(profiler.queue),
+                profiler.cluster.vc_epochs["profiler"],
+                profiler.active_nodes)
+
+    def _profile_stage(self, now: float, sanitizer) -> None:
+        profiler = self.profiler
+        idle = not profiler.queue or \
+            self._profiler_token() == self._profiler_seen
+        if idle:
+            self.profile_count("profiler_stage_skips")
+            if sanitizer is None:
+                return
+        queued = len(profiler.queue)
+        if profiler.is_down:
+            # Degradation: move waiting candidates to the main queue so
+            # they are not stranded behind dead profiler nodes.
+            for waiting in profiler.drain():
+                self._admit_to_main(waiting)
+        with self.profile_span("lucid.profiler"):
+            started = profiler.allocate(self.engine)
+        if idle:
+            sanitizer.check_idle("profiler", queued - len(profiler.queue))
+        else:
+            self._profiler_seen = self._profiler_token()
+        if self.audit is not None:
+            for job in started:
+                gpus = self.engine.gpus_of(job)
+                self.audit.record(PlacementDecision(
+                    time=now, job_id=job.job_id, mode="profiling",
+                    gpu_ids=tuple(g.gpu_id for g in gpus),
+                    node_ids=tuple(g.node_id for g in gpus),
+                    note=f"T_prof={profiler.t_prof:.0f}s, "
+                         f"N_prof={profiler.n_prof}"))
+
+    def _orchestrate_stage(self, now: float, sanitizer) -> List[Job]:
+        orchestrator, queue = self.orchestrator, self.queue
+        sharing_mode = self._sharing_mode
+        retry_context = self._retry_context()
+        idle = orchestrator.idle(self.engine, queue,
+                                 (sharing_mode, retry_context), now)
+        if idle:
+            self.profile_count("orchestrator_stage_skips")
+            if sanitizer is None:
+                self.profile_count("placement_attempts", 0)
+                self.profile_count("placement_skips", len(queue))
+                return []
+        count = self.profile_count
+        attempts = [0]
+        if idle:
+            def count(name: str, n: int = 1) -> None:
+                if name == "placement_attempts":
+                    attempts[0] = n
+                self.profile_count(name, n)
+
+        with self.profile_span("lucid.orchestrate"):
+            placed = orchestrator.schedule(
+                self.engine, queue, priority_fn=self._priority,
+                find_mate=self._find_mate, sharing_mode=sharing_mode,
+                now=now, audit=self.audit, retry_context=retry_context,
+                begin_pass=self._begin_pass, probe_mate=self._probe_mate,
+                count=count)
+        self.binder.end_pass()
+        if idle:
+            sanitizer.check_idle("orchestrator", attempts[0])
+        return placed
 
     # ------------------------------------------------------------------
     # Control plane: dynamic strategy, time-aware scaling, updates

@@ -8,7 +8,9 @@ exclusively with consolidated best-fit inside its VC.
 
 A job that fits nowhere stays failed until its VC changes, so the
 orchestrator remembers each failure and skips the job while nothing it
-depends on has moved (see :meth:`ResourceOrchestrator.schedule`).
+depends on has moved (see :meth:`ResourceOrchestrator.schedule`), and
+:meth:`ResourceOrchestrator.idle` tells a caller when a pass would skip
+every queued job.
 """
 
 from __future__ import annotations
@@ -41,15 +43,47 @@ class ResourceOrchestrator:
         #: Derived, so never pickled: a loaded orchestrator attempts
         #: every job once.
         self._failed: Dict[int, Tuple] = {}
+        #: What the last keyed pass left in ``_failed``, for :meth:`idle`:
+        #: ``(context, failed count, ((vc, pass-start epoch), ...),
+        #: oldest submit time of a failed multi-node job not starving)``.
+        #: Derived like ``_failed``; epochs restart at 0 on unpickling,
+        #: so a pickled summary could match by accident.
+        self._summary: Optional[Tuple] = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_failed", None)
+        state.pop("_summary", None)
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._failed = {}
+        self._summary = None
+
+    def idle(self, engine, queue: Sequence[Job], context: Tuple,
+             now: float) -> bool:
+        """Whether a :meth:`schedule` pass with retry context ``context``
+        (``(sharing_mode, retry_context)``) would skip every job of
+        ``queue``, so it need not run.
+
+        True only when the last keyed pass left exactly these jobs
+        failed: ``queue`` only grows between passes, so an equal count
+        means the same jobs.  Every job's retry key then equals its
+        failed key, because no VC holding a failed job has changed, the
+        context is the same, and no failed multi-node job has begun
+        starving: ``now - submit_time`` is monotone in ``submit_time``,
+        so checking the oldest one covers the rest (DESIGN.md §4).
+        """
+        summary = self._summary
+        if summary is None:
+            return False
+        recorded, count, epochs, oldest = summary
+        vc_epochs = engine.cluster.vc_epochs
+        return (context == recorded and len(queue) == count
+                and all(vc_epochs[vc] == epoch for vc, epoch in epochs)
+                and (oldest is None
+                     or now - oldest <= self.starvation_threshold))
 
     def schedule(self, engine, queue: List[Job],
                  priority_fn: Callable[[Job], float],
@@ -117,10 +151,9 @@ class ResourceOrchestrator:
 
         keys: List[Optional[Tuple]] = []
         attempt = queue
+        context = (sharing_mode, retry_context)
         if retry_context is not None:
-            keys = self._retry_keys(engine, queue, (sharing_mode,
-                                                    retry_context),
-                                    starving)
+            keys = self._retry_keys(engine, queue, context, starving)
             failed = self._failed
             attempt = []
             skipped = []
@@ -141,8 +174,22 @@ class ResourceOrchestrator:
                             sharing_mode, now, audit, starving,
                             begin_pass) if attempt else []
         placed_ids = {id(job) for job in placed}
-        self._failed = {job.job_id: key for job, key in zip(queue, keys)
-                        if key is not None and id(job) not in placed_ids}
+        failed: Dict[int, Tuple] = {}
+        epochs: Dict[str, int] = {}
+        oldest: Optional[float] = None
+        keyed = retry_context is not None
+        for job, key in zip(queue, keys):
+            if key is None:
+                keyed = False
+            elif id(job) not in placed_ids:
+                failed[job.job_id] = key
+                epochs[job.vc] = key[0]
+                if job.gpu_num > node_gpus and not key[2] and (
+                        oldest is None or job.submit_time < oldest):
+                    oldest = job.submit_time
+        self._failed = failed
+        self._summary = ((context, len(failed), tuple(epochs.items()),
+                          oldest) if keyed else None)
         return placed
 
     @staticmethod

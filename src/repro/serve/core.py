@@ -125,7 +125,7 @@ def _digest_parts(sim: Simulator) -> Dict[str, Any]:
     # produce identical heap layouts, and layout divergence is exactly
     # what the digest must catch.
     heap = []
-    for event in sim.events._heap:
+    for event in sim.events.in_heap_order():
         heap.append([_hex(event.time), event.seq, event.kind.value,
                      event.job_id, event.epoch, repr(event.payload)])
     queue = getattr(sim.scheduler, "queue", None)

@@ -6,7 +6,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, List, Optional, Tuple
 
 
 @enum.unique
@@ -109,11 +109,28 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, seq, event)`` tuples, so ordering compares
+    floats and ints in C instead of calling :meth:`Event.__lt__`.
+    ``(time, seq)`` is the events' own order and ``seq`` is unique, so
+    the heap layout and the pop order are exactly those of a heap of
+    events.  Pickles carry the list of events in heap order, the format
+    of snapshots whose heap held the events themselves, so those load
+    here and these load there.
+    """
 
     def __init__(self) -> None:
-        self._heap: list = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
+
+    def __getstate__(self):
+        return {"_heap": self.in_heap_order(), "_counter": self._counter}
+
+    def __setstate__(self, state) -> None:
+        self._heap = [(event.time, event.seq, event)
+                      for event in state["_heap"]]
+        self._counter = state["_counter"]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -124,14 +141,19 @@ class EventQueue:
     def push(self, time: float, kind: EventKind, job_id: Optional[int] = None,
              epoch: int = 0, payload: Any = None) -> Event:
         """Schedule an event and return it."""
-        event = Event(time=time, seq=next(self._counter), kind=kind,
-                      job_id=job_id, epoch=epoch, payload=payload)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time=time, seq=seq, kind=kind, job_id=job_id,
+                      epoch=epoch, payload=payload)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next event, or ``None`` when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
+
+    def in_heap_order(self) -> List[Event]:
+        """The queued events in heap-list (not sorted) order."""
+        return [entry[2] for entry in self._heap]

@@ -623,9 +623,8 @@ def repo_root() -> str:
 
 
 class TestRealTree:
-    def test_src_tree_is_clean(self):
-        assert lint_paths([os.path.join(repo_root(), "src")]) == []
-
+    # ``src`` is linted by tests/test_checks_project.py, whose
+    # whole-program lint runs these per-file rules on every module.
     def test_tests_tree_is_clean(self):
         assert lint_paths([os.path.join(repo_root(), "tests")]) == []
 

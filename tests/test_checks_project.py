@@ -294,6 +294,19 @@ class TestUnusedSuppressions:
                 for f in findings] == expected
 
 
+    def test_allowlist_exempts_clock_reads_only(self, tmp_path):
+        """An allowlisted module's RNG draw is still a replay hazard,
+        and an entry that exempts no clock read is dead."""
+        tree = dict(self.DIGEST_TREE)
+        tree["obs/prof.py"] = ("import random\n"
+                               "def stamp():\n"
+                               "    return random.random()\n")
+        findings = self.build(tmp_path, tree)
+        assert [(f.code, os.path.basename(f.path), f.line)
+                for f in findings] == [("RPR130", "prof.py", 1),
+                                       ("RPR112", "prof.py", 3)]
+
+
 class TestCli:
     def test_syntax_error_file_exits_one_with_rpr000(self, tmp_path,
                                                      capsys):

@@ -216,9 +216,9 @@ COUNTER_RUNS = {
         lambda h: LucidScheduler(h, LucidConfig(seed=7)),
         GOLDEN["venus"][3], 3034,
         {"binder_attempts": 77, "estimator_predictions": 214,
-         "forecast_evaluations": 393,
+         "forecast_evaluations": 393, "orchestrator_stage_skips": 2099,
          "placement_attempts": 268, "placement_skips": 1663,
-         "speed_refreshes": 1228},
+         "profiler_stage_skips": 2040, "speed_refreshes": 1228},
     ),
     "tiresias-venus": (
         GOLDEN_RUNS["tiresias-venus"][1], GOLDEN_RUNS["tiresias-venus"][6],

@@ -89,7 +89,9 @@ def test_epochs_are_not_pickled():
 def test_sanitizer_verifies_every_skip(faults):
     """The dry run passes on the real memo, and it is read-only: the
     sanitized run makes the decisions and the profiler counts of a
-    plain one (bar the sweeps), so it counts no binder attempts."""
+    plain one (bar the sweeps), so it counts no binder attempts.  It
+    also runs every Lucid stage that its wake key calls idle, and
+    counts the same stage skips."""
     sim = tight_sim(sanitize=True, profile=True, faults=faults)
     plain = tight_sim(profile=True, faults=faults)
     sim.run()
@@ -97,6 +99,8 @@ def test_sanitizer_verifies_every_skip(faults):
     counts = dict(sim.profiler.counters)
     assert counts.pop("sanitizer_sweeps") > 0
     assert counts["placement_skips"] > 0
+    assert counts["profiler_stage_skips"] > 0
+    assert counts["orchestrator_stage_skips"] > 0
     assert counts == plain.profiler.counters
     assert state_digest(sim) == state_digest(plain)
 
