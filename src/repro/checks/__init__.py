@@ -24,7 +24,8 @@ three tools:
   when enabled via ``Simulator(sanitize=True)`` / ``--sanitize``, asserts
   cluster/job state invariants at every event dispatch (GPU allocation
   conservation, monotone event clock, legal job state-machine transitions,
-  queue consistency, fault-flag coherence).
+  queue consistency, fault-flag coherence) and checks every scheduling
+  pass against a lockstep reference run without pass memos.
 
 ``python -m repro lint src tests`` runs both linters: whole-program
 mode on each path that names a top-level package (``src``), the

@@ -21,14 +21,12 @@ on:
   finished/failed/running entries.
 * **Fault-flag coherence** — an unhealthy GPU hosts nothing, node and
   GPU health flags agree, straggler factors stay in ``(0, 1]``.
-* **Exact retry skips** — before a scheduling pass that skips queued
-  jobs whose VC is unchanged since they last failed, each skipped job
-  is dry-run against the pass-start state and must still fit nowhere
-  (:meth:`SimSanitizer.check_skipped`).
-* **Exact stage skips** — a Lucid pass runs its profiler and
-  orchestrator stages even when their wake keys say nothing changed,
-  and such a stage must start, drain or attempt nothing
-  (:meth:`SimSanitizer.check_idle`).
+* **Exact shortcuts** — a *reference run*, a pickled copy of the engine
+  taken at :meth:`SimSanitizer.begin`, is stepped in lockstep with its
+  pass memos cleared before each step (``Scheduler.reset_memos``), so
+  it retries every failed placement and runs every Lucid stage.  After
+  each step both runs must hold the same decisions
+  (:meth:`SimSanitizer.after_batch`).
 * **Exact forecast memo** — every control pass that reuses Lucid's
   memoized throughput forecast recomputes it from scratch, and the two
   must agree bit for bit (:meth:`SimSanitizer.check_forecast`).
@@ -41,23 +39,17 @@ on:
   tracker's memory capacity equals a fresh sum.  The rescan is the
   checker, never a code path of an unsanitized run.
 
-The sanitizer is strictly read-only: a sanitized run is bit-identical to
-an unsanitized one on the same seed (guarded by tests).  Violations raise
+The scheduling code never asks for the sanitizer (bar the forecast
+check): a sanitized run takes the unsanitized path and is bit-identical
+to it on the same seed (guarded by tests).  Violations raise
 :class:`SanitizerError` with a message precise enough to debug from.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+import pickle
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, rescan_occupancy
 from repro.cluster.gpu import MAX_RESIDENTS
@@ -96,6 +88,8 @@ ALLOWED_TRANSITIONS: Dict[JobStatus, FrozenSet[JobStatus]] = {
     JobStatus.FAILED: frozenset(),
 }
 
+_STATUS = attrgetter("status")
+
 #: Statuses a job may hold while present in the scheduler's pending queue.
 _QUEUEABLE = frozenset({JobStatus.SUBMITTED, JobStatus.PENDING,
                         JobStatus.PREEMPTED, JobStatus.CRASHED})
@@ -113,6 +107,8 @@ class SimSanitizer:
     checks_run:
         Number of full invariant sweeps performed (for tests and the CLI
         summary line).
+    passes_matched:
+        Engine steps whose decisions matched the reference run's.
     """
 
     def __init__(self, engine: "Simulator") -> None:
@@ -121,6 +117,8 @@ class SimSanitizer:
         self._last_status: Dict[int, JobStatus] = {
             job_id: job.status for job_id, job in engine.jobs.items()}
         self.checks_run = 0
+        self.passes_matched = 0
+        self._reference: Optional["Simulator"] = None
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -134,18 +132,6 @@ class SimSanitizer:
         """Sweep all invariants after one scheduling pass."""
         self._sweep(context="after scheduling pass")
 
-    def check_skipped(self, jobs: Sequence[Job],
-                      fits: Callable[[Job], bool]) -> None:
-        """Before a scheduling pass: every job the pass skips as
-        unchanged since its last failed placement must still fit
-        nowhere.  ``fits`` is a read-only dry run of the placement."""
-        for job in jobs:
-            if fits(job):
-                self._fail("before scheduling pass",
-                           f"job {job.job_id} was skipped as unchanged "
-                           f"since its last failed placement, but it "
-                           f"fits now")
-
     def check_forecast(self, cached: Tuple[float, float],
                        fresh: Tuple[float, float]) -> None:
         """During a control pass: a memoized ``(current, forecast)``
@@ -155,21 +141,54 @@ class SimSanitizer:
                        f"memoized (current, forecast) {cached} differs "
                        f"from the recomputed {fresh}")
 
-    def check_idle(self, stage: str, work: int) -> None:
-        """During a scheduling pass: a Lucid stage that its wake key
-        called idle, and that ran anyway, must have started, drained or
-        attempted nothing (``work`` jobs)."""
-        if work:
-            self._fail("during scheduling pass",
-                       f"the {stage} stage's wake key said nothing had "
-                       f"changed since it last ran, but the stage "
-                       f"started, drained or attempted {work} job(s)")
+    def begin(self) -> None:
+        """After ``engine.begin()``: take the reference run."""
+        self._reference = pickle.loads(pickle.dumps(self._engine))
+
+    def after_admit(self, job: Job) -> None:
+        """``engine.add_job`` admitted ``job``: track it, copy it over."""
+        self._last_status[job.job_id] = job.status
+        if self._reference is not None:
+            self._reference.add_job(pickle.loads(pickle.dumps(job)))
+
+    def after_batch(self) -> None:
+        """After one engine step: sweep, then step the reference run
+        with its pass memos cleared (event dispatch reads none, so they
+        are gone before its pass), and compare the decisions."""
+        self.after_schedule()
+        reference = self._reference
+        if reference is None:
+            return
+        reference.scheduler.reset_memos()
+        try:
+            reference.step_batch()
+        except RuntimeError as exc:  # SimulationError, max_events
+            self._diverged("the step", "complete", f"raised {exc!r}")
+        engine = self._engine
+        here, there = _job_views(engine), _job_views(reference)
+        if here != there:
+            job_id = min(job_id for job_id in here.keys() | there.keys()
+                         if here.get(job_id) != there.get(job_id))
+            self._diverged(f"job {job_id}", _describe(here.get(job_id)),
+                           _describe(there.get(job_id)))
+        here, there = ((_queue_ids(run), run.now, len(run.events))
+                       for run in (engine, reference))
+        if here != there:
+            self._diverged("(queue, clock, event-heap length)", here, there)
+        self.passes_matched += 1
+
+    def _diverged(self, what: str, here, there) -> None:
+        self._fail("after scheduling pass",
+                   f"{what} is {here} here but {there} in the reference "
+                   f"run without shortcuts")
 
     # ------------------------------------------------------------------
     # Invariant sweeps
     # ------------------------------------------------------------------
     def _sweep(self, context: str) -> None:
         self.checks_run += 1
+        if self._engine.profiler is not None:
+            self._engine.profiler.count("sanitizer_sweeps")
         now = self._engine.now
         self._check_clock(now, context)
         self._check_allocation(context)
@@ -314,7 +333,32 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     def summary(self) -> str:
         """One-line report for the CLI."""
-        return f"sanitizer: {self.checks_run} invariant sweeps, all clean"
+        return (f"sanitizer: {self.checks_run} invariant sweeps, all clean; "
+                f"{self.passes_matched} passes matched the reference run")
+
+
+def _queue_ids(engine: "Simulator") -> Optional[List[int]]:
+    queue = getattr(engine.scheduler, "queue", None)
+    return None if queue is None else [job.job_id for job in queue]
+
+
+def _describe(view) -> str:
+    if not isinstance(view, tuple):
+        return "not admitted" if view is None else view.value
+    status, gpus, speed, limit, profiling = view
+    return (f"{status.value} on GPUs {gpus} at speed {speed}, time limit "
+            f"{limit}, profiling {profiling}")
+
+
+def _job_views(engine: "Simulator") -> Dict[int, Tuple]:
+    """Each job's status and, while it runs, its GPU ids, speed bits,
+    time limit and profiling flag."""
+    views = dict(zip(engine.jobs, map(_STATUS, engine.jobs.values())))
+    for job_id, state in engine.run_states.items():
+        views[job_id] = (views[job_id], [gpu.gpu_id for gpu in state.gpus],
+                         state.speed.hex(), state.time_limit_at,
+                         state.is_profiling)
+    return views
 
 
 def occupancy_drift(cluster: Cluster) -> Optional[str]:

@@ -287,8 +287,8 @@ def _trace_args(parser: argparse.ArgumentParser) -> None:
                              "JSON, or key=value pairs (e.g. "
                              "'node_mtbf=43200,crash_rate=0.2,seed=7')")
     parser.add_argument("--sanitize", action="store_true",
-                        help="assert simulation-state invariants at every "
-                             "event dispatch (repro.checks sanitizer)")
+                        help="assert state invariants and check every "
+                             "pass against a reference run (repro.checks)")
 
 
 def _fault_spec(args):

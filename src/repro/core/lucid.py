@@ -140,12 +140,7 @@ class LucidScheduler(Scheduler):
         self._next_control = 0.0
         self._queue_peak = 0
         self.mode_history: List[PackingMode] = []
-        #: ``(key, (current, forecast))`` of the last control pass's
-        #: forecast; see :meth:`_forecast`.  Derived, so never pickled.
-        self._forecast_memo: Optional[Tuple[Tuple, Tuple[float, float]]] = None
-        #: :meth:`_profiler_token` after the last profiler stage.
-        #: Derived, so never pickled: epochs restart at 0 on unpickling.
-        self._profiler_seen: Optional[Tuple] = None
+        self.reset_memos()
 
     def __getstate__(self):
         state = super().__getstate__()
@@ -153,10 +148,14 @@ class LucidScheduler(Scheduler):
         state.pop("_profiler_seen", None)
         return state
 
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self._forecast_memo = None
-        self._profiler_seen = None
+    def reset_memos(self) -> None:
+        #: ``(key, (current, forecast))`` of the last control pass's
+        #: forecast; see :meth:`_forecast`.  Derived, so never pickled.
+        self._forecast_memo: Optional[Tuple[Tuple, Tuple[float, float]]] = None
+        #: :meth:`_profiler_token` after the last profiler stage.
+        #: Derived, so never pickled: epochs restart at 0 on unpickling.
+        self._profiler_seen: Optional[Tuple] = None
+        self.orchestrator.reset_memos()
 
     # ------------------------------------------------------------------
     # Training / attachment
@@ -359,16 +358,6 @@ class LucidScheduler(Scheduler):
         if self.config.packing_policy == "indolent":
             self.binder.begin_pass(self.engine)
 
-    def _probe_mate(self, job: Job) -> Optional[Job]:
-        """:meth:`_find_mate` without the profiler count, for the
-        sanitizer's dry run of a skipped job.  In an audited run the
-        binder notes a verdict for the skipped job; the job is not
-        placed this pass, and the next pass clears it unread."""
-        if self.config.packing_policy != "indolent":
-            return None
-        return self.binder.find_mate(self.engine, job,
-                                     self._remaining_estimate)
-
     def _retry_context(self) -> Optional[int]:
         """The pass-wide part of the orchestrator's retry key — the
         binder's GSS capacity — or ``None`` to attempt every queued job.
@@ -404,18 +393,15 @@ class LucidScheduler(Scheduler):
     def schedule(self, now: float) -> None:
         """One pass: the control plane when due, then the profiler and
         the orchestrator stages, each skipped while its wake key says
-        its inputs have not moved since it last ran (DESIGN.md §4).
-        Under ``engine.sanitizer`` both stages always run, and one the
-        keys call idle must start and attempt nothing."""
+        its inputs have not moved since it last ran (DESIGN.md §4)."""
         self._queue_peak = max(self._queue_peak, len(self.queue))
         if now >= self._next_control:
             with self.profile_span("lucid.control"):
                 self._control(now)
             self._next_control = now + self.config.control_interval
-        sanitizer = getattr(self.engine, "sanitizer", None)
         if self.profiler is not None:
-            self._profile_stage(now, sanitizer)
-        placed = self._orchestrate_stage(now, sanitizer)
+            self._profile_stage(now)
+        placed = self._orchestrate_stage(now)
         if placed:
             placed_ids = {id(job) for job in placed}
             self.queue[:] = [job for job in self.queue
@@ -433,15 +419,12 @@ class LucidScheduler(Scheduler):
                 profiler.cluster.vc_epochs["profiler"],
                 profiler.active_nodes)
 
-    def _profile_stage(self, now: float, sanitizer) -> None:
+    def _profile_stage(self, now: float) -> None:
         profiler = self.profiler
-        idle = not profiler.queue or \
-            self._profiler_token() == self._profiler_seen
-        if idle:
+        if not profiler.queue or \
+                self._profiler_token() == self._profiler_seen:
             self.profile_count("profiler_stage_skips")
-            if sanitizer is None:
-                return
-        queued = len(profiler.queue)
+            return
         if profiler.is_down:
             # Degradation: move waiting candidates to the main queue so
             # they are not stranded behind dead profiler nodes.
@@ -449,10 +432,7 @@ class LucidScheduler(Scheduler):
                 self._admit_to_main(waiting)
         with self.profile_span("lucid.profiler"):
             started = profiler.allocate(self.engine)
-        if idle:
-            sanitizer.check_idle("profiler", queued - len(profiler.queue))
-        else:
-            self._profiler_seen = self._profiler_token()
+        self._profiler_seen = self._profiler_token()
         if self.audit is not None:
             for job in started:
                 gpus = self.engine.gpus_of(job)
@@ -463,36 +443,23 @@ class LucidScheduler(Scheduler):
                     note=f"T_prof={profiler.t_prof:.0f}s, "
                          f"N_prof={profiler.n_prof}"))
 
-    def _orchestrate_stage(self, now: float, sanitizer) -> List[Job]:
+    def _orchestrate_stage(self, now: float) -> List[Job]:
         orchestrator, queue = self.orchestrator, self.queue
         sharing_mode = self._sharing_mode
         retry_context = self._retry_context()
-        idle = orchestrator.idle(self.engine, queue,
-                                 (sharing_mode, retry_context), now)
-        if idle:
+        if orchestrator.idle(self.engine, queue,
+                             (sharing_mode, retry_context), now):
             self.profile_count("orchestrator_stage_skips")
-            if sanitizer is None:
-                self.profile_count("placement_attempts", 0)
-                self.profile_count("placement_skips", len(queue))
-                return []
-        count = self.profile_count
-        attempts = [0]
-        if idle:
-            def count(name: str, n: int = 1) -> None:
-                if name == "placement_attempts":
-                    attempts[0] = n
-                self.profile_count(name, n)
-
+            self.profile_count("placement_attempts", 0)
+            self.profile_count("placement_skips", len(queue))
+            return []
         with self.profile_span("lucid.orchestrate"):
             placed = orchestrator.schedule(
                 self.engine, queue, priority_fn=self._priority,
                 find_mate=self._find_mate, sharing_mode=sharing_mode,
                 now=now, audit=self.audit, retry_context=retry_context,
-                begin_pass=self._begin_pass, probe_mate=self._probe_mate,
-                count=count)
+                begin_pass=self._begin_pass, count=self.profile_count)
         self.binder.end_pass()
-        if idle:
-            sanitizer.check_idle("orchestrator", attempts[0])
         return placed
 
     # ------------------------------------------------------------------

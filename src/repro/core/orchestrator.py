@@ -39,6 +39,19 @@ class ResourceOrchestrator:
         #: signature ``(engine, job) -> Optional[List[GPU]]``; used by the
         #: heterogeneous-GPU extension to rank generations.
         self.place_exclusive = place_exclusive
+        self.reset_memos()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_failed", None)
+        state.pop("_summary", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.reset_memos()
+
+    def reset_memos(self) -> None:
         #: ``job_id -> retry key`` of every job the last pass left queued.
         #: Derived, so never pickled: a loaded orchestrator attempts
         #: every job once.
@@ -49,17 +62,6 @@ class ResourceOrchestrator:
         #: Derived like ``_failed``; epochs restart at 0 on unpickling,
         #: so a pickled summary could match by accident.
         self._summary: Optional[Tuple] = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_failed", None)
-        state.pop("_summary", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._failed = {}
-        self._summary = None
 
     def idle(self, engine, queue: Sequence[Job], context: Tuple,
              now: float) -> bool:
@@ -93,7 +95,6 @@ class ResourceOrchestrator:
                  audit: Optional[DecisionAudit] = None,
                  retry_context: Optional[Hashable] = None,
                  begin_pass: Optional[Callable[[], None]] = None,
-                 probe_mate: Optional[Callable[[Job], Optional[Job]]] = None,
                  count: Optional[Callable[[str, int], None]] = None
                  ) -> List[Job]:
         """Place as many queued jobs as possible; returns the placed jobs.
@@ -133,11 +134,8 @@ class ResourceOrchestrator:
         time passes (Lucid's indolent binder: see DESIGN.md); callers
         whose search is not (naive packing, SLO vetoes) pass ``None``.
         ``begin_pass`` runs once before the walk, and only when some job
-        is attempted.  Under ``engine.sanitizer`` every skipped job is
-        first dry-run against the pass-start state with ``probe_mate``
-        (a read-only ``find_mate``; default ``find_mate``).  ``count``
-        receives the ``placement_attempts`` and ``placement_skips`` of
-        the pass.
+        is attempted.  ``count`` receives the ``placement_attempts`` and
+        ``placement_skips`` of the pass.
         """
         if sharing_mode not in ("eager", "fallback", "off"):
             raise ValueError(f"bad sharing_mode {sharing_mode!r}")
@@ -154,19 +152,8 @@ class ResourceOrchestrator:
         context = (sharing_mode, retry_context)
         if retry_context is not None:
             keys = self._retry_keys(engine, queue, context, starving)
-            failed = self._failed
-            attempt = []
-            skipped = []
-            for job, key in zip(queue, keys):
-                if key is not None and failed.get(job.job_id) == key:
-                    skipped.append(job)
-                else:
-                    attempt.append(job)
-            sanitizer = getattr(engine, "sanitizer", None)
-            if skipped and sanitizer is not None:
-                probe = probe_mate if probe_mate is not None else find_mate
-                sanitizer.check_skipped(skipped, lambda job: self._fits(
-                    engine, job, probe, sharing_mode, starving(job)))
+            attempt = [job for job, key in zip(queue, keys)
+                       if key is None or self._failed.get(job.job_id) != key]
         if count is not None:
             count("placement_attempts", len(attempt))
             count("placement_skips", len(queue) - len(attempt))
@@ -205,14 +192,6 @@ class ResourceOrchestrator:
             keys.append(None if epoch is None
                         else (epoch, context, starving(job)))
         return keys
-
-    def _fits(self, engine, job: Job,
-              find_mate: Callable[[Job], Optional[Job]],
-              sharing_mode: str, starving: bool) -> bool:
-        """Whether ``job`` could be placed now; places nothing."""
-        if sharing_mode != "off" and find_mate(job) is not None:
-            return True
-        return self._exclusive(engine, job, starving)[0] is not None
 
     def _exclusive(self, engine, job: Job, starving: bool
                    ) -> Tuple[Optional[List[GPU]], bool]:

@@ -53,6 +53,9 @@ class UpdateEngine:
         #: directly (RPR002) — and is ``None`` on unprofiled runs.
         self.profiler = None
 
+    def __getstate__(self):  # the profiler observes: never pickled
+        return {**self.__dict__, "profiler": None}
+
     def collect(self, record: JobRecord, now: float) -> None:
         """Absorb one completed job."""
         if self.estimator is None:

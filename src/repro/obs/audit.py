@@ -326,6 +326,9 @@ class DecisionAudit:
         self._vector_attributors: Dict[
             str, Callable[[Sequence[float]], Attribution]] = {}
 
+    def __getstate__(self):  # the engine's tracer: never pickled
+        return {**self.__dict__, "tracer": None}
+
     # ------------------------------------------------------------------
     # Attribution plumbing (bound by the scheduler's ``attach``)
     # ------------------------------------------------------------------

@@ -59,6 +59,12 @@ class Scheduler:
         engine = state.pop("engine", None)
         self.__dict__.update(state)
         self.engine = engine
+        self.reset_memos()
+
+    def reset_memos(self) -> None:
+        """Forget every pass memo (derived state that only skips work).
+        Memos are never pickled, and the sanitizer's reference run
+        clears them before each of its passes.  The base keeps none."""
 
     # ------------------------------------------------------------------
     # Engine lifecycle

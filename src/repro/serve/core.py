@@ -399,40 +399,24 @@ class SimCore:
 
     # -- snapshots ------------------------------------------------------
     def to_blob(self) -> bytes:
-        """Pickle the core for a store snapshot.
-
-        The engine's observers never belong in a snapshot: the tracer
-        (the daemon's lineage collector when serve telemetry is on) and
-        the live-telemetry profiler are detached before pickling so the
-        blob captures pure simulation state — a snapshot taken with
-        telemetry on is byte-identical to one taken without — and both
-        are re-attached on the way out.  The digest cache is not part
-        of the payload; :meth:`from_blob` starts it empty.
-        """
-        tracer, profiler = self.sim.tracer, self.sim.profiler
-        self.sim.attach_tracer(None)
-        self.sim.profiler = None
-        try:
-            payload = {
-                "config": self.config.to_json(),
-                "sim": self.sim,
-                "tick": self.tick,
-                "next_job_id": self.next_job_id,
-                "consumed": sorted(self.consumed),
-                "degraded": self.degraded,
-            }
-            return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            self.sim.attach_tracer(tracer)
-            self.sim.profiler = profiler
+        """Pickle the core for a store snapshot: byte-identical with
+        telemetry on or off (``Simulator.__getstate__`` leaves observers
+        out), and without the digest cache (:meth:`from_blob` starts it
+        empty)."""
+        payload = {
+            "config": self.config.to_json(),
+            "sim": self.sim,
+            "tick": self.tick,
+            "next_job_id": self.next_job_id,
+            "consumed": sorted(self.consumed),
+            "degraded": self.degraded,
+        }
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_blob(cls, blob: bytes) -> "SimCore":
         payload = pickle.loads(blob)
-        sim: Simulator = payload["sim"]
-        sim.attach_tracer(None)
-        sim.profiler = None
-        core = cls(ServeConfig.from_json(payload["config"]), sim,
+        core = cls(ServeConfig.from_json(payload["config"]), payload["sim"],
                    next_job_id=int(payload["next_job_id"]),
                    consumed=set(payload["consumed"]),
                    tick=int(payload["tick"]))

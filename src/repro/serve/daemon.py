@@ -190,9 +190,8 @@ class ServeDaemon:
                        "Torn WAL records truncated at the last boot"
                        ).set(float(self.recovery.torn_records))
             # The profiler and the collector (as the engine's tracer)
-            # observe the engine from here on; both are detached from
-            # snapshot blobs (see SimCore.to_blob) and feed nothing
-            # back, so the event stream stays identical.
+            # observe the engine from here on; snapshots leave them out
+            # (Simulator.__getstate__) and they feed nothing back.
             self.core.sim.profiler = self.profiler
             self.core.sim.attach_tracer(self.collector)
             self.wal.on_append = self._observe_wal_append

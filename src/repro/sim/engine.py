@@ -20,6 +20,7 @@ Scheduler contract (duck-typed; see :class:`repro.schedulers.base.Scheduler`):
 * ``tick_interval`` — optional float; when set, the engine additionally
   wakes the scheduler periodically (used by round-based Tiresias and by
   Lucid's dynamic strategy / update engine).
+* ``reset_memos()`` — under ``sanitize=True`` only: forget pass memos.
 
 The paper validates its simulator against a 32-GPU physical testbed with
 <4.6% error (Table 3); this engine is the analogue of that simulator.
@@ -98,10 +99,10 @@ class Simulator:
         Enable the :class:`~repro.checks.sanitizer.SimSanitizer`: state
         invariants (allocation conservation, monotone clock, legal job
         transitions, queue consistency, fault-flag coherence) are
-        asserted after every event dispatch and scheduling pass.  The
-        sanitizer is read-only — a sanitized run is bit-identical to an
-        unsanitized one — and entirely absent when disabled (zero
-        overhead).
+        asserted after every event dispatch and scheduling pass, and a
+        reference copy without pass memos must make the same decisions.
+        A sanitized run takes the unsanitized path and is bit-identical
+        to it; the sanitizer is absent when disabled (zero overhead).
     profile:
         Self-profiling (:class:`~repro.obs.prof.SimProfiler`): pass
         ``True`` (a profiler is created) or a profiler instance to
@@ -178,6 +179,17 @@ class Simulator:
         self.series = series
         if self.series is not None:
             self.series.attach(self)
+
+    def __getstate__(self):  # observers never belong in a snapshot
+        state = self.__dict__.copy()
+        for name in ("tracer", "_tracing", "sanitizer", "profiler", "series"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state, sanitizer=None, profiler=None,
+                             series=None)
+        self.attach_tracer(None)
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Route engine events to ``tracer`` (``None``: the disabled
@@ -330,6 +342,8 @@ class Simulator:
         self._maybe_schedule_tick()
         if self.profiler is not None:
             self.profiler.start_run()
+        if self.sanitizer is not None:
+            self.sanitizer.begin()
 
     def add_job(self, job: Job) -> None:
         """Admit one job after :meth:`begin` (serve-mode runtime admission).
@@ -345,6 +359,8 @@ class Simulator:
         self.events.push(max(self.now, job.submit_time), EventKind.SUBMIT,
                          job.job_id)
         self._maybe_schedule_tick()
+        if self.sanitizer is not None:
+            self.sanitizer.after_admit(job)
 
     def step_batch(self) -> bool:
         """Advance by one step of the run loop; ``False`` when quiescent.
@@ -373,6 +389,8 @@ class Simulator:
                 raise SimulationError(
                     f"simulation deadlocked at t={self.now:.0f}s with "
                     f"{len(stuck)} unfinished jobs (first: {stuck[:5]})")
+            if sanitizer is not None:
+                sanitizer.after_batch()
             return True
         event = self.events.pop()
         if series is not None:
@@ -383,26 +401,20 @@ class Simulator:
         self._dispatch_profiled(event, profiler)
         if sanitizer is not None:
             sanitizer.after_dispatch(event)
-            if profiler is not None:
-                profiler.count("sanitizer_sweeps")
         # Drain all simultaneous events before invoking the scheduler.
         while self.events and self.events.peek_time() <= self.now + _EPS:
             event = self.events.pop()
             self._dispatch_profiled(event, profiler)
             if sanitizer is not None:
                 sanitizer.after_dispatch(event)
-                if profiler is not None:
-                    profiler.count("sanitizer_sweeps")
         self._invoke_scheduler()
-        if sanitizer is not None:
-            sanitizer.after_schedule()
-            if profiler is not None:
-                profiler.count("sanitizer_sweeps")
         if series is not None:
             # A grid point landing exactly on this batch's timestamp
             # samples once, after the whole batch and scheduler pass.
             series.sample_if_due(self.now)
         self._maybe_schedule_tick()
+        if sanitizer is not None:
+            sanitizer.after_batch()
         if self._events_processed > self.max_events:
             raise RuntimeError("max_events exceeded; likely a livelock")
         return True

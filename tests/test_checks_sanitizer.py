@@ -16,6 +16,7 @@ from repro.checks.sanitizer import ALLOWED_TRANSITIONS
 from repro.cluster import Cluster
 from repro.faults import FaultSpec
 from repro.schedulers import FIFOScheduler
+from repro.serve.core import state_digest
 from repro.sim.events import EventKind
 from repro.traces import TraceSpec
 from repro.workloads import JobStatus
@@ -315,3 +316,28 @@ class TestZeroOverheadContract:
             [r.jct for r in checked.records]
         assert [r.preemptions for r in plain.records] == \
             [r.preemptions for r in checked.records]
+
+
+class TestRuntimeAdmission:
+    """Jobs that join through ``add_job`` after ``begin()``: each one is
+    tracked and reaches the reference run too."""
+
+    @pytest.mark.parametrize("name", ["fifo", "lucid"])
+    def test_admissions_end_on_the_unsanitized_digest(self, name,
+                                                      tiny_spec):
+        def run(sanitize):
+            gen = TraceGenerator(tiny_spec)
+            sim = Simulator(gen.build_cluster(), [],
+                            make_scheduler(name, gen.generate_history),
+                            sanitize=sanitize)
+            sim.begin()
+            for job in gen.generate():
+                sim.add_job(job)
+                sim.step_batch()
+            while sim.step_batch():
+                pass
+            return sim
+
+        checked, plain = run(True), run(False)
+        assert checked.sanitizer.passes_matched > len(checked.jobs)
+        assert state_digest(checked) == state_digest(plain)

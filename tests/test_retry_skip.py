@@ -3,7 +3,8 @@
 A queued Lucid job whose placement failed is not attempted again until
 its VC's change epoch moves (or the sharing mode, the binder's GSS
 capacity or the job's starvation flag does).  These tests pin what the
-epoch counts, that the sanitizer dry-runs every skip and catches a memo
+epoch counts, that the sanitizer's reference run, which forgets the memo
+before each of its passes, agrees with every skip and catches a memo
 that ignores the epoch, the exact work counters of one contended run,
 that an audited run takes the same path and records what a full walk
 records, and that snapshots neither carry the memo nor depend on it.
@@ -83,15 +84,14 @@ def test_epochs_are_not_pickled():
 
 
 # ----------------------------------------------------------------------
-# Exactness: the sanitizer dry-runs every skip
+# Exactness: the reference run attempts every job
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["plain", "faulted"])
 def test_sanitizer_verifies_every_skip(faults):
-    """The dry run passes on the real memo, and it is read-only: the
-    sanitized run makes the decisions and the profiler counts of a
-    plain one (bar the sweeps), so it counts no binder attempts.  It
-    also runs every Lucid stage that its wake key calls idle, and
-    counts the same stage skips."""
+    """The reference run agrees with every pass of the real memo and
+    stage keys, and the sanitizer only observes: the sanitized run
+    makes the decisions and the profiler counts of a plain one (bar
+    the sweeps), skips included."""
     sim = tight_sim(sanitize=True, profile=True, faults=faults)
     plain = tight_sim(profile=True, faults=faults)
     sim.run()
@@ -103,12 +103,14 @@ def test_sanitizer_verifies_every_skip(faults):
     assert counts["orchestrator_stage_skips"] > 0
     assert counts == plain.profiler.counters
     assert state_digest(sim) == state_digest(plain)
+    assert sim.sanitizer.passes_matched == plain.profiler.pass_count
 
 
 def test_epoch_blind_memo_trips_the_sanitizer():
     sim = tight_sim(sanitize=True)
     sim.scheduler.orchestrator = EpochBlindOrchestrator()
-    with pytest.raises(SanitizerError, match="skipped as unchanged"):
+    with pytest.raises(SanitizerError,
+                       match="in the reference run without shortcuts"):
         sim.run()
 
 
@@ -163,9 +165,9 @@ def test_audited_runs_take_the_unaudited_path():
 
 
 def test_sanitizer_leaves_the_audit_unchanged(tmp_path):
-    """The sanitizer's dry run of a skipped job probes through the
-    audited binder; the verdict it notes is never placed, so a
-    sanitized traced run writes the audit of an unsanitized one."""
+    """The reference run is a copy taken after the audit was attached;
+    it records into its own copy of the audit, never into the tracer,
+    so a sanitized traced run writes the audit of an unsanitized one."""
     paths = []
     for sanitize in (True, False):
         tracer = RingBufferTracer()

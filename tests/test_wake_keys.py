@@ -4,14 +4,16 @@ A Lucid pass skips its profiler stage while the profiler's queue length,
 its cluster's change epoch and its active node count are unchanged since
 the stage last ran, and it skips its orchestrator stage while the
 orchestrator's summary of its failed jobs says every queued job would be
-skipped anyway (DESIGN.md §4).  These tests pin that the sanitizer, which
-runs every stage the keys call idle, catches a key that drops any one
-component; that snapshots carry neither key and resume bit-identically;
+skipped anyway (DESIGN.md §4).  These tests pin that the sanitizer's
+reference run, which clears both keys before each of its passes, catches
+a key that drops any one component on a run where the skip changes a
+decision; that snapshots carry neither key and resume bit-identically;
 and that the event heap pickles as the list of events it always did.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import pytest
@@ -99,41 +101,81 @@ class ContextBlind(ResourceOrchestrator):
         return super().idle(engine, queue, context, now)
 
 
-@pytest.mark.parametrize("scheduler_cls,orchestrator,stage", [
-    (ProfilerEpochBlind, None, "profiler"),
-    (ActiveNodesBlind, None, "profiler"),
-    (ProfilerLengthBlind, None, "profiler"),
-    (LucidScheduler, QueueLengthBlind, "orchestrator"),
-    (LucidScheduler, VCEpochBlind, "orchestrator"),
-    (LucidScheduler, ContextBlind, "orchestrator"),
-], ids=["profiler-epoch", "active-nodes", "profiler-queue-length",
-        "queue-length", "vc-epoch", "context"])
-def test_sanitizer_catches_a_key_missing_a_part(scheduler_cls, orchestrator,
-                                                stage):
-    sim = tight_sim(scheduler_cls, orchestrator, sanitize=True)
-    with pytest.raises(SanitizerError, match=f"the {stage} stage's wake key"):
-        sim.run()
+#: How a skip that changed a decision surfaces.
+DIVERGED = "in the reference run without shortcuts"
 
 
-def starving_sim(orchestrator=ResourceOrchestrator) -> Simulator:
-    """A 16-GPU job that waits past the starvation threshold behind a
-    long 4-GPU job, in a two-node VC where nothing else happens: the
-    passes in between are idle until the job begins starving."""
-    history = TraceGenerator(TIGHT).generate_history()
+def unprofiled_lucid(orchestrator) -> LucidScheduler:
+    """A Lucid without a profiler, on ``orchestrator``."""
     config = LucidConfig(seed=7, enable_profiler=False)
-    scheduler = LucidScheduler(history, config)
+    scheduler = LucidScheduler(TraceGenerator(TIGHT).generate_history(),
+                               config)
     scheduler.orchestrator = orchestrator(
         starvation_threshold=config.starvation_threshold)
-    jobs = [make_job(1, duration=50_000.0, gpu_num=4),
-            make_job(2, duration=1000.0, gpu_num=16, submit_time=10.0)]
-    return Simulator(Cluster({"vc1": 2}), jobs, scheduler, sanitize=True,
+    return scheduler
+
+
+def packing_sim(orchestrator=ResourceOrchestrator) -> Simulator:
+    """A full one-node VC and four 8-GPU jobs arriving together: the
+    queue pressure turns the binder from Apathetic to Default at the
+    next control pass, and only that new context packs a waiting job
+    onto the running one."""
+    jobs = [make_job(1, duration=50_000.0, gpu_num=8)]
+    jobs += [make_job(job_id, duration=5000.0, gpu_num=8, submit_time=310.0)
+             for job_id in range(2, 6)]
+    return Simulator(Cluster({"vc1": 1}), jobs,
+                     unprofiled_lucid(orchestrator), sanitize=True,
+                     profile=True)
+
+
+@pytest.mark.parametrize("make_sim", [
+    functools.partial(tight_sim, ProfilerEpochBlind, sanitize=True),
+    functools.partial(tight_sim, ActiveNodesBlind, sanitize=True),
+    functools.partial(tight_sim, ProfilerLengthBlind, sanitize=True),
+    functools.partial(tight_sim, orchestrator=QueueLengthBlind,
+                      sanitize=True),
+    functools.partial(tight_sim, orchestrator=VCEpochBlind, sanitize=True),
+    functools.partial(packing_sim, ContextBlind),
+], ids=["profiler-epoch", "active-nodes", "profiler-queue-length",
+        "queue-length", "vc-epoch", "context"])
+def test_sanitizer_catches_a_key_missing_a_part(make_sim):
+    with pytest.raises(SanitizerError, match=DIVERGED):
+        make_sim().run()
+
+
+def starving_sim(orchestrator=ResourceOrchestrator, narrow=(4,),
+                 wide: int = 16, n_nodes: int = 2) -> Simulator:
+    """Long jobs of ``narrow`` GPUs, then a ``wide`` job that waits past
+    the starvation threshold in a VC where nothing else happens: the
+    passes in between are idle until the job begins starving."""
+    jobs = [make_job(index + 1, duration=50_000.0, gpu_num=gpus,
+                     submit_time=float(index))
+            for index, gpus in enumerate(narrow)]
+    jobs.append(make_job(len(jobs) + 1, duration=1000.0, gpu_num=wide,
+                         submit_time=10.0))
+    return Simulator(Cluster({"vc1": n_nodes}), jobs,
+                     unprofiled_lucid(orchestrator), sanitize=True,
                      profile=True)
 
 
 def test_sanitizer_catches_a_key_blind_to_starvation():
-    with pytest.raises(SanitizerError,
-                       match="the orchestrator stage's wake key"):
-        starving_sim(StarvationBlind).run()
+    """Jobs of 5 and 6 GPUs leave 3 and 2 GPUs free beside an empty
+    node, so the 12-GPU job has no consolidated slot but fits relaxed
+    once it starves."""
+    sim = starving_sim(StarvationBlind, narrow=(5, 6), wide=12, n_nodes=3)
+    with pytest.raises(SanitizerError, match=DIVERGED):
+        sim.run()
+
+
+@pytest.mark.parametrize("make_sim", [
+    packing_sim,
+    functools.partial(starving_sim, narrow=(5, 6), wide=12, n_nodes=3),
+], ids=["packing", "starving"])
+def test_complete_keys_pass_the_mutant_fixtures(make_sim):
+    """The fixtures skip stages, and only a mutant key breaks them."""
+    sim = make_sim()
+    sim.run()
+    assert sim.profiler.counters["orchestrator_stage_skips"] > 0
 
 
 def test_waiting_multi_node_job_is_skipped_until_it_starves():
