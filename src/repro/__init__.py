@@ -46,20 +46,17 @@ __all__ = [
 
 
 def quick_simulation(trace="venus", scheduler="lucid", n_jobs=None,
-                     seed=None, tracer=None, faults=None, profile=None,
-                     series=None, **scheduler_kwargs):
+                     seed=None, faults=None, observers=(),
+                     **scheduler_kwargs):
     """Generate a trace, run one scheduler over it, return the results.
 
-    Pass a :class:`repro.obs.RingBufferTracer` as ``tracer`` to collect
-    structured events, metrics and (for Lucid) a decision audit on the
-    returned result's ``telemetry`` field, or a
-    :class:`repro.obs.LineageCollector` to build the causal DAG behind
-    ``repro why``.  Pass a
+    ``observers`` forward to :class:`~repro.sim.engine.Simulator`: e.g.
+    a :class:`repro.obs.RingBufferTracer` to collect structured events,
+    a :class:`repro.obs.LineageCollector` to build the causal DAG behind
+    ``repro why``, a :class:`repro.obs.SimProfiler` or a
+    :class:`repro.obs.SeriesCollector`.  Pass a
     :class:`repro.faults.FaultSpec` (or a spec string accepted by
-    ``FaultSpec.parse``) as ``faults`` to inject failures.  ``profile``
-    and ``series`` forward to :class:`~repro.sim.engine.Simulator` to
-    attach a :class:`~repro.obs.prof.SimProfiler` /
-    :class:`~repro.obs.series.SeriesCollector`.
+    ``FaultSpec.parse``) as ``faults`` to inject failures.
     """
     spec = get_spec(trace)
     if n_jobs is not None:
@@ -73,6 +70,5 @@ def quick_simulation(trace="venus", scheduler="lucid", n_jobs=None,
     history = generator.generate_history()
     jobs = generator.generate()
     sched = make_scheduler(scheduler, history, **scheduler_kwargs)
-    return Simulator(cluster, jobs, sched, tracer=tracer,
-                     faults=faults, profile=profile,
-                     series=series).run()
+    return Simulator(cluster, jobs, sched, faults=faults,
+                     observers=observers).run()

@@ -21,7 +21,8 @@ three tools:
   file rules, flags suppressions that no longer fire (RPR130) and
   writes SARIF.
 * :mod:`repro.checks.sanitizer` — a runtime :class:`SimSanitizer` that,
-  when enabled via ``Simulator(sanitize=True)`` / ``--sanitize``, asserts
+  attached as an observer (``Simulator(observers=[SimSanitizer()])``,
+  CLI ``--sanitize``), asserts
   cluster/job state invariants at every event dispatch (GPU allocation
   conservation, monotone event clock, legal job state-machine transitions,
   queue consistency, fault-flag coherence) and checks every scheduling

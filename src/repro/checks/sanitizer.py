@@ -2,10 +2,10 @@
 
 :class:`SimSanitizer` is the dynamic half of :mod:`repro.checks`: where
 the linter vets the *source*, the sanitizer vets the *running state*.
-Enabled via ``Simulator(sanitize=True)`` (CLI ``--sanitize``), it is
-invoked by the engine after every event dispatch and after every
-scheduling pass, and asserts the invariants every reported number relies
-on:
+An :class:`~repro.obs.tracer.Observer`
+(``Simulator(observers=[SimSanitizer()])``, CLI ``--sanitize``), it runs
+after every event dispatch and after every engine step, and asserts the
+invariants every reported number relies on:
 
 * **Allocation conservation** — every GPU hosts at most
   :data:`~repro.cluster.gpu.MAX_RESIDENTS` jobs within its memory
@@ -22,11 +22,11 @@ on:
 * **Fault-flag coherence** — an unhealthy GPU hosts nothing, node and
   GPU health flags agree, straggler factors stay in ``(0, 1]``.
 * **Exact shortcuts** — a *reference run*, a pickled copy of the engine
-  taken at :meth:`SimSanitizer.begin`, is stepped in lockstep with its
-  pass memos cleared before each step (``Scheduler.reset_memos``), so
-  it retries every failed placement and runs every Lucid stage.  After
-  each step both runs must hold the same decisions
-  (:meth:`SimSanitizer.after_batch`).
+  taken before the first step the sanitizer sees, is stepped in lockstep
+  with its pass memos cleared before each step
+  (``Scheduler.reset_memos``), so it retries every failed placement and
+  runs every Lucid stage.  After each step both runs must hold the same
+  decisions (:meth:`SimSanitizer.after_step`).
 * **Exact forecast memo** — every control pass that reuses Lucid's
   memoized throughput forecast recomputes it from scratch, and the two
   must agree bit for bit (:meth:`SimSanitizer.check_forecast`).
@@ -53,9 +53,10 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, rescan_occupancy
 from repro.cluster.gpu import MAX_RESIDENTS
+from repro.obs.tracer import Observer
 from repro.workloads.job import Job, JobStatus
 
-if TYPE_CHECKING:  # pragma: no cover - engine imports the sanitizer lazily
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.events import Event
 
@@ -99,8 +100,8 @@ class SanitizerError(AssertionError):
     """A simulation-state invariant was violated."""
 
 
-class SimSanitizer:
-    """State-invariant checker bound to one :class:`Simulator`.
+class SimSanitizer(Observer):
+    """State-invariant checker of the :class:`Simulator` it attaches to.
 
     Attributes
     ----------
@@ -111,26 +112,30 @@ class SimSanitizer:
         Engine steps whose decisions matched the reference run's.
     """
 
-    def __init__(self, engine: "Simulator") -> None:
-        self._engine = engine
-        self._last_now = engine.now
-        self._last_status: Dict[int, JobStatus] = {
-            job_id: job.status for job_id, job in engine.jobs.items()}
+    def __init__(self) -> None:
+        self._engine: Optional["Simulator"] = None
+        self._last_now = 0.0
+        self._last_status: Dict[int, JobStatus] = {}
         self.checks_run = 0
         self.passes_matched = 0
         self._reference: Optional["Simulator"] = None
 
     # ------------------------------------------------------------------
-    # Engine hooks
+    # Observer hooks
     # ------------------------------------------------------------------
-    def after_dispatch(self, event: "Event") -> None:
+    def attach(self, engine: "Simulator") -> None:
+        """Track ``engine`` from its current state on; the handle
+        ``engine.sanitizer`` serves Lucid's :meth:`check_forecast`."""
+        self._engine = engine
+        engine.sanitizer = self
+        self._last_now = engine.now
+        self._last_status = {job_id: job.status
+                             for job_id, job in engine.jobs.items()}
+
+    def after_event(self, event: "Event") -> None:
         """Sweep all invariants after one event was applied."""
         self._sweep(context=f"after {event.kind.value} event "
                             f"(job {event.job_id})")
-
-    def after_schedule(self) -> None:
-        """Sweep all invariants after one scheduling pass."""
-        self._sweep(context="after scheduling pass")
 
     def check_forecast(self, cached: Tuple[float, float],
                        fresh: Tuple[float, float]) -> None:
@@ -141,21 +146,23 @@ class SimSanitizer:
                        f"memoized (current, forecast) {cached} differs "
                        f"from the recomputed {fresh}")
 
-    def begin(self) -> None:
-        """After ``engine.begin()``: take the reference run."""
-        self._reference = pickle.loads(pickle.dumps(self._engine))
+    def before_step(self) -> None:
+        """Before the first step seen: take the reference run."""
+        if self._reference is None:
+            self._reference = pickle.loads(pickle.dumps(self._engine))
 
-    def after_admit(self, job: Job) -> None:
+    def admitted(self, job: Job) -> None:
         """``engine.add_job`` admitted ``job``: track it, copy it over."""
         self._last_status[job.job_id] = job.status
         if self._reference is not None:
             self._reference.add_job(pickle.loads(pickle.dumps(job)))
 
-    def after_batch(self) -> None:
+    def after_step(self) -> None:
         """After one engine step: sweep, then step the reference run
         with its pass memos cleared (event dispatch reads none, so they
-        are gone before its pass), and compare the decisions."""
-        self.after_schedule()
+        are gone before its pass), and compare the decisions.  Without
+        a reference (no step seen yet) only the sweep runs."""
+        self._sweep(context="after scheduling pass")
         reference = self._reference
         if reference is None:
             return
@@ -187,8 +194,6 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     def _sweep(self, context: str) -> None:
         self.checks_run += 1
-        if self._engine.profiler is not None:
-            self._engine.profiler.count("sanitizer_sweeps")
         now = self._engine.now
         self._check_clock(now, context)
         self._check_allocation(context)

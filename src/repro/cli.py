@@ -8,8 +8,9 @@ simulate
     records.  ``--trace-out DIR`` additionally records full telemetry.
 trace
     Replay a trace with the observability layer enabled and export the
-    structured event log (JSONL), the scheduler decision audit and a
-    Chrome trace-event timeline loadable in chrome://tracing / Perfetto.
+    structured event log (JSONL, which carries the scheduler decision
+    audit) and a Chrome trace-event timeline loadable in
+    chrome://tracing / Perfetto.
 compare
     Run several schedulers over the same trace and print a Table-4-style
     comparison.
@@ -21,11 +22,12 @@ packing
     (Figures 2/5).
 report
     Run one simulation with the full observability stack (profiler,
-    series collector, attribution-enabled audit) and write a
-    self-contained ``report.html`` plus its ``report.json`` twin.
+    series collector, lineage, attribution-enabled audit) and write a
+    self-contained ``report.html``, its ``report.json`` twin and the
+    run's ``events.jsonl``.
 explain
     Print the recorded placement explanation of one job — either from a
-    fresh run or from a previously exported ``audit.jsonl``; supports
+    fresh run or from a previously exported ``events.jsonl``; supports
     ``--what-if feature=value`` counterfactual probes.
 why
     Answer "why was this job slow?": decompose one job's JCT into
@@ -62,6 +64,7 @@ from repro.models.text import levenshtein_distance_matrix
 from repro.obs import (
     LOG_FORMATS,
     LOG_LEVELS,
+    Observer,
     RingBufferTracer,
     SimProfiler,
     configure_logging,
@@ -95,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--export", metavar="CSV",
                      help="write per-job records to a CSV file")
     sim.add_argument("--trace-out", metavar="DIR",
-                     help="enable telemetry and write events.jsonl, "
-                          "audit.jsonl and timeline.json to DIR")
+                     help="enable telemetry and write events.jsonl "
+                          "and timeline.json to DIR")
 
     trace_cmd = sub.add_parser(
-        "trace", help="replay with telemetry and export event/audit/"
+        "trace", help="replay with telemetry and export event and "
                       "timeline artifacts")
     _trace_args(trace_cmd)
     trace_cmd.add_argument("--scheduler", default="lucid",
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="run once and write a self-contained HTML+JSON "
-                       "run report")
+                       "run report and its event log")
     _trace_args(report)
     report.add_argument("--scheduler", default="lucid",
                         choices=SCHEDULER_CHOICES)
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=SCHEDULER_CHOICES)
     explain.add_argument("--audit", metavar="FILE", default=None,
                          help="read decisions from an exported "
-                              "audit.jsonl instead of running a "
+                              "events.jsonl instead of running a "
                               "simulation")
     explain.add_argument("--format", choices=("text", "json"),
                          default="text", help="output format")
@@ -289,6 +292,14 @@ def _trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sanitize", action="store_true",
                         help="assert state invariants and check every "
                              "pass against a reference run (repro.checks)")
+
+
+def _observers(args, *observers: Observer) -> List[Observer]:
+    """``observers``, plus a :class:`SimSanitizer` under ``--sanitize``."""
+    if not args.sanitize:
+        return list(observers)
+    from repro.checks.sanitizer import SimSanitizer
+    return [*observers, SimSanitizer()]
 
 
 def _fault_spec(args):
@@ -350,29 +361,13 @@ _HEADERS = ["scheduler", "avg JCT (h)", "avg queue (h)", "p99.9 queue (h)",
             "GPU busy", "profiler finish", "user fairness", "sim time (s)"]
 
 
-def _write_telemetry(out_dir: str, result: SimulationResult,
-                     tracer: RingBufferTracer) -> List[str]:
-    """Export telemetry artifacts; returns the files written."""
-    telemetry = result.telemetry
-    written = [os.path.join(out_dir, "events.jsonl")]
-    timeline_path = os.path.join(out_dir, "timeline.json")
-    write_chrome_trace(timeline_path, telemetry.events)
-    written.append(timeline_path)
-    if telemetry.audit is not None:
-        audit_path = os.path.join(out_dir, "audit.jsonl")
-        telemetry.audit.to_jsonl(audit_path)
-        written.append(audit_path)
-    return written
-
-
-def _run_traced(args, out_dir: str,
-                profiler: Optional[SimProfiler] = None):
+def _run_traced(args, out_dir: str, *observers: Observer):
     """Run one traced simulation and export its artifacts.
 
-    ``profiler``, when given, measures the run.  The JSONL sink is
-    flushed/closed in a ``finally`` block so a simulation that raises
-    mid-run still leaves a readable (partial) event log behind for
-    post-mortem analysis.
+    Returns ``(simulator, result, elapsed, tracer)``; ``observers`` join
+    the run next to the tracer.  The JSONL sink is flushed/closed in a
+    ``finally`` block so a simulation that raises mid-run still leaves
+    a readable (partial) event log behind for post-mortem analysis.
     """
     os.makedirs(out_dir, exist_ok=True)
     cluster, history, jobs = _load(args)
@@ -384,8 +379,8 @@ def _run_traced(args, out_dir: str,
     try:
         simulator = Simulator(cluster, jobs,
                               make_scheduler(args.scheduler, history),
-                              tracer=tracer, faults=_fault_spec(args),
-                              sanitize=args.sanitize, profile=profiler)
+                              faults=_fault_spec(args),
+                              observers=_observers(args, tracer, *observers))
         result = simulator.run()
         _print_sanitizer_summary(simulator)
     except BaseException:
@@ -395,15 +390,17 @@ def _run_traced(args, out_dir: str,
     finally:
         tracer.close()
     elapsed = time.perf_counter() - started
-    written = _write_telemetry(out_dir, result, tracer)
-    for path in written:
+    timeline_path = os.path.join(out_dir, "timeline.json")
+    write_chrome_trace(timeline_path, tracer.events)
+    for path in (events_path, timeline_path):
         print(f"wrote {path}")
-    return result, elapsed
+    return simulator, result, elapsed, tracer
 
 
 def _print_sanitizer_summary(simulator: Simulator) -> None:
-    if simulator.sanitizer is not None:
-        print(simulator.sanitizer.summary())
+    sanitizer = getattr(simulator, "sanitizer", None)
+    if sanitizer is not None:
+        print(sanitizer.summary())
 
 
 def _print_fault_summary(result: SimulationResult) -> None:
@@ -422,7 +419,7 @@ def _print_fault_summary(result: SimulationResult) -> None:
 
 def cmd_simulate(args) -> int:
     if args.trace_out:
-        result, elapsed = _run_traced(args, args.trace_out)
+        _, result, elapsed, _ = _run_traced(args, args.trace_out)
     else:
         cluster, history, jobs = _load(args)
         print(f"{len(jobs)} jobs on {cluster.n_gpus} GPUs "
@@ -431,7 +428,7 @@ def cmd_simulate(args) -> int:
         simulator = Simulator(cluster, jobs,
                               make_scheduler(args.scheduler, history),
                               faults=_fault_spec(args),
-                              sanitize=args.sanitize)
+                              observers=_observers(args))
         result = simulator.run()
         elapsed = time.perf_counter() - started
         _print_sanitizer_summary(simulator)
@@ -457,11 +454,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_trace(args) -> int:
     profiler = SimProfiler()
-    result, _ = _run_traced(args, args.out, profiler)
+    simulator, result, _, tracer = _run_traced(args, args.out, profiler)
     _print_fault_summary(result)
-    telemetry = result.telemetry
 
-    events = telemetry.events
+    retained = tracer.events
+    events = retained
     kinds = set(args.kind or ())
     if args.job is not None or kinds:
         events = [e for e in events
@@ -471,15 +468,15 @@ def cmd_trace(args) -> int:
             f"job={args.job}" if args.job is not None else None,
             f"kind={','.join(sorted(kinds))}" if kinds else None]))
         print(f"filter {label}: {len(events)} of "
-              f"{len(telemetry.events)} retained events match")
+              f"{len(retained)} retained events match")
     counts: dict = {}
     for event in events:
         counts[event.kind] = counts.get(event.kind, 0) + 1
     print(ascii_table(["event kind", "count"],
                       [[kind, counts[kind]] for kind in sorted(counts)],
                       title="Trace events"))
-    if telemetry.dropped_events:
-        print(f"warning: ring buffer overflowed; {telemetry.dropped_events} "
+    if tracer.n_dropped:
+        print(f"warning: ring buffer overflowed; {tracer.n_dropped} "
               "oldest events dropped (retained events are a suffix of the "
               "run; the JSONL sink, if set, has the full log)",
               file=sys.stderr)
@@ -495,7 +492,7 @@ def cmd_trace(args) -> int:
           f"p95 {1e3 * passes['p95']:.3f} ms, "
           f"max {1e3 * passes['max']:.3f} ms")
 
-    audit = telemetry.audit
+    audit = getattr(simulator.scheduler, "audit", None)
     if audit is not None and audit.records and args.explain > 0:
         print("Placement decisions (first "
               f"{min(args.explain, len(audit.records))} of "
@@ -521,7 +518,7 @@ def cmd_compare(args) -> int:
         result = Simulator(cluster, jobs,
                            make_scheduler(name, history),
                            faults=_fault_spec(args),
-                           sanitize=args.sanitize).run()
+                           observers=_observers(args)).run()
         rows.append(_summary_row(name, result,
                                  time.perf_counter() - started))
         logger.info("%s: done in %.1fs", name,
@@ -607,12 +604,13 @@ def cmd_report(args) -> int:
     profiler = SimProfiler()
     series = SeriesCollector(interval=args.series_interval)
     lineage = LineageCollector()
-    simulator = Simulator(cluster, jobs, scheduler,
-                          profile=profiler, series=series,
-                          tracer=lineage,
-                          faults=_fault_spec(args),
-                          sanitize=args.sanitize)
-    result = simulator.run()
+    events_path = os.path.join(args.out, "events.jsonl")
+    # Sink only: the report reads no event back, so retain just one.
+    with RingBufferTracer(capacity=1, sink=events_path) as tracer:
+        simulator = Simulator(
+            cluster, jobs, scheduler, faults=_fault_spec(args),
+            observers=_observers(args, profiler, series, lineage, tracer))
+        result = simulator.run()
     _print_sanitizer_summary(simulator)
     _print_fault_summary(result)
     document = build_report(result, scheduler=args.scheduler,
@@ -626,8 +624,8 @@ def cmd_report(args) -> int:
             print(f"attribution coverage: {with_attr}/{decisions} "
                   f"({with_attr / decisions:.1%}) main-cluster "
                   "placements")
-    print(f"wrote {html_path}")
-    print(f"wrote {json_path}")
+    for path in (html_path, json_path, events_path):
+        print(f"wrote {path}")
     return 0
 
 
@@ -696,7 +694,7 @@ def cmd_explain(args) -> int:
         audit = DecisionAudit(attribution=True)
         scheduler.audit = audit
         Simulator(cluster, jobs, scheduler, faults=_fault_spec(args),
-                  sanitize=args.sanitize).run()
+                  observers=_observers(args)).run()
     decisions = audit.for_job(args.job_id)
     if not decisions:
         hint = _suggest_ids(args.job_id,
@@ -757,8 +755,8 @@ def cmd_why(args) -> int:
                   "[lineage]")
         collector = LineageCollector()
         Simulator(cluster, jobs, make_scheduler(args.scheduler, history),
-                  faults=_fault_spec(args), tracer=collector,
-                  sanitize=args.sanitize).run()
+                  faults=_fault_spec(args),
+                  observers=_observers(args, collector)).run()
         source = f"{args.scheduler} × {args.trace}"
     try:
         decomposition = decompose(collector, args.job_id)

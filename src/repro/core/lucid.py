@@ -193,7 +193,6 @@ class LucidScheduler(Scheduler):
         self.update_engine = UpdateEngine(self.estimator,
                                           interval=cfg.update_interval)
         self.update_engine.audit = self.audit
-        self.update_engine.profiler = engine.profiler
         if self.audit is not None and self.audit.attribution:
             # Interpretability wiring: bind the frozen models' attributors
             # so every placement decision carries a per-feature Attribution
@@ -548,4 +547,4 @@ class LucidScheduler(Scheduler):
                 self.queue.append(job)
 
         if self.update_engine is not None:
-            self.update_engine.maybe_refit(now)
+            self.update_engine.maybe_refit(now, self.engine.profiler)

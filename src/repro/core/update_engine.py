@@ -47,14 +47,6 @@ class UpdateEngine:
         #: recorded there so stale-model questions ("was the estimator
         #: fresh when job 42 was placed?") are answerable post-hoc.
         self.audit: Optional[DecisionAudit] = None
-        #: Optional :class:`repro.obs.prof.SimProfiler` (the engine's, set
-        #: by the scheduler's ``attach``).  Refit wall time is measured
-        #: through its spans — simulation code never reads the wall clock
-        #: directly (RPR002) — and is ``None`` on unprofiled runs.
-        self.profiler = None
-
-    def __getstate__(self):  # the profiler observes: never pickled
-        return {**self.__dict__, "profiler": None}
 
     def collect(self, record: JobRecord, now: float) -> None:
         """Absorb one completed job."""
@@ -65,8 +57,14 @@ class UpdateEngine:
         if self._last_refit is None:
             self._last_refit = now
 
-    def maybe_refit(self, now: float) -> bool:
-        """Refit if the interval elapsed and enough new data arrived."""
+    def maybe_refit(self, now: float, profiler=None) -> bool:
+        """Refit if the interval elapsed and enough new data arrived.
+
+        ``profiler`` is the engine's :class:`~repro.obs.prof.SimProfiler`
+        at call time, if any.  Refit wall time is measured through its
+        spans — simulation code never reads the wall clock directly
+        (RPR002) — and is ``None`` on unprofiled runs.
+        """
         if self.estimator is None or self.interval is None:
             return False
         if self._last_refit is None:
@@ -77,12 +75,12 @@ class UpdateEngine:
         if self._new_records < self.min_new_records:
             return False
         wall_seconds: Optional[float] = None
-        if self.profiler is not None:
-            before = self.profiler.span_seconds.get("lucid.refit", 0.0)
-            with self.profiler.span("lucid.refit"):
+        if profiler is not None:
+            before = profiler.span_seconds.get("lucid.refit", 0.0)
+            with profiler.span("lucid.refit"):
                 self.estimator.refit()
-            wall_seconds = (self.profiler.span_seconds.get("lucid.refit",
-                                                           0.0) - before)
+            wall_seconds = (profiler.span_seconds.get("lucid.refit", 0.0)
+                            - before)
         else:
             self.estimator.refit()
         r2: Optional[float] = None

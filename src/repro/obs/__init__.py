@@ -3,10 +3,11 @@
 Lucid's differentiator is *interpretability*; this package is the layer
 that makes the reproduction observable end to end:
 
-* :mod:`repro.obs.tracer` — structured simulator events in a ring buffer
-  with an optional JSONL sink (no-op :data:`NULL_TRACER` by default); a
-  traced run's events and audit reach
-  :class:`~repro.sim.metrics.SimulationResult` as ``result.telemetry``.
+* :mod:`repro.obs.tracer` — the :class:`Observer` protocol every piece
+  below derives from (``Simulator(observers=[...])`` or
+  ``Simulator.observe``), and structured simulator events in a ring
+  buffer with an optional JSONL sink (no-op :data:`NULL_TRACER` by
+  default).
 * :mod:`repro.obs.audit` — per-placement decision records explaining every
   allocation (priority, binder verdict, sharing mode, starvation relief).
 * :mod:`repro.obs.live` — the one metrics registry, the serve daemon's
@@ -14,16 +15,16 @@ that makes the reproduction observable end to end:
   Prometheus text exposition, and the zero-dependency ``/dashboard``
   page.
 * :mod:`repro.obs.lineage` — the causal event DAG and exact JCT
-  decomposition (``Simulator(tracer=LineageCollector())``): why a job
+  decomposition (``Simulator(observers=[LineageCollector()])``): why a job
   was slow, which jobs blocked it, the event chain that determined its
   JCT (``repro why``), live or offline from a trace JSONL.
 * :mod:`repro.obs.timeline` — Chrome trace-event export (per-GPU lanes
   for ``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.prof` — simulator self-profiling
-  (``Simulator(profile=...)``): wall time per event kind and scheduler
+  (:class:`SimProfiler`): wall time per event kind and scheduler
   pass, hot-path counters, events/sec, peak RSS.
 * :mod:`repro.obs.series` — fixed-interval cluster time series
-  (``Simulator(series=...)``) with CSV/JSON export.
+  (:class:`SeriesCollector`) with CSV/JSON export.
 * :mod:`repro.obs.report` — the ``repro report`` generator: one
   self-contained HTML page (inline CSS/SVG, no external assets) plus a
   machine-readable ``report.json`` twin per run.
@@ -31,13 +32,17 @@ that makes the reproduction observable end to end:
 
 Quickstart::
 
-    from repro import Simulator, quick_simulation
-    from repro.obs import RingBufferTracer, write_chrome_trace
+    from repro import quick_simulation
+    from repro.obs import (DecisionAudit, RingBufferTracer, SimProfiler,
+                           write_chrome_trace)
 
-    tracer = RingBufferTracer(sink="events.jsonl")
-    result = quick_simulation("venus", n_jobs=200, tracer=tracer)
+    profiler = SimProfiler()
+    with RingBufferTracer(sink="events.jsonl") as tracer:
+        quick_simulation("venus", n_jobs=200,
+                         observers=[tracer, profiler])
     print(tracer.counts_by_kind())
-    print(result.telemetry.audit.explain(42))
+    print(DecisionAudit.from_jsonl("events.jsonl").explain(42))
+    print(profiler.report())
     write_chrome_trace("timeline.json", tracer.events)
 """
 
@@ -94,11 +99,9 @@ from repro.obs.series import (
 from repro.obs.timeline import build_chrome_trace, write_chrome_trace
 from repro.obs.tracer import (
     NULL_TRACER,
-    NullTracer,
+    Observer,
     RingBufferTracer,
-    Telemetry,
     TraceEvent,
-    Tracer,
     events_from_dicts,
     read_jsonl,
 )
@@ -144,14 +147,12 @@ __all__ = [
     "BucketHistogram",
     "Counter",
     "Gauge",
-    "Telemetry",
     "build_chrome_trace",
     "write_chrome_trace",
     "NULL_TRACER",
-    "NullTracer",
+    "Observer",
     "RingBufferTracer",
     "TraceEvent",
-    "Tracer",
     "events_from_dicts",
     "read_jsonl",
 ]

@@ -17,14 +17,11 @@ The audit is a pure observer: it never influences scheduling, and it is
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.models.attrib import Attribution
-from repro.obs.ioutil import ensure_parent, tmp_path
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Observer, read_jsonl
 
 __all__ = [
     "BinderVerdict",
@@ -299,8 +296,9 @@ class DecisionAudit:
     Parameters
     ----------
     tracer:
-        Optional tracer; every recorded decision is mirrored as a
-        ``"decision"`` trace event so the JSONL log is self-contained.
+        Optional trace stream; every recorded decision and refit is
+        mirrored as a ``"decision"`` / ``"refit"`` event, so the event
+        log alone rebuilds the audit (:meth:`from_jsonl`).
     attribution:
         When ``True``, the scheduler's model calls additionally attach
         :class:`~repro.models.attrib.Attribution` records to verdicts and
@@ -309,7 +307,7 @@ class DecisionAudit:
         either way, attribution merely *records* more.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None,
+    def __init__(self, tracer: Optional[Observer] = None,
                  attribution: bool = False) -> None:
         self.tracer = tracer
         self.attribution = attribution
@@ -465,55 +463,23 @@ class DecisionAudit:
         return packed / len(main)
 
     # ------------------------------------------------------------------
-    # Export
+    # Offline rebuild
     # ------------------------------------------------------------------
-    def to_jsonl(self, path: str) -> int:
-        """Write all decisions (and refits) as JSON lines; returns count.
-
-        Parent directories are created and the write is atomic (tmp file
-        + rename), so a crash mid-export never leaves a truncated log at
-        the destination path.
-        """
-        n = 0
-        ensure_parent(path)
-        tmp = tmp_path(path)
-        with open(tmp, "w") as handle:
-            for decision in self.records:
-                handle.write(json.dumps(decision.to_dict(),
-                                        separators=(",", ":")) + "\n")
-                n += 1
-            for refit in self.refits:
-                record = refit.to_dict()
-                record["kind"] = "refit"
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-                n += 1
-        os.replace(tmp, path)
-        return n
-
     @classmethod
     def from_dicts(cls, records: Iterable[Dict[str, Any]]
                    ) -> "DecisionAudit":
-        """Rehydrate an audit from exported JSONL dicts.
-
-        Accepts both ``to_jsonl`` output and the ``"decision"``/``"refit"``
-        events of a tracer JSONL log (which carry a ``kind`` key).
-        """
+        """Rebuild an audit from the ``"decision"`` and ``"refit"``
+        events of a trace log (other kinds are skipped)."""
         audit = cls()
         for record in records:
             kind = record.get("kind")
             if kind == "refit":
                 audit.refits.append(RefitRecord.from_dict(record))
-            elif kind in (None, "decision"):
+            elif kind == "decision":
                 audit.records.append(PlacementDecision.from_dict(record))
         return audit
 
     @classmethod
     def from_jsonl(cls, path: str) -> "DecisionAudit":
-        """Load an audit exported by :meth:`to_jsonl` (or a trace log)."""
-        records: List[Dict[str, Any]] = []
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return cls.from_dicts(records)
+        """Load the audit of a run from its ``events.jsonl``."""
+        return cls.from_dicts(read_jsonl(path))

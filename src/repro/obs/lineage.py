@@ -4,8 +4,8 @@ Answers *why was this job slow?* — the outcome-level counterpart of
 ``repro explain`` (which interprets a single placement decision).  Three
 layers:
 
-* :class:`LineageCollector` — a :class:`~repro.obs.tracer.Tracer`
-  (``Simulator(tracer=LineageCollector())``) that folds the engine's
+* :class:`LineageCollector` — an :class:`~repro.obs.tracer.Observer`
+  (``Simulator(observers=[LineageCollector()])``) that folds the engine's
   event stream into the per-run **causal DAG**: every lifecycle event
   carries the ids of the events that caused it.  A ``start`` is caused
   by the releases (finish/preempt/crash) that freed its GPUs plus the
@@ -49,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.tracer import RELEASE_KINDS, Tracer
+from repro.obs.tracer import RELEASE_KINDS, Observer
 
 __all__ = [
     "COMPONENTS",
@@ -108,10 +108,10 @@ def _opt_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
 
 
-class LineageCollector(Tracer):
+class LineageCollector(Observer):
     """Assembles the causal event DAG of one simulation run.
 
-    Attach via ``Simulator(tracer=LineageCollector())`` (live) or
+    Attach via ``Simulator(observers=[LineageCollector()])`` (live) or
     rebuild from a trace file with :func:`lineage_from_trace`
     (offline) — both feed :meth:`emit`, so ``repro why`` gives the
     same answer either way.  The collector never mutates engine state:
@@ -196,7 +196,7 @@ class LineageCollector(Tracer):
         self._release_times.append(time)
 
     # ------------------------------------------------------------------
-    # Tracer interface: the one ingestion path, live and offline
+    # Trace stream: the one ingestion path, live and offline
     # ------------------------------------------------------------------
     def emit(self, time: float, kind: str, job_id: Optional[int] = None,
              **data: Any) -> None:

@@ -2,21 +2,22 @@
 
 The ROADMAP's north star is a simulator that runs "as fast as the
 hardware allows" — which is only a meaningful goal once the simulator can
-measure *itself*.  :class:`SimProfiler` is that instrument: attached via
-``Simulator(profile=...)`` it accumulates wall time per dispatched event
-kind and per scheduler pass, counts hot-path invocations (binder mate
-searches, speed refreshes, estimator predictions, sanitizer sweeps),
-and derives throughput (dispatched events per wall second) plus the
-process peak RSS.  ``repro report`` embeds these numbers, and the work
+measure *itself*.  :class:`SimProfiler` is that instrument: an
+:class:`~repro.obs.tracer.Observer` (``Simulator(observers=[profiler])``)
+that accumulates wall time per dispatched event kind and per scheduler
+pass, counts hot-path invocations (binder mate searches, speed
+refreshes, estimator predictions), and derives throughput (dispatched
+events per wall second) plus the process peak RSS.  ``repro report`` embeds these numbers, and the work
 counters of two contended replays are pinned exactly in
 ``tests/test_lucid_golden.py``.
 
 The contract mirrors the tracer's and the sanitizer's:
 
 * **Zero overhead when disabled.**  The engine holds ``profiler = None``
-  by default and every hook site is guarded by an identity check, so an
-  unprofiled run executes the seed instruction stream and produces a
-  bit-identical :class:`~repro.sim.metrics.SimulationResult`.
+  until a profiler attaches, and every bracket and counter site is
+  guarded by an identity check, so an unprofiled run executes the seed
+  instruction stream and produces a bit-identical
+  :class:`~repro.sim.metrics.SimulationResult`.
 * **No behavioural feedback.**  The profiler reads the wall clock and
   ``/proc`` accounting only; nothing it measures ever reaches simulated
   time, job state or scheduler decisions — a profiled run is therefore
@@ -37,6 +38,8 @@ import sys
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
+
+from repro.obs.tracer import Observer
 
 try:  # POSIX-only; the profiler degrades to RSS=None elsewhere.
     import resource as _resource
@@ -115,18 +118,19 @@ def _reservoir_percentile(samples: List[float], pct: float) -> float:
     return ordered[rank]
 
 
-class SimProfiler:
+class SimProfiler(Observer):
     """Accumulates self-measurements of one (or more) simulation runs.
 
-    The engine drives the fast-path hooks:
+    :meth:`attach` makes the profiler the engine's ``profiler`` handle,
+    through which the engine and the schedulers drive the fast-path
+    hooks:
 
     * :meth:`enter` / :meth:`exit_event` bracket each event dispatch and
       bill the elapsed wall time to the event's kind.
     * :meth:`enter` / :meth:`exit_pass` bracket each scheduler
       ``schedule()`` pass the same way.
     * :meth:`count` bumps a named hot-path counter (``binder_attempts``,
-      ``speed_refreshes``, ``estimator_predictions``,
-      ``sanitizer_sweeps``, ...).
+      ``speed_refreshes``, ``estimator_predictions``, ...).
     * :meth:`span` times named sub-phases (Lucid's control plane,
       profiler allocation, orchestrator pass, ...).
 
@@ -154,13 +158,14 @@ class SimProfiler:
         self.pass_samples: Deque[float] = deque(maxlen=RESERVOIR_SIZE)
         #: Hot-path invocation counters.
         self.counters: Dict[str, int] = {}
-        #: Whole-run accounting (set by the engine around ``run()``).
+        #: Whole-run accounting: wall seconds inside the engine steps
+        #: seen, simulated seconds of finished runs, and the process
+        #: peak RSS when the last one finished.
         self.wall_seconds = 0.0
-        self.events_processed = 0
         self.sim_seconds = 0.0
         self.peak_rss: Optional[float] = None
         self._stack: List[float] = []
-        self._run_started: Optional[float] = None
+        self._step_started = 0.0
 
     # ------------------------------------------------------------------
     # Engine hooks (hot path)
@@ -203,22 +208,30 @@ class SimProfiler:
         self.counters[name] = self.counters.get(name, 0) + n
 
     # ------------------------------------------------------------------
-    # Run lifecycle
+    # Observer hooks: each engine step seen is timed, so a profiler that
+    # joins mid-run (or between a daemon's idle ticks) counts only work
     # ------------------------------------------------------------------
-    def start_run(self) -> None:
-        self._run_started = time.perf_counter()
+    def attach(self, engine: Any) -> None:
+        engine.profiler = self
 
-    def finish_run(self, events_processed: int, sim_seconds: float) -> None:
-        if self._run_started is not None:
-            self.wall_seconds += time.perf_counter() - self._run_started
-            self._run_started = None
-        self.events_processed += events_processed
-        self.sim_seconds += sim_seconds
+    def before_step(self) -> None:
+        self._step_started = time.perf_counter()
+
+    def after_step(self) -> None:
+        self.wall_seconds += time.perf_counter() - self._step_started
+
+    def finish(self, now: float) -> None:
+        self.sim_seconds += now
         self.peak_rss = peak_rss_mb()
 
     # ------------------------------------------------------------------
     # Derived numbers
     # ------------------------------------------------------------------
+    @property
+    def events_processed(self) -> int:
+        """Events dispatched while the profiler was attached."""
+        return sum(self.event_counts.values())
+
     @property
     def events_per_sec(self) -> float:
         """Dispatched simulator events per wall-clock second."""

@@ -18,10 +18,9 @@ Sampling semantics (the part that keeps it deterministic):
   is recorded exactly once.  Sampling therefore never depends on how a
   timestamp's events happened to be ordered inside the batch.
 
-Like the tracer, sanitizer and profiler, the collector is read-only and
-``None``-when-off on the engine: a collected run is bit-identical to a
-plain one (regression-tested), and a run without a collector pays a
-single identity check per event batch.
+Like every :class:`~repro.obs.tracer.Observer`, the collector is
+read-only: a collected run is bit-identical to a plain one
+(regression-tested), and a run without it pays nothing for it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.ioutil import atomic_write_text
-
+from repro.obs.tracer import Observer
 from repro.workloads.job import JobStatus
 
 __all__ = ["SERIES_SCHEMA", "SeriesCollector", "SeriesSample"]
@@ -88,7 +87,7 @@ class SeriesSample:
         return out
 
 
-class SeriesCollector:
+class SeriesCollector(Observer):
     """Samples cluster time series on a fixed simulated-time grid.
 
     Parameters
@@ -97,7 +96,7 @@ class SeriesCollector:
         Grid spacing in simulated seconds (default 300 s, the paper's
         five-minute monitoring cadence).
 
-    Pass an instance as ``Simulator(series=...)``; after ``run()`` the
+    Pass an instance in ``Simulator(observers=[...])``; after ``run()`` the
     trajectory is available as :attr:`samples` and exportable via
     :meth:`to_csv` / :meth:`to_json`.  A collector is single-use: it is
     bound to one engine and one run.
@@ -113,7 +112,7 @@ class SeriesCollector:
         self._next_k = 0
 
     # ------------------------------------------------------------------
-    # Engine integration
+    # Observer hooks
     # ------------------------------------------------------------------
     def attach(self, engine: Any) -> None:
         if self._engine is not None and self._engine is not engine:
@@ -121,10 +120,29 @@ class SeriesCollector:
                                "create a fresh one per Simulator")
         self._engine = engine
 
+    def before_step(self) -> None:
+        # Grid points strictly before the next batch sample the state
+        # the previous batch left behind (piecewise-constant).
+        engine = self._engine
+        if engine.events:
+            self.advance_to(max(engine.now, engine.events.peek_time()))
+
+    def after_step(self) -> None:
+        # A grid point landing exactly on this batch's timestamp samples
+        # once, after the whole batch and scheduler pass.
+        self.sample_if_due(self._engine.now)
+
+    def finish(self, now: float) -> None:
+        """Close the series at the end of the run (time = makespan)."""
+        self.advance_to(now)
+        self.sample_if_due(now)
+        if not self.samples or self.samples[-1].time < now - _EPS:
+            self.samples.append(self._snapshot(now))
+
     def advance_to(self, upcoming: float) -> None:
         """Emit grid points strictly before the ``upcoming`` event batch.
 
-        Called by the engine just before it dispatches a batch: the live
+        Called just before the engine dispatches a batch: the live
         cluster state at that moment is exactly the state the previous
         batch left behind, i.e. what held at every grid point inside the
         open interval.  Snapshots are taken only when a grid point is
@@ -153,13 +171,6 @@ class SeriesCollector:
         while self._next_time() <= now + _EPS:
             self.samples.append(self._restamp(snap, self._next_time()))
             self._next_k += 1
-
-    def finalize(self, now: float) -> None:
-        """Close the series at the end of the run (time = makespan)."""
-        self.advance_to(now)
-        self.sample_if_due(now)
-        if not self.samples or self.samples[-1].time < now - _EPS:
-            self.samples.append(self._snapshot(now))
 
     def _next_time(self) -> float:
         # Grid points are k * interval (no incremental float accumulation,

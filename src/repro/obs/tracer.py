@@ -8,15 +8,21 @@ the schedulers emit :class:`TraceEvent` records at every lifecycle point
 decision / refit), and the tracer stores them in a bounded in-memory ring
 buffer with an optional JSONL sink for offline analysis.
 
+:class:`Observer` is the protocol of the whole observability stack: the
+tracers, the lineage collector, the profiler, the series collector and
+the sanitizer all derive from it and join a run through
+``Simulator(observers=[...])`` or ``Simulator.observe``.
+
 The contract that keeps the simulator honest:
 
-* **Zero overhead when disabled.**  The default tracer is
-  :data:`NULL_TRACER`, whose ``enabled`` flag is ``False``; every emission
-  site in the hot path is guarded by that flag, so a run without tracing
-  executes the exact instruction stream of the seed engine and produces a
-  bit-identical :class:`~repro.sim.metrics.SimulationResult`.
-* **No behavioural feedback.**  Tracers observe; they never mutate jobs,
-  GPUs or scheduler state.
+* **Zero overhead when disabled.**  Without an enabled observer the
+  engine's stream is :data:`NULL_TRACER`, whose ``enabled`` flag is
+  ``False``; every emission site in the hot path is guarded by that
+  flag, so a run without tracing executes the exact instruction stream
+  of the seed engine and produces a bit-identical
+  :class:`~repro.sim.metrics.SimulationResult`.
+* **No behavioural feedback.**  Observers observe; they never mutate
+  jobs, GPUs or scheduler state.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import json
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, NamedTuple, Optional, Union
+from typing import (Any, Dict, IO, Iterable, List, NamedTuple, Optional,
+                    Sequence, Union)
 
 from repro.obs.ioutil import ensure_parent, tmp_path
 
@@ -35,12 +42,11 @@ __all__ = [
     "TRACE_KINDS",
     "TraceEvent",
     "TraceKind",
-    "Telemetry",
-    "Tracer",
-    "NullTracer",
+    "Observer",
     "NULL_TRACER",
     "RingBufferTracer",
     "read_jsonl",
+    "stream_of",
 ]
 
 
@@ -121,46 +127,91 @@ def _json_default(obj: Any) -> Any:
     return str(obj)
 
 
-class Tracer:
-    """Tracer protocol: ``emit`` plus an ``enabled`` fast-path flag.
+class Observer:
+    """The one observer protocol: a trace stream plus run-loop hooks.
 
-    Emission sites MUST guard on :attr:`enabled` before building payload
-    dicts, e.g. ``if tracer.enabled: tracer.emit(...)`` — constructing the
-    keyword arguments is the expensive part, not the call itself.
+    Every hook is a no-op here, so an observer overrides only what it
+    uses, and the engine reaches every attached observer through one
+    loop per hook (:meth:`repro.sim.engine.Simulator.observe`).
+
+    *Trace stream.*  :attr:`enabled` observers receive :meth:`emit`
+    calls.  Emission sites MUST guard on the engine's cached flag before
+    building payload dicts, e.g. ``if tracer.enabled: tracer.emit(...)``
+    — constructing the keyword arguments is the expensive part, not the
+    call itself.
+
+    *Run loop.*  :meth:`attach` runs once, when the observer joins the
+    engine — before ``begin()`` or between steps, with the same effect
+    either way: no observer may depend on having seen ``begin()``.
+    :meth:`admitted` follows each runtime ``add_job``;
+    :meth:`before_step` / :meth:`after_step` bracket each engine step;
+    :meth:`after_event` follows each dispatched event; :meth:`finish`
+    closes the run at simulated time ``now``.
     """
 
-    #: Hot-path guard; ``False`` means every emission site is skipped.
+    #: Hot-path guard; ``False`` means the observer takes no events.
     enabled: bool = False
 
     def emit(self, time: float, kind: str, job_id: Optional[int] = None,
              **data: Any) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial
         pass
 
-    def __enter__(self) -> "Tracer":
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "Observer":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
+    def attach(self, engine: Any) -> None:
+        pass
 
-class NullTracer(Tracer):
-    """The default no-op tracer (disabled)."""
+    def admitted(self, job: Any) -> None:
+        pass
 
-    enabled = False
+    def before_step(self) -> None:
+        pass
 
-    def emit(self, time: float, kind: str, job_id: Optional[int] = None,
-             **data: Any) -> None:
+    def after_event(self, event: Any) -> None:
+        pass
+
+    def after_step(self) -> None:
+        pass
+
+    def finish(self, now: float) -> None:
         pass
 
 
-#: Shared singleton used as the engine default.
-NULL_TRACER = NullTracer()
+#: The disabled stream: the engine's tracer when no observer takes events.
+NULL_TRACER = Observer()
 
 
-class RingBufferTracer(Tracer):
+class _FanOut(Observer):
+    """One trace stream feeding several enabled observers in order."""
+
+    enabled = True
+
+    def __init__(self, sinks: Sequence[Observer]) -> None:
+        self.sinks = tuple(sinks)
+
+    def emit(self, time: float, kind: str, job_id: Optional[int] = None,
+             **data: Any) -> None:
+        for sink in self.sinks:
+            sink.emit(time, kind, job_id, **data)
+
+
+def stream_of(observers: Iterable[Observer]) -> Observer:
+    """The trace stream over ``observers``: :data:`NULL_TRACER` when none
+    is enabled, the observer itself when one is, else a fan-out."""
+    sinks = [observer for observer in observers if observer.enabled]
+    if not sinks:
+        return NULL_TRACER
+    return sinks[0] if len(sinks) == 1 else _FanOut(sinks)
+
+
+class RingBufferTracer(Observer):
     """In-memory ring buffer of events with an optional JSONL sink.
 
     Parameters
@@ -191,9 +242,8 @@ class RingBufferTracer(Tracer):
         self._owns_sink = False
         self.n_emitted = 0
         #: Events evicted from the ring buffer on overflow.  Silent loss
-        #: is a footgun for long runs, so the count is surfaced on
-        #: ``Telemetry.dropped_events`` and by ``repro trace``.  The JSONL
-        #: sink (when set) still receives every event.
+        #: is a footgun for long runs, so ``repro trace`` reports the
+        #: count.  The JSONL sink (when set) still receives every event.
         self.n_dropped = 0
         if isinstance(sink, str):
             self._sink_path = sink
@@ -244,24 +294,6 @@ class RingBufferTracer(Tracer):
     def counts_by_kind(self) -> Dict[str, int]:
         """Histogram of retained event kinds."""
         return dict(Counter(e.kind for e in self._buffer))
-
-
-@dataclass
-class Telemetry:
-    """What a traced run leaves on its result.
-
-    Attached to :class:`~repro.sim.metrics.SimulationResult` as the
-    ``telemetry`` field when (and only when) the simulator was built
-    with an enabled tracer.
-    """
-
-    #: Structured events retained by the tracer's ring buffer.
-    events: List[TraceEvent] = field(default_factory=list)
-    #: Scheduler decision audit, when the active scheduler kept one.
-    audit: Optional[Any] = None
-    #: Events evicted from the tracer's ring buffer on overflow; nonzero
-    #: means :attr:`events` is a truncated suffix of the run.
-    dropped_events: int = 0
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -88,7 +88,8 @@ class Scheduler:
 
         Schedulers use this to expose invocation counts of their
         expensive inner machinery (binder mate searches, estimator
-        predictions, ...) to ``Simulator(profile=...)``.
+        predictions, ...) to an attached
+        :class:`~repro.obs.prof.SimProfiler`.
         """
         engine = self.engine
         if engine is not None and engine.profiler is not None:

@@ -54,6 +54,7 @@ from repro.serve.jobspec import JobSpecError, job_from_spec
 from repro.serve.recovery import RecoveryReport, apply_tick_record, recover
 from repro.serve.store import Store
 from repro.serve.wal import WriteAheadLog
+from repro.workloads.job import JobStatus
 
 __all__ = ["ServeDaemon"]
 
@@ -135,7 +136,7 @@ class ServeDaemon:
             LiveRegistry() if telemetry else None
         self.profiler: Optional[SimProfiler] = \
             SimProfiler() if telemetry else None
-        #: Causal-lineage collector, attached as the engine's tracer.
+        #: Causal-lineage collector, observing the engine's stream.
         self.collector: Optional[LineageCollector] = \
             LineageCollector() if telemetry else None
         #: Memoized per-job decompositions feeding the queue-component
@@ -189,11 +190,11 @@ class ServeDaemon:
             live.gauge("serve_recovery_torn_records",
                        "Torn WAL records truncated at the last boot"
                        ).set(float(self.recovery.torn_records))
-            # The profiler and the collector (as the engine's tracer)
-            # observe the engine from here on; snapshots leave them out
-            # (Simulator.__getstate__) and they feed nothing back.
-            self.core.sim.profiler = self.profiler
-            self.core.sim.attach_tracer(self.collector)
+            # The profiler and the collector observe the engine from
+            # here on; snapshots leave them out (Simulator.__getstate__)
+            # and they feed nothing back.
+            self.core.sim.observe(self.profiler)
+            self.core.sim.observe(self.collector)
             self.wal.on_append = self._observe_wal_append
             # Register at zero so the dropped-events counter and the
             # queue gauges are scrapable before the first refresh.
@@ -510,8 +511,8 @@ class ServeDaemon:
             assert self.core is not None and self.store is not None \
                 and self.wal is not None
             core = self.core
-            finished = sum(1 for row in core.job_statuses()
-                           if row["status"] == "finished")
+            finished = sum(1 for job in core.sim.jobs.values()
+                           if job.status is JobStatus.FINISHED)
             wal_stats = self.wal.stats()
             snap_tick = self.store.latest_snapshot_tick()
             snap_age_s = None

@@ -20,7 +20,12 @@ Scheduler contract (duck-typed; see :class:`repro.schedulers.base.Scheduler`):
 * ``tick_interval`` — optional float; when set, the engine additionally
   wakes the scheduler periodically (used by round-based Tiresias and by
   Lucid's dynamic strategy / update engine).
-* ``reset_memos()`` — under ``sanitize=True`` only: forget pass memos.
+* ``reset_memos()`` — forget pass memos (a reference run without
+  shortcuts calls it before each of its passes).
+
+Observers (:class:`~repro.obs.tracer.Observer`) join through
+:meth:`Simulator.observe`, before :meth:`Simulator.begin` or between
+steps, and the engine reaches them through one loop per hook.
 
 The paper validates its simulator against a 32-GPU physical testbed with
 <4.6% error (Table 3); this engine is the analogue of that simulator.
@@ -35,8 +40,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU
 from repro.obs.logutil import get_logger
 from repro.obs.prof import SimProfiler
-from repro.obs.series import SeriesCollector
-from repro.obs.tracer import NULL_TRACER, RingBufferTracer, Telemetry, Tracer
+from repro.obs.tracer import NULL_TRACER, Observer, stream_of
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import FaultStats, SimulationResult, UtilizationTracker
 from repro.workloads.colocation import InterferenceModel
@@ -50,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.faults
     from repro.faults.spec import FaultSpec
 
 _EPS = 1e-6
+
+#: Engine attributes that hold observers or derive from them: a snapshot
+#: leaves them out (so do attributes holding an observer, such as a
+#: handle an observer's ``attach`` sets) and unpickling resets them.
+_OBSERVER_SLOTS = frozenset({"observers", "tracer", "_tracing", "profiler"})
 
 logger = get_logger("sim.engine")
 
@@ -88,45 +97,21 @@ class Simulator:
     max_events:
         Safety valve against runaway simulations (counted per dispatched
         event, including events drained inside a simultaneous batch).
-    tracer:
-        Structured-event tracer (see :mod:`repro.obs.tracer`).  Defaults
-        to the disabled :data:`~repro.obs.tracer.NULL_TRACER`; every
-        emission site is guarded by ``tracer.enabled`` so a run without
-        tracing is bit-identical to (and as fast as) an untraced one.
-        Pass ``tracer=LineageCollector()`` (:mod:`repro.obs.lineage`)
-        to build the causal event DAG behind ``repro why``.
-    sanitize:
-        Enable the :class:`~repro.checks.sanitizer.SimSanitizer`: state
-        invariants (allocation conservation, monotone clock, legal job
-        transitions, queue consistency, fault-flag coherence) are
-        asserted after every event dispatch and scheduling pass, and a
-        reference copy without pass memos must make the same decisions.
-        A sanitized run takes the unsanitized path and is bit-identical
-        to it; the sanitizer is absent when disabled (zero overhead).
-    profile:
-        Self-profiling (:class:`~repro.obs.prof.SimProfiler`): pass
-        ``True`` (a profiler is created) or a profiler instance to
-        measure wall time per event kind and scheduler pass, hot-path
-        invocation counts, events/sec and peak RSS.  The profiler obeys
-        the same ``None``-when-off zero-overhead contract as the tracer
-        and sanitizer; a profiled run is bit-identical to a plain one.
-    series:
-        Cluster time-series sampling
-        (:class:`~repro.obs.series.SeriesCollector`): samples GPU
-        allocation / sharing, per-VC queue depth, fragmentation and job
-        counts on a fixed simulated-time grid.  Read-only; bit-identical
-        results; ``None`` when off.
+    observers:
+        :class:`~repro.obs.tracer.Observer` instances attached in order
+        through :meth:`observe` (see :mod:`repro.obs` for the stack).
+        Observers never feed back, so an observed run is bit-identical
+        to a plain one; without them the engine's stream is the
+        disabled :data:`~repro.obs.tracer.NULL_TRACER` and every
+        emission site is skipped.
     """
 
     def __init__(self, cluster: Cluster, jobs: Sequence[Job], scheduler,
                  interference: Optional[InterferenceModel] = None,
                  max_events: int = 20_000_000,
                  model_cpu: bool = False,
-                 tracer: Optional[Tracer] = None,
                  faults: Optional[Union["FaultSpec", "FaultInjector"]] = None,
-                 sanitize: bool = False,
-                 profile: Union[bool, SimProfiler, None] = None,
-                 series: Optional[SeriesCollector] = None) -> None:
+                 observers: Sequence[Observer] = ()) -> None:
         self.cluster = cluster
         self.jobs: Dict[int, Job] = {j.job_id: j for j in jobs}
         if len(self.jobs) != len(jobs):
@@ -139,11 +124,6 @@ class Simulator:
         #: resources, the paper's SS6).  Off by default: the paper's
         #: evaluation treats GPUs as the dominant resource.
         self.model_cpu = model_cpu
-
-        #: Observability: disabled by default (zero overhead contract —
-        #: hot paths check the cached ``_tracing`` flag before building
-        #: any event payload).
-        self.attach_tracer(tracer)
 
         #: Fault model (:class:`~repro.faults.spec.FaultSpec` or a prebuilt
         #: injector).  ``None`` — and a spec with no rates/script — leaves
@@ -161,44 +141,44 @@ class Simulator:
         self._events_processed = 0
         self._tick_scheduled = False
 
-        #: State sanitizer (:mod:`repro.checks`); ``None`` when disabled
-        #: so the run loop pays a single identity check per hook site.
-        self.sanitizer = None
-        if sanitize:
-            from repro.checks.sanitizer import SimSanitizer
-            self.sanitizer = SimSanitizer(self)
-
-        #: Self-profiler (:mod:`repro.obs.prof`); ``None`` when disabled
-        #: so every hook site costs one identity check.
-        self.profiler: Optional[SimProfiler] = None
-        if profile:
-            self.profiler = (profile if isinstance(profile, SimProfiler)
-                             else SimProfiler())
-        #: Time-series collector (:mod:`repro.obs.series`); ``None`` when
-        #: disabled.
-        self.series = series
-        if self.series is not None:
-            self.series.attach(self)
+        self._detach_observers()
+        for observer in observers:
+            self.observe(observer)
 
     def __getstate__(self):  # observers never belong in a snapshot
         state = self.__dict__.copy()
-        for name in ("tracer", "_tracing", "sanitizer", "profiler", "series"):
-            state.pop(name, None)
+        for name in sorted(state):
+            if name in _OBSERVER_SLOTS or isinstance(state[name], Observer):
+                del state[name]
         return state
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state, sanitizer=None, profiler=None,
-                             series=None)
-        self.attach_tracer(None)
+        self.__dict__.update(state)
+        self._detach_observers()
 
-    def attach_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Route engine events to ``tracer`` (``None``: the disabled
-        :data:`~repro.obs.tracer.NULL_TRACER`).
+    def _detach_observers(self) -> None:
+        #: Attached observers, in attach order.
+        self.observers: List[Observer] = []
+        #: The trace stream (see :func:`~repro.obs.tracer.stream_of`)
+        #: and its cached ``enabled`` flag, which hot paths check before
+        #: building any event payload.
+        self.tracer: Observer = NULL_TRACER
+        self._tracing = False
+        #: Self-profiler handle (set by ``SimProfiler.attach``): it
+        #: brackets dispatch and passes and takes the schedulers' counts
+        #: and spans; ``None`` costs one identity check per site.
+        self.profiler: Optional[SimProfiler] = None
 
-        The one place that sets the tracer and the cached ``_tracing``
-        flag together.
+    def observe(self, observer: Observer) -> None:
+        """Attach ``observer``, before :meth:`begin` or between steps.
+
+        The one attach point: the observer's run-loop hooks fire from
+        the next step on, and an ``enabled`` observer joins the trace
+        stream.
         """
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.observers.append(observer)
+        observer.attach(self)
+        self.tracer = stream_of(self.observers)
         self._tracing = self.tracer.enabled
 
     # ------------------------------------------------------------------
@@ -340,10 +320,6 @@ class Simulator:
             job = self.jobs[job_id]
             self.events.push(job.submit_time, EventKind.SUBMIT, job.job_id)
         self._maybe_schedule_tick()
-        if self.profiler is not None:
-            self.profiler.start_run()
-        if self.sanitizer is not None:
-            self.sanitizer.begin()
 
     def add_job(self, job: Job) -> None:
         """Admit one job after :meth:`begin` (serve-mode runtime admission).
@@ -359,8 +335,8 @@ class Simulator:
         self.events.push(max(self.now, job.submit_time), EventKind.SUBMIT,
                          job.job_id)
         self._maybe_schedule_tick()
-        if self.sanitizer is not None:
-            self.sanitizer.after_admit(job)
+        for observer in self.observers:
+            observer.admitted(job)
 
     def step_batch(self) -> bool:
         """Advance by one step of the run loop; ``False`` when quiescent.
@@ -374,9 +350,10 @@ class Simulator:
         """
         if self._unfinished <= 0:
             return False
-        sanitizer = self.sanitizer
+        observers = self.observers
+        for observer in observers:
+            observer.before_step()
         profiler = self.profiler
-        series = self.series
         if not self.events:
             # Give the scheduler one last chance (e.g. sharing decisions).
             self._invoke_scheduler()
@@ -389,32 +366,24 @@ class Simulator:
                 raise SimulationError(
                     f"simulation deadlocked at t={self.now:.0f}s with "
                     f"{len(stuck)} unfinished jobs (first: {stuck[:5]})")
-            if sanitizer is not None:
-                sanitizer.after_batch()
+            for observer in observers:
+                observer.after_step()
             return True
         event = self.events.pop()
-        if series is not None:
-            # Grid points strictly before this batch sample the state
-            # the previous batch left behind (piecewise-constant).
-            series.advance_to(max(self.now, event.time))
         self.now = max(self.now, event.time)
         self._dispatch_profiled(event, profiler)
-        if sanitizer is not None:
-            sanitizer.after_dispatch(event)
+        for observer in observers:
+            observer.after_event(event)
         # Drain all simultaneous events before invoking the scheduler.
         while self.events and self.events.peek_time() <= self.now + _EPS:
             event = self.events.pop()
             self._dispatch_profiled(event, profiler)
-            if sanitizer is not None:
-                sanitizer.after_dispatch(event)
+            for observer in observers:
+                observer.after_event(event)
         self._invoke_scheduler()
-        if series is not None:
-            # A grid point landing exactly on this batch's timestamp
-            # samples once, after the whole batch and scheduler pass.
-            series.sample_if_due(self.now)
         self._maybe_schedule_tick()
-        if sanitizer is not None:
-            sanitizer.after_batch()
+        for observer in observers:
+            observer.after_step()
         if self._events_processed > self.max_events:
             raise RuntimeError("max_events exceeded; likely a livelock")
         return True
@@ -422,10 +391,8 @@ class Simulator:
     def finalize(self) -> SimulationResult:
         """Close out the run and build the :class:`SimulationResult`."""
         self.utilization.update(self.now)
-        if self.series is not None:
-            self.series.finalize(self.now)
-        if self.profiler is not None:
-            self.profiler.finish_run(self._events_processed, self.now)
+        for observer in self.observers:
+            observer.finish(self.now)
         logger.info("run done: makespan %.0fs, %d events dispatched",
                     self.now, self._events_processed)
         fault_stats: Optional[FaultStats] = None
@@ -434,7 +401,6 @@ class Simulator:
         return SimulationResult(records=list(self.records),
                                 makespan=self.now,
                                 utilization=self.utilization.summary(),
-                                telemetry=self._build_telemetry(),
                                 faults=fault_stats)
 
     def _arm_faults(self) -> None:
@@ -476,16 +442,6 @@ class Simulator:
         profiler.enter()
         self.scheduler.schedule(self.now)
         profiler.exit_pass()
-
-    def _build_telemetry(self) -> Optional[Telemetry]:
-        if not self._tracing:
-            return None
-        tracer = self.tracer
-        return Telemetry(events=(tracer.events
-                                 if isinstance(tracer, RingBufferTracer)
-                                 else []),
-                         audit=getattr(self.scheduler, "audit", None),
-                         dropped_events=getattr(tracer, "n_dropped", 0))
 
     # ------------------------------------------------------------------
     # Event dispatch

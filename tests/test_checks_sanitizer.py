@@ -12,7 +12,7 @@ import pytest
 
 from repro import Simulator, TraceGenerator, make_scheduler
 from repro.checks import SanitizerError
-from repro.checks.sanitizer import ALLOWED_TRANSITIONS
+from repro.checks.sanitizer import ALLOWED_TRANSITIONS, SimSanitizer
 from repro.cluster import Cluster
 from repro.faults import FaultSpec
 from repro.schedulers import FIFOScheduler
@@ -24,10 +24,16 @@ from repro.workloads import JobStatus
 from conftest import make_job
 
 
+def sanitizers(sanitize=True):
+    """The observer list of a sanitized (or plain) run."""
+    return [SimSanitizer()] if sanitize else []
+
+
 def fresh_sim(jobs=None, sanitize=True):
     cluster = Cluster.homogeneous(1, vc_name="vc1")
     jobs = jobs if jobs is not None else [make_job(1, gpu_num=2)]
-    return Simulator(cluster, jobs, FIFOScheduler(), sanitize=sanitize)
+    return Simulator(cluster, jobs, FIFOScheduler(),
+                     observers=sanitizers(sanitize))
 
 
 def started_sim():
@@ -35,9 +41,9 @@ def started_sim():
     sim = fresh_sim()
     job = sim.jobs[1]
     job.status = JobStatus.PENDING
-    sim.sanitizer.after_schedule()           # SUBMITTED -> PENDING
+    sim.sanitizer.after_step()           # SUBMITTED -> PENDING
     sim.start_job(job, sim.cluster.gpus[:2])
-    sim.sanitizer.after_schedule()           # PENDING -> RUNNING
+    sim.sanitizer.after_step()           # PENDING -> RUNNING
     return sim, job
 
 
@@ -45,7 +51,7 @@ class TestCleanState:
     def test_clean_sweeps_pass(self):
         sim, _ = started_sim()
         before = sim.sanitizer.checks_run
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
         assert sim.sanitizer.checks_run == before + 1
 
     def test_after_dispatch_context_names_event(self):
@@ -53,7 +59,7 @@ class TestCleanState:
         sim.now = -1.0  # rewind so the failure carries the event context
         event = sim.events.push(0.0, EventKind.TICK, job_id=None)
         with pytest.raises(SanitizerError, match="after tick event"):
-            sim.sanitizer.after_dispatch(event)
+            sim.sanitizer.after_event(event)
 
     def test_summary_line(self):
         sim, _ = started_sim()
@@ -64,17 +70,17 @@ class TestClockInvariant:
     def test_rewound_clock_detected(self):
         sim, _ = started_sim()
         sim.now = 50.0
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
         sim.now = 10.0
         with pytest.raises(SanitizerError, match="event clock rewound"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_forward_clock_fine(self):
         sim, _ = started_sim()
         sim.now = 50.0
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
         sim.now = 60.0
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
 
 
 class TestAllocationInvariants:
@@ -83,26 +89,26 @@ class TestAllocationInvariants:
         state = sim.run_states[1]
         state.gpus.append(state.gpus[0])
         with pytest.raises(SanitizerError, match="double-binds GPU"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_unattached_gpu_claim_detected(self):
         sim, _ = started_sim()
         sim.run_states[1].gpus[1] = sim.cluster.gpus[5]  # free device
         with pytest.raises(SanitizerError, match="not attached"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_wrong_gpu_count_detected(self):
         sim, _ = started_sim()
         lost = sim.run_states[1].gpus.pop()
         lost.detach(1)
         with pytest.raises(SanitizerError, match="requested 2"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_leaked_allocation_detected(self):
         sim, _ = started_sim()
         del sim.run_states[1]  # GPUs still host job 1
         with pytest.raises(SanitizerError, match="leaked allocation"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_resident_cap_breach_detected(self):
         sim, _ = started_sim()
@@ -110,14 +116,14 @@ class TestAllocationInvariants:
         gpu._residents[90] = 1.0
         gpu._residents[91] = 1.0
         with pytest.raises(SanitizerError, match=r"\(max 2\)"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_memory_oversubscription_detected(self):
         sim, _ = started_sim()
         gpu = sim.cluster.gpus[0]
         gpu._residents[1] = gpu.memory_mb * 2
         with pytest.raises(SanitizerError, match="memory oversubscribed"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
 
 class TestOccupancyCounters:
@@ -129,14 +135,14 @@ class TestOccupancyCounters:
         sim.cluster.gpus[5]._residents[1] = 100.0  # job 1 is running
         with pytest.raises(SanitizerError,
                            match="occupancy counter n_residents of GPU 5"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_reservation_rewritten_behind_counters_detected(self):
         sim, _ = started_sim()
         sim.cluster.gpus[0]._residents[1] = 123.0
         with pytest.raises(SanitizerError,
                            match="occupancy counter memory_used_mb of GPU 0"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_health_flipped_behind_counters_detected(self):
         sim = fresh_sim()
@@ -146,7 +152,7 @@ class TestOccupancyCounters:
             gpu.healthy = False
         with pytest.raises(SanitizerError,
                            match="occupancy counter n_free_gpus of node 0"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_set_health_keeps_counters(self):
         sim, _ = started_sim()
@@ -154,10 +160,10 @@ class TestOccupancyCounters:
         sim.stop_job(sim.jobs[1])
         node.set_health(False)
         assert node.n_free_gpus == 0
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
         node.set_health(True)
         assert node.n_free_gpus == node.n_gpus
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
 
     @pytest.mark.parametrize("counter", ["n_busy_gpus", "n_shared_gpus"])
     def test_cluster_count_drift_detected(self, counter):
@@ -165,13 +171,13 @@ class TestOccupancyCounters:
         setattr(sim.cluster, counter, getattr(sim.cluster, counter) + 1)
         with pytest.raises(SanitizerError,
                            match=f"occupancy counter {counter} is"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_memory_capacity_drift_detected(self):
         sim, _ = started_sim()
         sim.cluster.gpus[3].memory_mb += 1.0
         with pytest.raises(SanitizerError, match="memory_total_mb"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
 
 class TestLifecycleInvariants:
@@ -180,7 +186,7 @@ class TestLifecycleInvariants:
         sim.jobs[1].status = JobStatus.RUNNING  # SUBMITTED may only -> PENDING
         with pytest.raises(SanitizerError,
                            match="illegal SUBMITTED -> RUNNING transition"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_pending_job_holding_gpus_detected(self):
         # The legal RUNNING -> PENDING move (stop_job) releases the GPUs;
@@ -188,15 +194,15 @@ class TestLifecycleInvariants:
         sim, job = started_sim()
         job.status = JobStatus.PENDING
         with pytest.raises(SanitizerError, match="still holds GPUs"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_running_job_without_allocation_detected(self):
         sim, job = started_sim()
         sim.stop_job(job)
-        sim.sanitizer.after_schedule()       # legal RUNNING -> PENDING
+        sim.sanitizer.after_step()       # legal RUNNING -> PENDING
         job.status = JobStatus.RUNNING       # ...but nothing was started
         with pytest.raises(SanitizerError, match="lost allocation"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_terminal_states_allow_no_exit(self):
         assert ALLOWED_TRANSITIONS[JobStatus.FINISHED] == frozenset()
@@ -214,7 +220,7 @@ class TestQueueInvariants:
         sim = fresh_sim(jobs=[make_job(1, gpu_num=2), extra])
         sim.scheduler.queue.extend([extra, extra])
         with pytest.raises(SanitizerError, match="queued twice"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_terminal_job_in_queue_detected(self):
         done = make_job(2, gpu_num=1)
@@ -223,7 +229,7 @@ class TestQueueInvariants:
         sim.scheduler.queue.append(done)
         with pytest.raises(SanitizerError,
                            match="still sits in the pending queue"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_queued_while_executing_detected(self):
         # Reachable only through a compound corruption (the lifecycle check
@@ -240,13 +246,13 @@ class TestFaultFlagInvariants:
         sim, _ = started_sim()
         sim.cluster.gpus[7].healthy = False
         with pytest.raises(SanitizerError, match="has unhealthy GPUs"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_down_node_with_healthy_gpus_detected(self):
         sim, _ = started_sim()
         sim.cluster.nodes[0].healthy = False
         with pytest.raises(SanitizerError, match="has healthy GPUs"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_failed_gpu_hosting_jobs_detected(self):
         sim, _ = started_sim()
@@ -254,30 +260,31 @@ class TestFaultFlagInvariants:
         for gpu in sim.cluster.nodes[0].gpus:
             gpu.healthy = False
         with pytest.raises(SanitizerError, match="still hosts jobs"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_straggler_factor_out_of_range_detected(self, factor):
         sim, _ = started_sim()
         sim.cluster.gpus[7].fault_slow = factor
         with pytest.raises(SanitizerError, match="straggler factor"):
-            sim.sanitizer.after_schedule()
+            sim.sanitizer.after_step()
 
     def test_straggler_window_in_range_fine(self):
         sim, _ = started_sim()
         sim.cluster.gpus[7].fault_slow = 0.6
-        sim.sanitizer.after_schedule()
+        sim.sanitizer.after_step()
 
 
 class TestZeroOverheadContract:
     def test_sanitizer_absent_by_default(self):
         sim = fresh_sim(sanitize=False)
-        assert sim.sanitizer is None
+        assert sim.observers == []
+        assert getattr(sim, "sanitizer", None) is None
 
     def test_full_run_stays_clean(self, tiny_spec):
         gen = TraceGenerator(tiny_spec)
         sim = Simulator(gen.build_cluster(), gen.generate(),
-                        FIFOScheduler(), sanitize=True)
+                        FIFOScheduler(), observers=sanitizers())
         result = sim.run()
         assert result.n_jobs == tiny_spec.n_jobs
         assert sim.sanitizer.checks_run > 0
@@ -294,7 +301,7 @@ class TestZeroOverheadContract:
                            profiler_mtbf=6000.0)
         sim = Simulator(gen.build_cluster(), gen.generate(),
                         make_scheduler("lucid", history), faults=faults,
-                        sanitize=True)
+                        observers=sanitizers())
         result = sim.run()
         assert result.faults.node_failures > 0
         assert result.utilization.gpu_shared > 0
@@ -308,7 +315,7 @@ class TestZeroOverheadContract:
             history = gen.generate_history()
             return Simulator(cluster, gen.generate(),
                              make_scheduler(name, history),
-                             sanitize=sanitize).run()
+                             observers=sanitizers(sanitize)).run()
 
         plain, checked = run(False), run(True)
         assert plain.summary() == checked.summary()
@@ -329,7 +336,7 @@ class TestRuntimeAdmission:
             gen = TraceGenerator(tiny_spec)
             sim = Simulator(gen.build_cluster(), [],
                             make_scheduler(name, gen.generate_history),
-                            sanitize=sanitize)
+                            observers=sanitizers(sanitize))
             sim.begin()
             for job in gen.generate():
                 sim.add_job(job)

@@ -28,13 +28,10 @@ class GreedyScheduler(Scheduler):
                 self.queue.remove(job)
 
 
-def run_sim(jobs, faults=None, nodes=2, tracer=None, scheduler=None):
+def run_sim(jobs, faults=None, nodes=2, observers=(), scheduler=None):
     cluster = Cluster.homogeneous(nodes, vc_name="vc1")
-    kwargs = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
     sim = Simulator(cluster, jobs, scheduler or GreedyScheduler(),
-                    faults=faults, **kwargs)
+                    faults=faults, observers=observers)
     return sim.run()
 
 
@@ -289,7 +286,7 @@ class TestFaultTelemetry:
             ))
         tracer = RingBufferTracer()
         result = run_sim([make_job(1, duration=1000.0)], faults=spec,
-                         tracer=tracer)
+                         observers=[tracer])
         return result, tracer
 
     def test_tracer_records_fault_lifecycle(self):

@@ -18,8 +18,9 @@ import weakref
 
 import pytest
 
-from repro.checks import SanitizerError
+from repro.checks import SanitizerError, SimSanitizer
 from repro.core.lucid import LucidConfig, LucidScheduler
+from repro.obs import SimProfiler
 from repro.sim.engine import Simulator
 from repro.traces.generator import TraceGenerator
 from repro.traces.spec import VENUS, TraceSpec
@@ -85,7 +86,7 @@ def test_memo_agrees_with_uncached_forecast():
 
 
 def test_sanitizer_recomputes_every_hit():
-    sim = lucid_sim(TIGHT, sanitize=True, profile=True)
+    sim = lucid_sim(TIGHT, observers=[SimSanitizer(), SimProfiler()])
     sim.run()
     misses = sim.profiler.counters["forecast_evaluations"]
     assert 0 < misses < len(sim.scheduler.mode_history)
@@ -93,7 +94,7 @@ def test_sanitizer_recomputes_every_hit():
 
 @pytest.mark.parametrize("mutant", [CountBlindLucid, AlignmentBlindLucid])
 def test_incomplete_key_trips_the_sanitizer(mutant):
-    sim = lucid_sim(TIGHT, mutant, sanitize=True)
+    sim = lucid_sim(TIGHT, mutant, observers=[SimSanitizer()])
     with pytest.raises(SanitizerError, match="memoized"):
         sim.run()
 

@@ -235,7 +235,7 @@ def test_work_counters_are_pinned(name):
     history = generator.generate_history()
     jobs = generator.generate()
     profiler = SimProfiler()
-    sim = Simulator(cluster, jobs, make(history), profile=profiler)
+    sim = Simulator(cluster, jobs, make(history), observers=[profiler])
     sim.run()
 
     assert state_digest(sim) == digest

@@ -1,31 +1,32 @@
 """Tests for the scheduler decision audit."""
 
-import json
-
 import pytest
 
 from repro.core import LucidConfig, LucidScheduler, UpdateEngine
 from repro.obs import (
+    NULL_TRACER,
     BinderVerdict,
     DecisionAudit,
     PlacementDecision,
     RingBufferTracer,
+    read_jsonl,
 )
 from repro.sim import Simulator
 from repro.traces import VENUS, TraceGenerator, TraceSpec
 
 
-def _lucid_run(tracer=None, audit=None, **config_changes):
-    spec = TraceSpec(name="tiny", n_nodes=4, n_vcs=2, n_jobs=40,
-                     full_n_jobs=40, mean_duration=1500.0, span_days=0.25,
-                     n_users=6, seed=21)
+def _lucid_run(observers=(), audit=None, n_jobs=40, span_days=0.25,
+               **config_changes):
+    spec = TraceSpec(name="tiny", n_nodes=4, n_vcs=2, n_jobs=n_jobs,
+                     full_n_jobs=n_jobs, mean_duration=1500.0,
+                     span_days=span_days, n_users=6, seed=21)
     generator = TraceGenerator(spec)
     cluster = generator.build_cluster()
     history = generator.generate_history()
     jobs = generator.generate()
     config = LucidConfig(**config_changes)
     scheduler = LucidScheduler(history, config=config, audit=audit)
-    sim = Simulator(cluster, jobs, scheduler, tracer=tracer)
+    sim = Simulator(cluster, jobs, scheduler, observers=observers)
     return sim.run(), scheduler, sim
 
 
@@ -33,11 +34,11 @@ class TestLucidAudit:
     def test_every_start_has_exactly_one_matching_record(self):
         # Profiler off: each job starts exactly once, via the orchestrator.
         tracer = RingBufferTracer()
-        result, scheduler, _ = _lucid_run(tracer=tracer,
+        result, scheduler, _ = _lucid_run([tracer],
                                           enable_profiler=False,
                                           instability_rate=0.0)
-        audit = result.telemetry.audit
-        assert audit is scheduler.audit and audit is not None
+        audit = scheduler.audit
+        assert audit is not None and audit.tracer is tracer
 
         starts = tracer.of_kind("start")
         assert len(starts) == len(result.records)  # one start per job
@@ -53,8 +54,8 @@ class TestLucidAudit:
 
     def test_profiler_runs_are_audited_too(self):
         tracer = RingBufferTracer()
-        result, _, _ = _lucid_run(tracer=tracer)
-        audit = result.telemetry.audit
+        result, scheduler, _ = _lucid_run([tracer])
+        audit = scheduler.audit
         starts = tracer.of_kind("start")
         assert len(audit) == len(starts)
         profiled = [e for e in starts if e.data["profiling"]]
@@ -65,28 +66,28 @@ class TestLucidAudit:
 
     def test_explicit_audit_without_tracer(self):
         audit = DecisionAudit()
-        result, scheduler, _ = _lucid_run(audit=audit,
-                                          enable_profiler=False)
-        assert result.telemetry is None  # untraced run stays untraced
+        result, scheduler, sim = _lucid_run(audit=audit,
+                                            enable_profiler=False)
+        assert sim.tracer is NULL_TRACER  # untraced run stays untraced
         assert len(audit) == len(result.records)
         text = audit.explain(result.records[0].job_id)
         assert "priority" in text
 
     def test_decisions_mirrored_as_trace_events(self):
         tracer = RingBufferTracer()
-        result, _, _ = _lucid_run(tracer=tracer, enable_profiler=False)
+        _, scheduler, _ = _lucid_run([tracer], enable_profiler=False)
         decisions = tracer.of_kind("decision")
-        assert len(decisions) == len(result.telemetry.audit)
+        assert len(decisions) == len(scheduler.audit)
 
     def test_audit_jsonl_export(self, tmp_path):
-        tracer = RingBufferTracer()
-        result, _, _ = _lucid_run(tracer=tracer, enable_profiler=False)
-        path = str(tmp_path / "audit.jsonl")
-        written = result.telemetry.audit.to_jsonl(path)
-        lines = [json.loads(line) for line in open(path)]
-        assert len(lines) == written == len(result.telemetry.audit) + \
-            len(result.telemetry.audit.refits)
-        assert all("mode" in line or line.get("kind") == "refit"
+        path = str(tmp_path / "events.jsonl")
+        with RingBufferTracer(sink=path) as tracer:
+            _, scheduler, _ = _lucid_run([tracer], enable_profiler=False)
+        audit = scheduler.audit
+        lines = [line for line in read_jsonl(path)
+                 if line["kind"] in ("decision", "refit")]
+        assert len(lines) == len(audit) + len(audit.refits)
+        assert all("mode" in line or line["kind"] == "refit"
                    for line in lines)
 
 
@@ -193,47 +194,48 @@ class TestRefitAudit:
 
         engine = UpdateEngine(self._StubEstimator(), interval=100.0,
                               min_new_records=1)
-        engine.profiler = SimProfiler()
+        profiler = SimProfiler()
         engine.audit = DecisionAudit()
         engine.collect(self._Record(), now=0.0)
-        assert engine.maybe_refit(150.0)
+        assert engine.maybe_refit(150.0, profiler)
         wall = engine.audit.refits[0].wall_seconds
         assert wall is not None and wall >= 0.0
-        assert engine.profiler.span_counts.get("lucid.refit") == 1
+        assert profiler.span_counts.get("lucid.refit") == 1
 
 
 class TestAtomicJsonlExport:
-    def _audit_with_one_decision(self):
-        audit = DecisionAudit()
-        audit.record(PlacementDecision(
-            time=1.0, job_id=7, mode="exclusive", gpu_ids=(0,),
-            node_ids=(0,), priority=10.0, estimated_duration=100.0,
-            sharing_mode="off"))
-        return audit
+    """The decisions reach disk through the event log's sink."""
+
+    def _export_one_decision(self, path):
+        with RingBufferTracer(sink=str(path)) as tracer:
+            DecisionAudit(tracer=tracer).record(PlacementDecision(
+                time=1.0, job_id=7, mode="exclusive", gpu_ids=(0,),
+                node_ids=(0,), priority=10.0, estimated_duration=100.0,
+                sharing_mode="off"))
 
     def test_creates_parent_directories(self, tmp_path):
-        audit = self._audit_with_one_decision()
-        path = tmp_path / "deeply" / "nested" / "audit.jsonl"
-        assert audit.to_jsonl(str(path)) == 1
-        assert path.exists()
+        path = tmp_path / "deeply" / "nested" / "events.jsonl"
+        self._export_one_decision(path)
+        assert len(DecisionAudit.from_jsonl(str(path))) == 1
 
     def test_no_tmp_file_left_behind(self, tmp_path):
-        audit = self._audit_with_one_decision()
-        path = tmp_path / "audit.jsonl"
-        audit.to_jsonl(str(path))
+        self._export_one_decision(tmp_path / "events.jsonl")
         leftovers = [p.name for p in tmp_path.iterdir()]
-        assert leftovers == ["audit.jsonl"]
+        assert leftovers == ["events.jsonl"]
 
     def test_round_trip_preserves_attributions(self, tmp_path):
+        """The audit rebuilt from ``events.jsonl`` is the live one,
+        records and refits both."""
         audit = DecisionAudit(attribution=True)
-        result, scheduler, _ = _lucid_run(audit=audit,
-                                          enable_profiler=False)
+        path = str(tmp_path / "events.jsonl")
+        with RingBufferTracer(sink=path) as tracer:
+            _lucid_run([tracer], audit=audit, n_jobs=120, span_days=0.5,
+                       enable_profiler=False, update_interval=3600.0)
         assert any(d.attribution is not None for d in audit.records)
-        path = str(tmp_path / "audit.jsonl")
-        audit.to_jsonl(path)
+        assert audit.refits
         reloaded = DecisionAudit.from_jsonl(path)
-        assert len(reloaded) == len(audit)
-        assert len(reloaded.refits) == len(audit.refits)
+        assert reloaded.records == audit.records
+        assert reloaded.refits == audit.refits
         for before, after in zip(audit.records, reloaded.records):
             assert after.to_dict() == before.to_dict()
             if before.attribution is not None:

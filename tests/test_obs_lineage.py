@@ -47,7 +47,7 @@ def run_with_lineage(scheduler, faults=None, seed=1, n_jobs=120):
         collector = LineageCollector()
         result = quick_simulation(trace="venus", scheduler=scheduler,
                                   n_jobs=n_jobs, seed=seed,
-                                  faults=faults, tracer=collector)
+                                  faults=faults, observers=[collector])
         _RUNS[key] = (collector, result)
     return _RUNS[key]
 
@@ -108,10 +108,10 @@ class TestDecompositionProperties:
 class TestBitIdentity:
     def test_lineage_off_is_bit_identical(self):
         base = quick_simulation(trace="venus", scheduler="lucid",
-                                n_jobs=120, seed=3, tracer=None)
+                                n_jobs=120, seed=3)
         observed = quick_simulation(trace="venus", scheduler="lucid",
                                     n_jobs=120, seed=3,
-                                    tracer=LineageCollector())
+                                    observers=[LineageCollector()])
         assert base.makespan == observed.makespan
         assert len(base.records) == len(observed.records)
         for lhs, rhs in zip(base.records, observed.records):
@@ -125,7 +125,7 @@ class TestBitIdentity:
                                 n_jobs=120, seed=3, faults=FAULTS)
         observed = quick_simulation(trace="venus", scheduler="tiresias",
                                     n_jobs=120, seed=3, faults=FAULTS,
-                                    tracer=LineageCollector())
+                                    observers=[LineageCollector()])
         assert base.makespan == observed.makespan
         assert [(r.job_id, r.jct, r.preemptions) for r in base.records] \
             == [(r.job_id, r.jct, r.preemptions)
@@ -146,7 +146,8 @@ class TestOfflineParity:
         path = str(tmp_path / "events.jsonl")
         with RingBufferTracer(capacity=1, sink=path) as tracer:
             quick_simulation(trace="venus", scheduler="lucid", n_jobs=400,
-                             seed=7, faults=PROFILER_FAULTS, tracer=tracer)
+                             seed=7, faults=PROFILER_FAULTS,
+                             observers=[tracer])
         offline = lineage_from_trace(events_from_dicts(read_jsonl(path)))
         assert any(e.kind == "job_failed" and e.data["profiling"]
                    for e in live.events), "no profiling-stage failure"
@@ -157,6 +158,16 @@ class TestOfflineParity:
                 (lhs.event_id, lhs.time, lhs.kind, lhs.job_id,
                  lhs.causes, lhs.data)
         assert decompose_all(offline).keys() == decompose_all(live).keys()
+
+    def test_two_stream_observers_on_one_run(self):
+        """A tracer and a collector share one run's stream: the lineage
+        rebuilt from the tracer's events is the live one."""
+        live, tracer = LineageCollector(), RingBufferTracer()
+        quick_simulation(trace="venus", scheduler="lucid", n_jobs=120,
+                         seed=7, faults=FAULTS, observers=[live, tracer])
+        offline = lineage_from_trace(tracer.events)
+        assert live.events and offline.events == live.events
+        assert decompose_all(offline) == decompose_all(live)
 
     def test_main_starts_never_cite_profiling_releases(self):
         # Profiler GPU ids overlap main-cluster ids, so a release that
@@ -221,14 +232,13 @@ class TestCauseSchema:
 class TestDropSafety:
     def test_cap_refuses_new_nodes_and_counts(self):
         collector = LineageCollector(max_events=4)
-        result = quick_simulation(trace="venus", scheduler="fifo",
-                                  n_jobs=40, seed=2, tracer=collector)
+        quick_simulation(trace="venus", scheduler="fifo", n_jobs=40,
+                         seed=2, observers=[collector])
         assert len(collector.events) == 4
         # The first nodes are kept: the cap refuses, it never evicts.
         assert [e.kind for e in collector.events[:2]] == \
             ["submit", "sched_pass"]
         assert collector.n_dropped > 0
-        assert result.telemetry.dropped_events == collector.n_dropped
 
 
 class TestWhyCli:

@@ -247,8 +247,11 @@ class TestJsonRender:
 class TestPublishProfiler:
     def make_profiler(self):
         prof = SimProfiler()
-        prof.events_processed = 40
-        prof.wall_seconds = 1.5
+        prof.before_step()
+        for _ in range(40):
+            prof.enter()
+            prof.exit_event("submit")
+        prof.finish(3600.0)
         for _ in range(4):
             prof.add_pass(0.01)
         prof.add_span("dispatch", 0.002)

@@ -11,6 +11,7 @@ from repro.core import LucidScheduler
 from repro.obs import (
     DecisionAudit,
     REPORT_SCHEMA,
+    RingBufferTracer,
     SeriesCollector,
     SimProfiler,
     build_report,
@@ -27,8 +28,9 @@ SPEC = TraceSpec(name="tiny", n_nodes=4, n_vcs=2, n_jobs=40,
                  n_users=6, seed=21)
 
 
-def _observed_run(scheduler_name="lucid"):
-    """One fully observed run: profiler + series + attribution audit."""
+def _observed_run(scheduler_name="lucid", observers=()):
+    """One fully observed run: profiler + series + attribution audit,
+    next to ``observers``."""
     from repro import make_scheduler
 
     generator = TraceGenerator(SPEC)
@@ -43,8 +45,8 @@ def _observed_run(scheduler_name="lucid"):
         scheduler = make_scheduler(scheduler_name, history)
     profiler = SimProfiler()
     series = SeriesCollector(interval=600.0)
-    result = Simulator(cluster, jobs, scheduler, profile=profiler,
-                       series=series).run()
+    result = Simulator(cluster, jobs, scheduler,
+                       observers=[profiler, series, *observers]).run()
     return result, profiler, series, audit
 
 
@@ -207,11 +209,10 @@ class TestZeroOverheadBitIdentity:
                 history, audit=DecisionAudit(attribution=True))
         else:
             scheduler = make_scheduler(name, history)
-        kwargs = {}
-        if observed:
-            kwargs = {"profile": SimProfiler(),
-                      "series": SeriesCollector(interval=600.0)}
-        result = Simulator(cluster, jobs, scheduler, **kwargs).run()
+        observers = ([SimProfiler(), SeriesCollector(interval=600.0)]
+                     if observed else [])
+        result = Simulator(cluster, jobs, scheduler,
+                           observers=observers).run()
         return (tuple(sorted(result.summary().items())),
                 tuple((r.job_id, r.jct, r.queue_delay, r.preemptions)
                       for r in result.records))
@@ -230,6 +231,11 @@ class TestReportCLI:
         assert document["attributions"]["coverage"]["rate"] >= 0.95
         page = (out / "report.html").read_text()
         assert page.startswith("<!DOCTYPE html>")
+        # The event log beside the page rebuilds the report's audit.
+        rebuilt = DecisionAudit.from_jsonl(str(out / "events.jsonl"))
+        coverage = document["attributions"]["coverage"]
+        assert rebuilt.attribution_coverage() == \
+            (coverage["decisions"], coverage["with_attribution"])
 
     def test_bench_command_and_against_flag_are_gone(self, tmp_path):
         for argv in (["bench", "--quick"],
@@ -275,18 +281,18 @@ class TestExplainCLI:
         assert "counterfactual failed" in capsys.readouterr().err
 
     def test_audit_file_source(self, tmp_path, capsys):
-        result, _, _, audit = _observed_run()
-        path = tmp_path / "deep" / "audit.jsonl"
-        audit.to_jsonl(str(path))
+        path = tmp_path / "deep" / "events.jsonl"
+        with RingBufferTracer(sink=str(path)) as tracer:
+            _, _, _, audit = _observed_run(observers=[tracer])
         job_id = audit.records[0].job_id
         code = main(["explain", str(job_id), "--audit", str(path)])
         assert code == 0
         assert f"job {job_id}" in capsys.readouterr().out
 
     def test_what_if_rejected_with_audit_file(self, tmp_path, capsys):
-        _, _, _, audit = _observed_run()
-        path = tmp_path / "audit.jsonl"
-        audit.to_jsonl(str(path))
+        path = tmp_path / "events.jsonl"
+        with RingBufferTracer(sink=str(path)) as tracer:
+            _observed_run(observers=[tracer])
         code = main(["explain", "1", "--audit", str(path),
                      "--what-if", "gpu_num=8"])
         assert code == 2

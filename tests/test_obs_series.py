@@ -17,7 +17,7 @@ from conftest import make_job
 def _run(jobs, interval, cluster=None):
     collector = SeriesCollector(interval=interval)
     sim = Simulator(cluster or Cluster({"vc1": 1}), jobs, FIFOScheduler(),
-                    series=collector)
+                    observers=[collector])
     result = sim.run()
     return collector, result
 
@@ -87,7 +87,7 @@ class TestSamplingSemantics:
         collector, _ = _run([make_job(1, duration=100.0)], interval=50.0)
         with pytest.raises(RuntimeError, match="single-use"):
             Simulator(Cluster({"vc1": 1}), [make_job(1, duration=100.0)],
-                      FIFOScheduler(), series=collector)
+                      FIFOScheduler(), observers=[collector])
 
 
 class TestExport:
@@ -95,7 +95,7 @@ class TestExport:
         generator = TraceGenerator(tiny_spec)
         collector = SeriesCollector(interval=600.0)
         Simulator(generator.build_cluster(), generator.generate(),
-                  FIFOScheduler(), series=collector).run()
+                  FIFOScheduler(), observers=[collector]).run()
         return collector
 
     def test_columns_and_rows_agree(self, tiny_spec):

@@ -85,7 +85,7 @@ class TestBuildChromeTrace:
                          span_days=0.25, n_users=8, seed=5)
         generator = TraceGenerator(spec)
         sim = Simulator(generator.build_cluster(), generator.generate(),
-                        TiresiasScheduler(), tracer=tracer)
+                        TiresiasScheduler(), observers=[tracer])
         return sim.run()
 
     def test_real_run_round_trip(self, tmp_path):
@@ -174,7 +174,8 @@ class TestFaultsTrack:
             script=(FaultScriptEntry(time=100.0, kind="job_crash", job=1),))
         tracer = RingBufferTracer()
         run_sim([make_job(1, duration=1000.0),
-                 make_job(2, duration=500.0)], faults=spec, tracer=tracer)
+                 make_job(2, duration=500.0)], faults=spec,
+                observers=[tracer])
         doc = build_chrome_trace(tracer.events)
         lanes = [e for e in doc["traceEvents"]
                  if e["ph"] == "X" and e["args"]["job_id"] == 1]

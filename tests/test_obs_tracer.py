@@ -27,11 +27,11 @@ def _spec(n_jobs=60, seed=11):
                      span_days=0.25, n_users=8, seed=seed)
 
 
-def _run_fifo(tracer=None, n_jobs=60):
+def _run_fifo(observers=(), n_jobs=60):
     generator = TraceGenerator(_spec(n_jobs=n_jobs))
     cluster = generator.build_cluster()
     jobs = generator.generate()
-    sim = Simulator(cluster, jobs, FIFOScheduler(), tracer=tracer)
+    sim = Simulator(cluster, jobs, FIFOScheduler(), observers=observers)
     return sim.run(), sim
 
 
@@ -98,7 +98,7 @@ class TestEngineTracing:
     def test_fifo_round_trip_and_ordering(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         tracer = RingBufferTracer(sink=path)
-        result, _ = _run_fifo(tracer=tracer)
+        result, _ = _run_fifo([tracer])
         tracer.close()
 
         records = read_jsonl(path)
@@ -127,15 +127,16 @@ class TestEngineTracing:
 
     def test_start_events_carry_gpu_sets(self):
         tracer = RingBufferTracer()
-        result, sim = _run_fifo(tracer=tracer)
+        result, sim = _run_fifo([tracer])
         for event in tracer.of_kind("start"):
             assert len(event.data["gpus"]) >= 1
             assert len(event.data["gpus"]) == len(event.data["nodes"])
 
     def test_disabled_tracer_changes_no_result_field(self):
-        baseline, _ = _run_fifo(tracer=None)
-        nulled, _ = _run_fifo(tracer=NULL_TRACER)
-        traced, _ = _run_fifo(tracer=RingBufferTracer())
+        tracer = RingBufferTracer()
+        baseline, plain = _run_fifo()
+        nulled, nulled_sim = _run_fifo([NULL_TRACER])
+        traced, traced_sim = _run_fifo([tracer])
 
         for other in (nulled, traced):
             assert other.makespan == baseline.makespan
@@ -144,21 +145,20 @@ class TestEngineTracing:
             for a, b in zip(baseline.records, other.records):
                 assert (a.job_id, a.jct, a.queue_delay, a.preemptions) == \
                        (b.job_id, b.jct, b.queue_delay, b.preemptions)
-        # The determinism guard: no telemetry object unless traced.
-        assert baseline.telemetry is None
-        assert nulled.telemetry is None
-        assert traced.telemetry is not None
+        # The determinism guard: a disabled observer takes no stream.
+        assert plain.tracer is NULL_TRACER and not plain._tracing
+        assert nulled_sim.tracer is NULL_TRACER and not nulled_sim._tracing
+        assert traced_sim.tracer is tracer
 
-    def test_dropped_events_surface_on_telemetry(self):
-        # A roomy buffer loses nothing; a tiny one reports its losses.
-        roomy, _ = _run_fifo(tracer=RingBufferTracer())
-        assert roomy.telemetry.dropped_events == 0
-        tight_tracer = RingBufferTracer(capacity=16)
-        tight, _ = _run_fifo(tracer=tight_tracer)
-        assert tight.telemetry.dropped_events == tight_tracer.n_dropped
-        assert tight.telemetry.dropped_events == \
-            tight_tracer.n_emitted - len(tight_tracer.events)
-        assert tight.telemetry.dropped_events > 0
+    def test_dropped_events_are_counted(self):
+        # A roomy buffer loses nothing; a tiny one counts its losses.
+        roomy = RingBufferTracer()
+        _run_fifo([roomy])
+        assert roomy.n_dropped == 0
+        tight = RingBufferTracer(capacity=16)
+        _run_fifo([tight])
+        assert tight.n_dropped == tight.n_emitted - len(tight.events)
+        assert tight.n_dropped > 0
 
 
 class TestMaxEventsCounting:
@@ -211,7 +211,8 @@ def emitted_kinds():
                               ("tiresias", 300)):
         tracer = RingBufferTracer()
         result = quick_simulation("venus", scheduler, n_jobs=n_jobs,
-                                  seed=7, tracer=tracer, faults=_FAULTS)
+                                  seed=7, observers=[tracer],
+                                  faults=_FAULTS)
         assert result.faults.jobs_failed > 0  # retry budget exhausted
         assert tracer.n_dropped == 0
         kinds[scheduler] = set(tracer.counts_by_kind())

@@ -16,12 +16,12 @@ import pickle
 
 import pytest
 
-from repro.checks import SanitizerError
+from repro.checks import SanitizerError, SimSanitizer
 from repro.cluster import Cluster
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.faults import FaultSpec
-from repro.obs import RingBufferTracer
+from repro.obs import RingBufferTracer, SimProfiler
 from repro.obs.audit import DecisionAudit
 from repro.serve.config import ServeConfig
 from repro.serve.core import SimCore, state_digest
@@ -90,14 +90,15 @@ def test_epochs_are_not_pickled():
 def test_sanitizer_verifies_every_skip(faults):
     """The reference run agrees with every pass of the real memo and
     stage keys, and the sanitizer only observes: the sanitized run
-    makes the decisions and the profiler counts of a plain one (bar
-    the sweeps), skips included."""
-    sim = tight_sim(sanitize=True, profile=True, faults=faults)
-    plain = tight_sim(profile=True, faults=faults)
+    makes the decisions and the profiler counts of a plain one, skips
+    included."""
+    sim = tight_sim(observers=[SimSanitizer(), SimProfiler()],
+                    faults=faults)
+    plain = tight_sim(observers=[SimProfiler()], faults=faults)
     sim.run()
     plain.run()
-    counts = dict(sim.profiler.counters)
-    assert counts.pop("sanitizer_sweeps") > 0
+    counts = sim.profiler.counters
+    assert sim.sanitizer.checks_run > 0
     assert counts["placement_skips"] > 0
     assert counts["profiler_stage_skips"] > 0
     assert counts["orchestrator_stage_skips"] > 0
@@ -107,7 +108,7 @@ def test_sanitizer_verifies_every_skip(faults):
 
 
 def test_epoch_blind_memo_trips_the_sanitizer():
-    sim = tight_sim(sanitize=True)
+    sim = tight_sim(observers=[SimSanitizer()])
     sim.scheduler.orchestrator = EpochBlindOrchestrator()
     with pytest.raises(SanitizerError,
                        match="in the reference run without shortcuts"):
@@ -118,7 +119,7 @@ def test_epoch_blind_memo_trips_the_sanitizer():
 # Exact work counters
 # ----------------------------------------------------------------------
 def test_placement_counters_are_pinned():
-    sim = tight_sim(profile=True)
+    sim = tight_sim(observers=[SimProfiler()])
     sim.run()
     counters = sim.profiler.counters
     assert counters["placement_attempts"] == 514
@@ -150,8 +151,8 @@ def test_audited_runs_take_the_unaudited_path():
     unaudited run skips, decides the same, and records what the full
     walk would have recorded (verdicts are pass-local, and a skipped
     job is not placed)."""
-    sim, audit = _audited_sim(profile=True)
-    full, full_audit = _audited_sim(FullWalkLucid, profile=True)
+    sim, audit = _audited_sim(observers=[SimProfiler()])
+    full, full_audit = _audited_sim(FullWalkLucid, observers=[SimProfiler()])
     plain = tight_sim()
     for run in (sim, full, plain):
         run.run()
@@ -167,15 +168,16 @@ def test_audited_runs_take_the_unaudited_path():
 def test_sanitizer_leaves_the_audit_unchanged(tmp_path):
     """The reference run is a copy taken after the audit was attached;
     it records into its own copy of the audit, never into the tracer,
-    so a sanitized traced run writes the audit of an unsanitized one."""
+    so a sanitized traced run writes the event log, decisions and
+    refits included, of an unsanitized one."""
     paths = []
     for sanitize in (True, False):
-        tracer = RingBufferTracer()
-        sim, audit = _audited_sim(tracer=tracer, sanitize=sanitize,
-                                  faults=FAULTS)
-        sim.run()
-        path = tmp_path / f"audit-{sanitize}.jsonl"
-        audit.to_jsonl(str(path))
+        path = tmp_path / f"events-{sanitize}.jsonl"
+        with RingBufferTracer(sink=str(path)) as tracer:
+            observers = [tracer, SimSanitizer()] if sanitize else [tracer]
+            sim, audit = _audited_sim(observers=observers, faults=FAULTS)
+            sim.run()
+        assert DecisionAudit.from_jsonl(str(path)).records == audit.records
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 

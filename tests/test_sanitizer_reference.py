@@ -12,10 +12,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.checks import SimSanitizer
 from repro.core.factory import make_scheduler
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.core.slo_lucid import SLOLucidScheduler
 from repro.faults import FaultSpec
+from repro.obs import SimProfiler
 from repro.serve.core import state_digest
 from repro.sim.engine import Simulator
 from repro.traces.generator import TraceGenerator
@@ -62,7 +64,8 @@ def _run(name: str, spec: TraceSpec, fault_spec, sanitize: bool
         assign_deadlines(jobs, fraction=0.5, seed=3)
     sim = Simulator(generator.build_cluster(), jobs,
                     make(generator.generate_history()), faults=fault_spec,
-                    sanitize=sanitize, profile=True)
+                    observers=([SimSanitizer()] if sanitize else [])
+                    + [SimProfiler()])
     sim.run()
     return sim
 
@@ -73,8 +76,7 @@ def _run(name: str, spec: TraceSpec, fault_spec, sanitize: bool
 def test_sanitized_run_is_the_plain_run(name, spec, fault_spec):
     checked = _run(name, spec, fault_spec, sanitize=True)
     plain = _run(name, spec, fault_spec, sanitize=False)
-    counters = dict(checked.profiler.counters)
-    assert counters.pop("sanitizer_sweeps") > 0
-    assert counters == plain.profiler.counters
+    assert checked.sanitizer.checks_run > 0
+    assert checked.profiler.counters == plain.profiler.counters
     assert state_digest(checked) == state_digest(plain)
     assert checked.sanitizer.passes_matched == plain.profiler.pass_count

@@ -26,6 +26,8 @@ from repro.obs.prof import SimProfiler
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.chaos import commit_digests, final_state
 from repro.serve.core import SimCore
+from repro.serve.jobspec import job_to_spec
+from repro.traces import VENUS, TraceGenerator
 
 CONFIG = ServeConfig(trace="venus", scheduler="fifo", jobs=20, seed=7,
                      batch=8, events_per_tick=64)
@@ -439,8 +441,8 @@ class TestSnapshotBytes:
         observed = SimCore.genesis(config)
         # The observers the daemon attaches when telemetry is on.
         collector = LineageCollector()
-        observed.sim.profiler = SimProfiler()
-        observed.sim.attach_tracer(collector)
+        observed.sim.observe(SimProfiler())
+        observed.sim.observe(collector)
         for tick in range(10):
             for core in (plain, observed):
                 core.admit_specs([dict(SPEC, name=f"job{tick}")],
@@ -450,6 +452,30 @@ class TestSnapshotBytes:
         assert observed.to_blob() == plain.to_blob()
         assert observed.sim.tracer is collector
         assert observed.sim._tracing and observed.sim.profiler is not None
+
+
+class TestObserversAttachedAfterBegin:
+    def test_lucid_daemon_publishes_refit_span_and_wall_time(self,
+                                                             tmp_path):
+        """The daemon's profiler joins a begun engine, and still sees
+        the refits, the run's wall time and its events."""
+        jobs = TraceGenerator(VENUS.with_jobs(120).with_seed(7)).generate()
+        with make_daemon(tmp_path, config=LUCID_CONFIG,
+                         inbox_capacity=len(jobs)) as daemon:
+            for job in jobs:
+                daemon.submit(job_to_spec(job))
+            run_to_idle(daemon)
+            assert daemon.core.sim.scheduler.update_engine.refits >= 1
+            _, families = parse_prometheus(daemon.prometheus())
+        span = "repro_sim_span_calls"
+        refits = families[span][(span, frozenset({("span",
+                                                   "lucid.refit")}))]
+        assert refits == daemon.core.sim.scheduler.update_engine.refits
+        wall = "repro_sim_wall_seconds"
+        assert families[wall][(wall, frozenset())] > 0
+        events = "repro_sim_events_processed"
+        assert families[events][(events, frozenset())] == \
+            daemon.profiler.events_processed > 0
 
 
 class TestDroppedEvents:

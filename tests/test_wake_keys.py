@@ -18,10 +18,11 @@ import pickle
 
 import pytest
 
-from repro.checks import SanitizerError
+from repro.checks import SanitizerError, SimSanitizer
 from repro.cluster import Cluster
 from repro.core.lucid import LucidConfig, LucidScheduler
 from repro.core.orchestrator import ResourceOrchestrator
+from repro.obs import SimProfiler
 from repro.serve.core import state_digest
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind, EventQueue
@@ -42,11 +43,12 @@ SMALL_PROFILER = LucidConfig(seed=7, profiler_nodes=1,
 
 
 def tight_sim(scheduler_cls=LucidScheduler, orchestrator=None,
-              **kwargs) -> Simulator:
+              sanitize: bool = False) -> Simulator:
     generator = TraceGenerator(TIGHT)
     scheduler = scheduler_cls(generator.generate_history(), SMALL_PROFILER)
     sim = Simulator(generator.build_cluster(), generator.generate(),
-                    scheduler, **kwargs)
+                    scheduler,
+                    observers=[SimSanitizer()] if sanitize else [])
     if orchestrator is not None:
         scheduler.orchestrator = orchestrator()
     return sim
@@ -124,8 +126,8 @@ def packing_sim(orchestrator=ResourceOrchestrator) -> Simulator:
     jobs += [make_job(job_id, duration=5000.0, gpu_num=8, submit_time=310.0)
              for job_id in range(2, 6)]
     return Simulator(Cluster({"vc1": 1}), jobs,
-                     unprofiled_lucid(orchestrator), sanitize=True,
-                     profile=True)
+                     unprofiled_lucid(orchestrator),
+                     observers=[SimSanitizer(), SimProfiler()])
 
 
 @pytest.mark.parametrize("make_sim", [
@@ -154,8 +156,8 @@ def starving_sim(orchestrator=ResourceOrchestrator, narrow=(4,),
     jobs.append(make_job(len(jobs) + 1, duration=1000.0, gpu_num=wide,
                          submit_time=10.0))
     return Simulator(Cluster({"vc1": n_nodes}), jobs,
-                     unprofiled_lucid(orchestrator), sanitize=True,
-                     profile=True)
+                     unprofiled_lucid(orchestrator),
+                     observers=[SimSanitizer(), SimProfiler()])
 
 
 def test_sanitizer_catches_a_key_blind_to_starvation():
