@@ -5,11 +5,9 @@ Commands
 simulate
     Generate a synthetic trace (or load a CSV) and replay it under one
     scheduler; prints the summary metrics and optionally exports per-job
-    records.  ``--trace-out DIR`` additionally records full telemetry.
-trace
-    Replay a trace with the observability layer enabled and export the
-    structured event log (JSONL, which carries the scheduler decision
-    audit) and a Chrome trace-event timeline loadable in
+    records.  ``--out DIR`` additionally exports the structured event
+    log ``events.jsonl`` (which carries Lucid's placement decisions) and
+    a Chrome trace-event timeline ``timeline.json`` loadable in
     chrome://tracing / Perfetto.
 compare
     Run several schedulers over the same trace and print a Table-4-style
@@ -24,18 +22,16 @@ report
     Run one simulation with the full observability stack (profiler,
     series collector, lineage, attribution-enabled audit) and write a
     self-contained ``report.html``, its ``report.json`` twin and the
-    run's ``events.jsonl``.
-explain
-    Print the recorded placement explanation of one job — either from a
-    fresh run or from a previously exported ``events.jsonl``; supports
-    ``--what-if feature=value`` counterfactual probes.
+    run's ``events.jsonl`` and ``timeline.json``.
 why
-    Answer "why was this job slow?": decompose one job's JCT into
-    pending-profiling / pending-main-queue / sharing-slowdown /
-    preemption-overhead / fault-retry / pure-compute components that
-    sum exactly to the JCT, name the jobs that blocked it, and print
-    its causal critical path.  Works live (run a preset) or offline
-    (``--trace events.jsonl`` from a previous ``repro trace`` export).
+    Answer "why was this job slow, and why was it placed so?":
+    decompose one job's JCT into pending-profiling / pending-main-queue
+    / sharing-slowdown / preemption-overhead / fault-retry /
+    pure-compute components that sum exactly to the JCT, name the jobs
+    that blocked it, print its causal critical path, and then explain
+    each of its placement decisions.  Works live (run a preset; supports
+    ``--what-if feature=value`` counterfactual probes) or offline
+    (``--trace events.jsonl`` from ``simulate --out`` or ``report``).
 serve
     Run the crash-recoverable scheduler service (:mod:`repro.serve`):
     a daemon with a file inbox + localhost HTTP frontend for runtime
@@ -97,29 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=SCHEDULER_CHOICES)
     sim.add_argument("--export", metavar="CSV",
                      help="write per-job records to a CSV file")
-    sim.add_argument("--trace-out", metavar="DIR",
-                     help="enable telemetry and write events.jsonl "
-                          "and timeline.json to DIR")
-
-    trace_cmd = sub.add_parser(
-        "trace", help="replay with telemetry and export event and "
-                      "timeline artifacts")
-    _trace_args(trace_cmd)
-    trace_cmd.add_argument("--scheduler", default="lucid",
-                           choices=SCHEDULER_CHOICES)
-    trace_cmd.add_argument("--out", metavar="DIR", default="trace-out",
-                           help="output directory (default: trace-out)")
-    trace_cmd.add_argument("--explain", type=int, default=5, metavar="N",
-                           help="print the first N placement explanations")
-    trace_cmd.add_argument("--tail", type=int, default=None, metavar="N",
-                           help="print the last N retained trace events")
-    trace_cmd.add_argument("--job", type=int, default=None, metavar="ID",
-                           help="restrict the event table and --tail "
-                                "output to one job's events")
-    trace_cmd.add_argument("--kind", action="append", default=None,
-                           metavar="KIND",
-                           help="restrict to one event kind (repeatable, "
-                                "e.g. --kind start --kind preempt)")
+    sim.add_argument("--out", metavar="DIR",
+                     help="trace the run and write events.jsonl and "
+                          "timeline.json to DIR")
 
     cmp_cmd = sub.add_parser("compare", help="compare schedulers")
     _trace_args(cmp_cmd)
@@ -243,30 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--timeout", type=float, default=600.0,
                        help="per-run wall-clock timeout in seconds")
 
-    explain = sub.add_parser(
-        "explain", help="explain one job's recorded placement decision")
-    _trace_args(explain)
-    explain.add_argument("job_id", type=int,
-                         help="job id to explain")
-    explain.add_argument("--scheduler", default="lucid",
-                         choices=SCHEDULER_CHOICES)
-    explain.add_argument("--audit", metavar="FILE", default=None,
-                         help="read decisions from an exported "
-                              "events.jsonl instead of running a "
-                              "simulation")
-    explain.add_argument("--format", choices=("text", "json"),
-                         default="text", help="output format")
-    explain.add_argument("--what-if", metavar="FEATURE=VALUE",
-                         action="append", default=None,
-                         help="counterfactual probe: re-run the frozen "
-                              "duration model with one feature "
-                              "overridden (repeatable; requires a live "
-                              "run, not --audit)")
-
     why = sub.add_parser(
         "why", help="decompose one job's JCT from the causal event "
-                    "lineage: where the time went and who blocked it")
-    _trace_args(why)
+                    "lineage (where the time went, who blocked it) and "
+                    "explain its placement decisions")
+    _trace_args(why, "venus|saturn|philly, a CSV file path, or an "
+                     "events.jsonl export to read instead of running")
     why.add_argument("job_id", type=int, help="job id to decompose")
     why.add_argument("--scheduler", default="lucid",
                      choices=SCHEDULER_CHOICES)
@@ -275,12 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
     why.add_argument("--path", type=int, default=8, metavar="N",
                      help="show the last N critical-path events "
                           "(default: 8; 0 hides the path)")
+    why.add_argument("--what-if", metavar="FEATURE=VALUE",
+                     action="append", default=None,
+                     help="counterfactual probe: re-run the frozen "
+                          "duration model with one feature overridden "
+                          "(repeatable; needs a live run, not an "
+                          "events.jsonl)")
     return parser
 
 
-def _trace_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", default="venus",
-                        help="venus|saturn|philly or a CSV file path")
+def _trace_args(parser: argparse.ArgumentParser,
+                trace_help: str = "venus|saturn|philly or a CSV file "
+                                  "path") -> None:
+    parser.add_argument("--trace", default="venus", help=trace_help)
     parser.add_argument("--jobs", type=int, default=None,
                         help="override the job count")
     parser.add_argument("--seed", type=int, default=None,
@@ -362,10 +327,11 @@ _HEADERS = ["scheduler", "avg JCT (h)", "avg queue (h)", "p99.9 queue (h)",
 
 
 def _run_traced(args, out_dir: str, *observers: Observer):
-    """Run one traced simulation and export its artifacts.
+    """Run one traced simulation and write its ``events.jsonl`` and
+    ``timeline.json`` to ``out_dir`` (the one writer of both).
 
-    Returns ``(simulator, result, elapsed, tracer)``; ``observers`` join
-    the run next to the tracer.  The JSONL sink is flushed/closed in a
+    Returns ``(simulator, result, elapsed)``; ``observers`` join the run
+    next to the tracer.  The JSONL sink is flushed/closed in a
     ``finally`` block so a simulation that raises mid-run still leaves
     a readable (partial) event log behind for post-mortem analysis.
     """
@@ -390,11 +356,15 @@ def _run_traced(args, out_dir: str, *observers: Observer):
     finally:
         tracer.close()
     elapsed = time.perf_counter() - started
+    if tracer.n_dropped:
+        print(f"warning: ring buffer overflowed; {tracer.n_dropped} "
+              "oldest events dropped (the timeline shows a suffix of the "
+              f"run; {events_path} has the full log)", file=sys.stderr)
     timeline_path = os.path.join(out_dir, "timeline.json")
     write_chrome_trace(timeline_path, tracer.events)
     for path in (events_path, timeline_path):
         print(f"wrote {path}")
-    return simulator, result, elapsed, tracer
+    return simulator, result, elapsed
 
 
 def _print_sanitizer_summary(simulator: Simulator) -> None:
@@ -418,8 +388,8 @@ def _print_fault_summary(result: SimulationResult) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.trace_out:
-        _, result, elapsed, _ = _run_traced(args, args.trace_out)
+    if args.out:
+        _, result, elapsed = _run_traced(args, args.out)
     else:
         cluster, history, jobs = _load(args)
         print(f"{len(jobs)} jobs on {cluster.n_gpus} GPUs "
@@ -449,57 +419,6 @@ def cmd_simulate(args) -> int:
                     int(record.finished_in_profiler),
                 ])
         print(f"wrote {len(result.records)} records to {args.export}")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    profiler = SimProfiler()
-    simulator, result, _, tracer = _run_traced(args, args.out, profiler)
-    _print_fault_summary(result)
-
-    retained = tracer.events
-    events = retained
-    kinds = set(args.kind or ())
-    if args.job is not None or kinds:
-        events = [e for e in events
-                  if (args.job is None or e.job_id == args.job)
-                  and (not kinds or e.kind in kinds)]
-        label = " ".join(filter(None, [
-            f"job={args.job}" if args.job is not None else None,
-            f"kind={','.join(sorted(kinds))}" if kinds else None]))
-        print(f"filter {label}: {len(events)} of "
-              f"{len(retained)} retained events match")
-    counts: dict = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    print(ascii_table(["event kind", "count"],
-                      [[kind, counts[kind]] for kind in sorted(counts)],
-                      title="Trace events"))
-    if tracer.n_dropped:
-        print(f"warning: ring buffer overflowed; {tracer.n_dropped} "
-              "oldest events dropped (retained events are a suffix of the "
-              "run; the JSONL sink, if set, has the full log)",
-              file=sys.stderr)
-    if args.tail is not None and args.tail > 0:
-        tail = events[-args.tail:]
-        print(f"Last {len(tail)} of {len(events)} retained "
-              "events:")
-        for event in tail:
-            print(f"  {event.to_json()}")
-    passes = profiler.pass_summary()
-    print(f"scheduler passes: {int(passes['count'])}, latency "
-          f"p50 {1e3 * passes['p50']:.3f} ms, "
-          f"p95 {1e3 * passes['p95']:.3f} ms, "
-          f"max {1e3 * passes['max']:.3f} ms")
-
-    audit = getattr(simulator.scheduler, "audit", None)
-    if audit is not None and audit.records and args.explain > 0:
-        print("Placement decisions (first "
-              f"{min(args.explain, len(audit.records))} of "
-              f"{len(audit.records)}; packing rate "
-              f"{audit.packing_rate():.1%}):")
-        for decision in audit.records[:args.explain]:
-            print(f"  {decision.explain()}")
     return 0
 
 
@@ -592,29 +511,22 @@ def cmd_report(args) -> int:
     from repro.obs.lineage import LineageCollector
     from repro.obs.report import build_report, write_report
 
-    os.makedirs(args.out, exist_ok=True)
-    cluster, history, jobs = _load(args)
-    scheduler = make_scheduler(args.scheduler, history)
-    audit = None
-    if hasattr(scheduler, "audit"):
-        audit = DecisionAudit(attribution=True)
-        scheduler.audit = audit
-    print(f"{len(jobs)} jobs on {cluster.n_gpus} GPUs "
-          f"({len(cluster.vcs)} VCs) under {args.scheduler} [report]")
     profiler = SimProfiler()
     series = SeriesCollector(interval=args.series_interval)
     lineage = LineageCollector()
-    events_path = os.path.join(args.out, "events.jsonl")
-    # Sink only: the report reads no event back, so retain just one.
-    with RingBufferTracer(capacity=1, sink=events_path) as tracer:
-        simulator = Simulator(
-            cluster, jobs, scheduler, faults=_fault_spec(args),
-            observers=_observers(args, profiler, series, lineage, tracer))
-        result = simulator.run()
-    _print_sanitizer_summary(simulator)
+    audit = DecisionAudit(attribution=True)
+    simulator, result, _ = _run_traced(args, args.out, profiler, series,
+                                       lineage, audit)
     _print_fault_summary(result)
+    passes = profiler.pass_summary()
+    print(f"scheduler passes: {int(passes['count'])}, latency "
+          f"p50 {1e3 * passes['p50']:.3f} ms, "
+          f"p95 {1e3 * passes['p95']:.3f} ms, "
+          f"max {1e3 * passes['max']:.3f} ms")
+    if not (audit.records or audit.refits):
+        audit = None  # the scheduler emits no decisions
     document = build_report(result, scheduler=args.scheduler,
-                            trace=args.trace, jobs=len(jobs),
+                            trace=args.trace, jobs=len(simulator.jobs),
                             seed=args.seed, profiler=profiler,
                             series=series, audit=audit, lineage=lineage)
     html_path, json_path = write_report(document, args.out)
@@ -624,7 +536,7 @@ def cmd_report(args) -> int:
             print(f"attribution coverage: {with_attr}/{decisions} "
                   f"({with_attr / decisions:.1%}) main-cluster "
                   "placements")
-    for path in (html_path, json_path, events_path):
+    for path in (html_path, json_path):
         print(f"wrote {path}")
     return 0
 
@@ -670,70 +582,10 @@ def _parse_what_if(specs) -> dict:
     return overrides
 
 
-def cmd_explain(args) -> int:
-    import json as _json
-
-    from repro.obs.audit import DecisionAudit
-
-    what_if = args.what_if or []
-    if args.audit is not None:
-        if what_if:
-            print("error: --what-if needs the frozen models of a live "
-                  "run; it cannot be combined with --audit",
-                  file=sys.stderr)
-            return 2
-        audit = DecisionAudit.from_jsonl(args.audit)
-    else:
-        cluster, history, jobs = _load(args)
-        scheduler = make_scheduler(args.scheduler, history)
-        if not hasattr(scheduler, "audit"):
-            print(f"error: scheduler {args.scheduler!r} records no "
-                  "decision audit (lucid-family only); use --audit FILE "
-                  "to explain an exported log", file=sys.stderr)
-            return 2
-        audit = DecisionAudit(attribution=True)
-        scheduler.audit = audit
-        Simulator(cluster, jobs, scheduler, faults=_fault_spec(args),
-                  observers=_observers(args)).run()
-    decisions = audit.for_job(args.job_id)
-    if not decisions:
-        hint = _suggest_ids(args.job_id,
-                            (rec.job_id for rec in audit.records))
-        print(f"no recorded decisions for job {args.job_id}{hint}",
-              file=sys.stderr)
-        return 1
-    try:
-        overrides = _parse_what_if(what_if)
-    except ValueError as exc:
-        print(f"error: bad --what-if: {exc}", file=sys.stderr)
-        return 2
-    counterfactual = None
-    if overrides:
-        try:
-            counterfactual = audit.counterfactual(args.job_id,
-                                                  **overrides)
-        except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: counterfactual failed: {message}",
-                  file=sys.stderr)
-            return 2
-    if args.format == "json":
-        document = {"job_id": args.job_id,
-                    "decisions": [d.to_dict() for d in decisions]}
-        if counterfactual is not None:
-            document["counterfactual"] = counterfactual.to_dict()
-        print(_json.dumps(document, indent=2, sort_keys=True))
-    else:
-        for decision in decisions:
-            print(decision.explain())
-        if counterfactual is not None:
-            print(counterfactual.render())
-    return 0
-
-
 def cmd_why(args) -> int:
     import json as _json
 
+    from repro.obs.audit import DecisionAudit
     from repro.obs.lineage import (
         LineageCollector,
         critical_path,
@@ -741,11 +593,22 @@ def cmd_why(args) -> int:
         lineage_from_trace,
     )
 
+    try:
+        overrides = _parse_what_if(args.what_if or [])
+    except ValueError as exc:
+        print(f"error: bad --what-if: {exc}", file=sys.stderr)
+        return 2
     if os.path.isfile(args.trace) and args.trace.endswith(".jsonl"):
-        # Offline: rebuild the causal DAG from an exported event log.
+        # Offline: rebuild the causal DAG and the audit from an exported
+        # event log.
+        if overrides:
+            print("error: --what-if needs the frozen models of a live "
+                  "run; it cannot read an events.jsonl", file=sys.stderr)
+            return 2
         from repro.obs.tracer import events_from_dicts, read_jsonl
-        collector = lineage_from_trace(
-            events_from_dicts(read_jsonl(args.trace)))
+        records = read_jsonl(args.trace)
+        collector = lineage_from_trace(events_from_dicts(records))
+        audit = DecisionAudit.from_dicts(records)
         source = args.trace
     else:
         cluster, history, jobs = _load(args)
@@ -754,9 +617,10 @@ def cmd_why(args) -> int:
                   f"({len(cluster.vcs)} VCs) under {args.scheduler} "
                   "[lineage]")
         collector = LineageCollector()
+        audit = DecisionAudit(attribution=True)
         Simulator(cluster, jobs, make_scheduler(args.scheduler, history),
                   faults=_fault_spec(args),
-                  observers=_observers(args, collector)).run()
+                  observers=_observers(args, collector, audit)).run()
         source = f"{args.scheduler} × {args.trace}"
     try:
         decomposition = decompose(collector, args.job_id)
@@ -769,12 +633,25 @@ def cmd_why(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     chain = critical_path(collector, args.job_id)
+    decisions = audit.for_job(args.job_id)
+    counterfactual = None
+    if overrides:
+        try:
+            counterfactual = audit.counterfactual(args.job_id, **overrides)
+        except (KeyError, ValueError) as exc:
+            message = exc.args[0] if exc.args else exc
+            print(f"error: counterfactual failed: {message}",
+                  file=sys.stderr)
+            return 2
 
     if args.format == "json":
         document = {
             "source": source,
             "decomposition": decomposition.as_dict(),
             "critical_path": [e.as_dict() for e in chain],
+            "decisions": [d.to_dict() for d in decisions],
+            "counterfactual": (counterfactual.to_dict()
+                               if counterfactual is not None else None),
         }
         print(_json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -814,6 +691,14 @@ def cmd_why(args) -> int:
             route = collector.route_of(event)
             via = f" routed={route}" if route else ""
             print(f"  t={event.time:>12,.1f}  {event.kind}{who}{via}")
+    if decisions:
+        print(f"placement decisions ({len(decisions)}):")
+        for decision in decisions:
+            print(f"  {decision.explain()}")
+    else:
+        print(f"no placement decisions recorded for job {args.job_id}")
+    if counterfactual is not None:
+        print(counterfactual.render())
     return 0
 
 
@@ -992,13 +877,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     configure_logging(args.log_level, fmt=args.log_format)
     handlers = {
         "simulate": cmd_simulate,
-        "trace": cmd_trace,
         "compare": cmd_compare,
         "models": cmd_models,
         "packing": cmd_packing,
         "lint": cmd_lint,
         "report": cmd_report,
-        "explain": cmd_explain,
         "why": cmd_why,
         "serve": cmd_serve,
         "serve-status": cmd_serve_status,
@@ -1009,7 +892,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.faults import FaultSpecError
     from repro.traces.io import TraceParseError
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro why ... | head -1``).
+        # Point stdout at devnull so the interpreter's exit flush does
+        # not raise again, and exit non-zero without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except FileNotFoundError as exc:
         missing = getattr(exc, "filename", None) or exc
         print(f"error: file not found: {missing}", file=sys.stderr)

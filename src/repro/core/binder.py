@@ -24,7 +24,7 @@ import enum
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.placement import find_shared
-from repro.obs.audit import BinderVerdict, DecisionAudit
+from repro.obs.audit import BinderVerdict
 from repro.workloads.job import Job, JobStatus
 
 
@@ -60,14 +60,11 @@ class AffineJobpairBinder:
         self.mode = PackingMode.DEFAULT if gss_capacity == 2 else PackingMode.APATHETIC
         self.min_mate_remaining = min_mate_remaining
         self._pass_index: Optional[dict] = None
-        #: Optional :class:`repro.obs.audit.DecisionAudit`; when set,
-        #: every mate search leaves a :class:`BinderVerdict` explaining
-        #: the accepted mate or the rejection-reason census.
-        self.audit: Optional[DecisionAudit] = None
-        #: Optional sharing-score attributor (``profile -> Attribution``),
-        #: bound by the scheduler when the audit has ``attribution=True``;
-        #: explains *why* the Packing Analyze Model scored the job.
-        self.attributor: Optional[Callable] = None
+        #: ``job_id -> BinderVerdict`` of this pass's mate searches, kept
+        #: while the engine is traced so each placement's ``decision``
+        #: event can carry the accepted mate or the rejection-reason
+        #: census (:meth:`take_verdict`).  Emptied by :meth:`end_pass`.
+        self._verdicts: Dict[int, BinderVerdict] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -94,22 +91,25 @@ class AffineJobpairBinder:
         Among valid candidates the lowest-sharing-score (least
         interference) mate wins.
         """
+        traced = engine.tracer.enabled
         if not self.sharing_enabled:
-            return self._verdict(job, None, rejections={"sharing_disabled": 1})
+            return self._verdict(traced, job, None,
+                                 rejections={"sharing_disabled": 1})
         if job.gpu_num > engine.cluster.gpus_per_node:
             # rule 5: never pack distributed jobs
-            return self._verdict(job, None, rejections={"job_distributed": 1})
+            return self._verdict(traced, job, None,
+                                 rejections={"job_distributed": 1})
         if job.sharing_score is None:
             # unprofiled jobs are never packed
-            return self._verdict(job, None, rejections={"job_unprofiled": 1})
+            return self._verdict(traced, job, None,
+                                 rejections={"job_unprofiled": 1})
         if self._pass_index is not None:
             candidates = self._pass_index.get((job.vc, job.gpu_num), [])
         else:
             candidates = engine.running_jobs()
         best: Optional[Job] = None
         best_key = None
-        rejections: Optional[Dict[str, int]] = (
-            {} if self.audit is not None else None)
+        rejections: Optional[Dict[str, int]] = {} if traced else None
         n_candidates = 0
         for mate in candidates:
             n_candidates += 1
@@ -125,20 +125,16 @@ class AffineJobpairBinder:
             if best_key is None or key < best_key:
                 best_key = key
                 best = mate
-        return self._verdict(job, best, rejections=rejections or {},
+        return self._verdict(traced, job, best, rejections=rejections or {},
                              candidates=n_candidates)
 
-    def _verdict(self, job: Job, mate: Optional[Job],
+    def _verdict(self, traced: bool, job: Job, mate: Optional[Job],
                  rejections: Dict[str, int],
                  candidates: int = 0) -> Optional[Job]:
-        """Record the search outcome in the audit (when enabled)."""
-        if self.audit is not None:
-            attribution = None
-            if (self.audit.attribution and self.attributor is not None
-                    and job.sharing_score is not None
-                    and job.measured_profile is not None):
-                attribution = self.attributor(job.measured_profile)
-            self.audit.note_binder(BinderVerdict(
+        """Keep the search outcome for :meth:`take_verdict` (traced
+        runs only) and return ``mate``."""
+        if traced:
+            self._verdicts[job.job_id] = BinderVerdict(
                 job_id=job.job_id,
                 mate_id=mate.job_id if mate is not None else None,
                 mode=self.mode.name,
@@ -146,9 +142,13 @@ class AffineJobpairBinder:
                 job_score=job.sharing_score,
                 mate_score=mate.sharing_score if mate is not None else None,
                 candidates=candidates,
-                rejections=rejections,
-                attribution=attribution))
+                rejections=rejections)
         return mate
+
+    def take_verdict(self, job_id: int) -> Optional[BinderVerdict]:
+        """The verdict of this pass's mate search for ``job_id``, if one
+        ran; a placement never carries the verdict of an earlier pass."""
+        return self._verdicts.pop(job_id, None)
 
     @staticmethod
     def _cpu_overload(engine, job: Job, mate: Job) -> float:
@@ -189,13 +189,14 @@ class AffineJobpairBinder:
 
     def end_pass(self) -> None:
         self._pass_index = None
+        self._verdicts.clear()
 
     def _reject_reason(self, engine, job: Job, mate: Job,
                        remaining_estimate: Callable[[Job], float]
                        ) -> Optional[str]:
         """Why ``mate`` cannot host ``job``; ``None`` when it can.
 
-        The reason strings feed the audit's rejection census, so they are
+        The reason strings feed the verdict's rejection census, so they are
         stable identifiers, not prose.
         """
         if mate.job_id == job.job_id or mate.status is not JobStatus.RUNNING:

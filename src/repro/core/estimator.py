@@ -318,8 +318,8 @@ class WorkloadEstimateModel:
         """Training fit of the GA²M: ``(R², n_samples)``.
 
         R² is computed in the model's native log-duration space over the
-        fitted history — the Update Engine surfaces it on refit audit
-        records so stale or degrading models are visible in telemetry.
+        fitted history — the Update Engine surfaces it on ``refit``
+        events so stale or degrading models are visible in telemetry.
         """
         self._check_fitted()
         X, y = self.training_matrix()
@@ -379,7 +379,7 @@ class WorkloadEstimateModel:
     def safe_attribute(self, job) -> Optional[Attribution]:
         """:meth:`attribute` that degrades to ``None`` instead of raising.
 
-        The audit's attribution hook must never crash the scheduling loop
+        The decision attribution hook must never crash the scheduling loop
         (mirror of :meth:`safe_predict`): a missing attribution merely
         leaves one decision unexplained.
         """

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.core.profiler import NonIntrusiveProfiler
 from repro.core.throughput import ThroughputPredictModel
 from repro.core.update_engine import UpdateEngine
 from repro.models.encoding import SECONDS_PER_HOUR, hourly_series
-from repro.obs.audit import DecisionAudit, PlacementDecision
+from repro.obs.audit import PlacementDecision
 from repro.obs.logutil import get_logger
 from repro.schedulers.base import Scheduler
 from repro.workloads.colocation import InterferenceModel
@@ -105,22 +105,21 @@ class LucidScheduler(Scheduler):
         the Packing Analyze Model.  Note this is *training* data collected
         on a profiling testbed (Table 1), not a peek at the simulator's
         ground truth at decision time.
-    audit:
-        Optional :class:`~repro.obs.audit.DecisionAudit`.  When omitted,
-        one is created automatically iff the engine is traced, so every
-        placement becomes explainable at zero cost to untraced runs.
+
+    Whenever the engine's trace stream is enabled, every placement and
+    refit is emitted as a ``decision`` / ``refit`` event, which a
+    :class:`~repro.obs.audit.DecisionAudit` observer folds into
+    explanations; untraced runs emit and build nothing.
     """
 
     name = "lucid"
 
     def __init__(self, history: Sequence[Job],
                  config: Optional[LucidConfig] = None,
-                 interference: Optional[InterferenceModel] = None,
-                 audit: Optional[DecisionAudit] = None) -> None:
+                 interference: Optional[InterferenceModel] = None) -> None:
         super().__init__()
         if not history:
             raise ValueError("Lucid requires non-empty training history")
-        self.audit = audit
         self.config = config or LucidConfig()
         self.history = list(history)
         self._train_interference = interference or InterferenceModel()
@@ -163,10 +162,6 @@ class LucidScheduler(Scheduler):
     def attach(self, engine) -> None:
         super().attach(engine)
         cfg = self.config
-        if self.audit is None and engine.tracer.enabled:
-            self.audit = DecisionAudit(tracer=engine.tracer)
-        elif self.audit is not None and self.audit.tracer is None:
-            self.audit.tracer = engine.tracer
         if cfg.enable_profiler:
             self.profiler = NonIntrusiveProfiler(
                 base_nodes=cfg.profiler_nodes,
@@ -189,24 +184,8 @@ class LucidScheduler(Scheduler):
                 random_state=cfg.seed).fit_events(
                     [j.submit_time for j in self.history])
         self.binder = AffineJobpairBinder(gss_capacity=cfg.gss_capacity)
-        self.binder.audit = self.audit
         self.update_engine = UpdateEngine(self.estimator,
                                           interval=cfg.update_interval)
-        self.update_engine.audit = self.audit
-        if self.audit is not None and self.audit.attribution:
-            # Interpretability wiring: bind the frozen models' attributors
-            # so every placement decision carries a per-feature Attribution
-            # and ``audit.counterfactual`` can re-run the models on
-            # perturbed inputs.  Pure observers — scheduling decisions are
-            # bit-identical with attribution off.
-            if self.estimator is not None:
-                self.audit.bind_job_attributor(self.estimator.safe_attribute)
-                self.audit.bind_vector_attributor(
-                    "duration", self.estimator.attribute_vector)
-            if self.packing_model is not None:
-                self.binder.attributor = self.packing_model.attribute
-                self.audit.bind_vector_attributor(
-                    "sharing", self.packing_model.attribute_vector)
         self._next_control = 0.0
 
     # ------------------------------------------------------------------
@@ -432,15 +411,16 @@ class LucidScheduler(Scheduler):
         with self.profile_span("lucid.profiler"):
             started = profiler.allocate(self.engine)
         self._profiler_seen = self._profiler_token()
-        if self.audit is not None:
+        tracer = self.engine.tracer
+        if tracer.enabled:
             for job in started:
                 gpus = self.engine.gpus_of(job)
-                self.audit.record(PlacementDecision(
+                PlacementDecision(
                     time=now, job_id=job.job_id, mode="profiling",
                     gpu_ids=tuple(g.gpu_id for g in gpus),
                     node_ids=tuple(g.node_id for g in gpus),
                     note=f"T_prof={profiler.t_prof:.0f}s, "
-                         f"N_prof={profiler.n_prof}"))
+                         f"N_prof={profiler.n_prof}").emit(tracer)
 
     def _orchestrate_stage(self, now: float) -> List[Job]:
         orchestrator, queue = self.orchestrator, self.queue
@@ -456,10 +436,29 @@ class LucidScheduler(Scheduler):
             placed = orchestrator.schedule(
                 self.engine, queue, priority_fn=self._priority,
                 find_mate=self._find_mate, sharing_mode=sharing_mode,
-                now=now, audit=self.audit, retry_context=retry_context,
-                begin_pass=self._begin_pass, count=self.profile_count)
+                now=now, retry_context=retry_context,
+                begin_pass=self._begin_pass, count=self.profile_count,
+                decision_inputs=self._decision_inputs)
         self.binder.end_pass()
         return placed
+
+    def _decision_inputs(self, job: Job) -> Dict[str, Any]:
+        """The binder verdict of this pass for a placed job and, while
+        the engine is attributing, why the models scored it: the
+        duration model on the decision, the Packing Analyze Model on the
+        verdict.  Called on traced runs only."""
+        verdict = self.binder.take_verdict(job.job_id)
+        if not self.engine.attributing:
+            return {"binder": verdict}
+        attribution = None
+        if self.estimator is not None:
+            attribution = self.estimator.safe_attribute(job)
+        if (verdict is not None and self.packing_model is not None
+                and job.sharing_score is not None
+                and job.measured_profile is not None):
+            verdict = replace(verdict, attribution=self.packing_model
+                              .attribute(job.measured_profile))
+        return {"binder": verdict, "attribution": attribution}
 
     # ------------------------------------------------------------------
     # Control plane: dynamic strategy, time-aware scaling, updates
@@ -547,4 +546,5 @@ class LucidScheduler(Scheduler):
                 self.queue.append(job)
 
         if self.update_engine is not None:
-            self.update_engine.maybe_refit(now, self.engine.profiler)
+            self.update_engine.maybe_refit(now, self.engine.profiler,
+                                           self.engine.tracer)

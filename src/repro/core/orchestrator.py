@@ -15,12 +15,17 @@ every queued job.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.cluster.gpu import GPU
 from repro.cluster.placement import find_consolidated, find_relaxed
-from repro.obs.audit import DecisionAudit, PlacementDecision
+from repro.obs.audit import PlacementDecision
 from repro.workloads.job import Job
+
+#: ``job -> {field: value}`` of :class:`PlacementDecision` inputs only
+#: the caller knows (the binder verdict, model attributions).
+DecisionInputs = Callable[[Job], Dict[str, Any]]
 
 
 class ResourceOrchestrator:
@@ -92,10 +97,10 @@ class ResourceOrchestrator:
                  find_mate: Callable[[Job], Optional[Job]],
                  sharing_mode: str = "eager",
                  now: float = 0.0,
-                 audit: Optional[DecisionAudit] = None,
                  retry_context: Optional[Hashable] = None,
                  begin_pass: Optional[Callable[[], None]] = None,
-                 count: Optional[Callable[[str, int], None]] = None
+                 count: Optional[Callable[[str, int], None]] = None,
+                 decision_inputs: Optional[DecisionInputs] = None
                  ) -> List[Job]:
         """Place as many queued jobs as possible; returns the placed jobs.
 
@@ -118,12 +123,14 @@ class ResourceOrchestrator:
           VC has no free consolidated slot (Apathetic mode).
         * ``"off"`` — exclusive only (sharing disabled).
 
-        When ``audit`` is given, every placement leaves a
-        :class:`~repro.obs.audit.PlacementDecision` carrying its inputs
-        (priority, duration estimate, sharing mode, starvation trigger,
-        and the binder verdict of this pass, if the binder ran for the
-        job) so the allocation is explainable post-hoc.  The audit only
-        records: audited and unaudited runs take the same path.
+        While the engine's trace stream is enabled, every placement
+        emits a ``decision`` event
+        (:class:`~repro.obs.audit.PlacementDecision`) carrying its
+        inputs (priority, duration estimate, sharing mode, starvation
+        trigger, plus whatever ``decision_inputs(job)`` adds, such as
+        the binder verdict of this pass) so the allocation is
+        explainable post-hoc.  Emission only records: traced and
+        untraced runs take the same path.
 
         **Unchanged-VC skip.**  With a ``retry_context``, a job is not
         attempted when its retry key — its VC's change epoch at the
@@ -140,8 +147,6 @@ class ResourceOrchestrator:
         if sharing_mode not in ("eager", "fallback", "off"):
             raise ValueError(f"bad sharing_mode {sharing_mode!r}")
         node_gpus = engine.cluster.gpus_per_node
-        if audit is not None:
-            audit.clear_binder()
 
         def starving(job: Job) -> bool:
             return (job.gpu_num > node_gpus
@@ -158,8 +163,8 @@ class ResourceOrchestrator:
             count("placement_attempts", len(attempt))
             count("placement_skips", len(queue) - len(attempt))
         placed = self._walk(engine, attempt, priority_fn, find_mate,
-                            sharing_mode, now, audit, starving,
-                            begin_pass) if attempt else []
+                            sharing_mode, now, starving, begin_pass,
+                            decision_inputs) if attempt else []
         placed_ids = {id(job) for job in placed}
         failed: Dict[int, Tuple] = {}
         epochs: Dict[str, int] = {}
@@ -213,9 +218,9 @@ class ResourceOrchestrator:
               priority_fn: Callable[[Job], float],
               find_mate: Callable[[Job], Optional[Job]],
               sharing_mode: str, now: float,
-              audit: Optional[DecisionAudit],
               starving: Callable[[Job], bool],
-              begin_pass: Optional[Callable[[], None]]) -> List[Job]:
+              begin_pass: Optional[Callable[[], None]],
+              decision_inputs: Optional[DecisionInputs]) -> List[Job]:
         """Algorithm 2's greedy walk over ``queue``; returns the placed."""
         if begin_pass is not None:
             begin_pass()
@@ -227,12 +232,15 @@ class ResourceOrchestrator:
         ordered = sorted(queue,
                          key=lambda j: (not starving(j), j.priority,
                                         j.submit_time, j.job_id))
+        tracer = engine.tracer
+
         def record(job: Job, mode: str, mate: Optional[Job],
                    relieved: bool) -> None:
-            if audit is None:
+            if not tracer.enabled:
                 return
             gpus = engine.gpus_of(job)
-            audit.record(PlacementDecision(
+            inputs = decision_inputs(job) if decision_inputs else {}
+            PlacementDecision(
                 time=now, job_id=job.job_id, mode=mode,
                 gpu_ids=tuple(g.gpu_id for g in gpus),
                 node_ids=tuple(g.node_id for g in gpus),
@@ -240,9 +248,7 @@ class ResourceOrchestrator:
                 estimated_duration=job.estimated_duration,
                 sharing_mode=sharing_mode,
                 mate_id=mate.job_id if mate is not None else None,
-                starving=relieved,
-                binder=audit.take_binder(job.job_id),
-                attribution=audit.attribution_for(job)))
+                starving=relieved, **inputs).emit(tracer)
 
         placed: List[Job] = []
         for job in ordered:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.audit import DecisionAudit
+from repro.obs.audit import RefitRecord
 from repro.obs.logutil import get_logger
+from repro.obs.tracer import NULL_TRACER, Observer
 from repro.workloads.job import JobRecord
 
 logger = get_logger("core.update_engine")
@@ -43,10 +44,6 @@ class UpdateEngine:
         self._new_records = 0
         self._last_refit: Optional[float] = None
         self.refits = 0
-        #: Optional :class:`repro.obs.audit.DecisionAudit`; refits are
-        #: recorded there so stale-model questions ("was the estimator
-        #: fresh when job 42 was placed?") are answerable post-hoc.
-        self.audit: Optional[DecisionAudit] = None
 
     def collect(self, record: JobRecord, now: float) -> None:
         """Absorb one completed job."""
@@ -57,13 +54,18 @@ class UpdateEngine:
         if self._last_refit is None:
             self._last_refit = now
 
-    def maybe_refit(self, now: float, profiler=None) -> bool:
+    def maybe_refit(self, now: float, profiler=None,
+                    tracer: Observer = NULL_TRACER) -> bool:
         """Refit if the interval elapsed and enough new data arrived.
 
-        ``profiler`` is the engine's :class:`~repro.obs.prof.SimProfiler`
-        at call time, if any.  Refit wall time is measured through its
-        spans — simulation code never reads the wall clock directly
-        (RPR002) — and is ``None`` on unprofiled runs.
+        ``profiler`` and ``tracer`` are the engine's
+        :class:`~repro.obs.prof.SimProfiler` (if any) and trace stream
+        at call time.  Refit wall time is measured through the
+        profiler's spans — simulation code never reads the wall clock
+        directly (RPR002) — and is ``None`` on unprofiled runs.  An
+        enabled stream receives a ``refit`` event with the fit quality,
+        so stale-model questions ("was the estimator fresh when job 42
+        was placed?") are answerable post-hoc.
         """
         if self.estimator is None or self.interval is None:
             return False
@@ -83,19 +85,17 @@ class UpdateEngine:
                             - before)
         else:
             self.estimator.refit()
-        r2: Optional[float] = None
-        samples: Optional[int] = None
-        if self.audit is not None:
+        logger.info("refit workload estimator at t=%.0fs on %d new records",
+                    now, self._new_records)
+        if tracer.enabled:
+            r2: Optional[float] = None
+            samples: Optional[int] = None
             fit_quality = getattr(self.estimator, "fit_quality", None)
             if fit_quality is not None:
                 r2, samples = fit_quality()
-        logger.info("refit workload estimator at t=%.0fs on %d new records",
-                    now, self._new_records)
-        if self.audit is not None:
-            self.audit.record_refit(now, "workload_estimate",
-                                    self._new_records, r2=r2,
-                                    samples=samples,
-                                    wall_seconds=wall_seconds)
+            RefitRecord(now, "workload_estimate", self._new_records, r2=r2,
+                        samples=samples,
+                        wall_seconds=wall_seconds).emit(tracer)
         self._last_refit = now
         self._new_records = 0
         self.refits += 1

@@ -8,8 +8,10 @@ that makes the reproduction observable end to end:
   ``Simulator.observe``), and structured simulator events in a ring
   buffer with an optional JSONL sink (no-op :data:`NULL_TRACER` by
   default).
-* :mod:`repro.obs.audit` — per-placement decision records explaining every
-  allocation (priority, binder verdict, sharing mode, starvation relief).
+* :mod:`repro.obs.audit` — :class:`DecisionAudit`, the observer that
+  folds the scheduler's ``decision`` and ``refit`` events into records
+  explaining every allocation (priority, binder verdict, sharing mode,
+  starvation relief), live or from an ``events.jsonl``.
 * :mod:`repro.obs.live` — the one metrics registry, the serve daemon's
   live telemetry plane: labeled counter / gauge / histogram families,
   Prometheus text exposition, and the zero-dependency ``/dashboard``
@@ -17,7 +19,8 @@ that makes the reproduction observable end to end:
 * :mod:`repro.obs.lineage` — the causal event DAG and exact JCT
   decomposition (``Simulator(observers=[LineageCollector()])``): why a job
   was slow, which jobs blocked it, the event chain that determined its
-  JCT (``repro why``), live or offline from a trace JSONL.
+  JCT (``repro why``, which also prints the job's decisions), live or
+  offline from a trace JSONL.
 * :mod:`repro.obs.timeline` — Chrome trace-event export (per-GPU lanes
   for ``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.prof` — simulator self-profiling
@@ -37,11 +40,15 @@ Quickstart::
                            write_chrome_trace)
 
     profiler = SimProfiler()
+    audit = DecisionAudit(attribution=True)
     with RingBufferTracer(sink="events.jsonl") as tracer:
         quick_simulation("venus", n_jobs=200,
-                         observers=[tracer, profiler])
+                         observers=[tracer, profiler, audit])
     print(tracer.counts_by_kind())
-    print(DecisionAudit.from_jsonl("events.jsonl").explain(42))
+    job_id = audit.records[0].job_id
+    print(audit.explain(job_id))
+    # The same decisions, rebuilt offline from the event log:
+    print(DecisionAudit.from_jsonl("events.jsonl").explain(job_id))
     print(profiler.report())
     write_chrome_trace("timeline.json", tracer.events)
 """

@@ -1,18 +1,20 @@
 """Scheduler decision audit: why did each placement happen?
 
 The paper sells Lucid as *interpretable*: every allocation should be
-explainable from the model outputs that produced it.  The audit log is the
-post-hoc answer machine — for each placement the orchestrator records a
-:class:`PlacementDecision` carrying its inputs (priority value, estimated
-duration, sharing mode, starvation-relief trigger) and, when the Binder
-was consulted, the :class:`BinderVerdict` (chosen mate, sharing scores,
-GSS budget, and the rejection-reason census over the candidates that were
-turned down).  ``audit.explain(job_id)`` then renders a human-readable
-answer to "why was job 42 packed with job 17 instead of placed
-exclusively?".
+explainable from the model outputs that produced it.  Whenever the
+engine's trace stream is enabled, Lucid emits one ``decision`` event per
+placement and one ``refit`` event per model refresh.  A decision carries
+its inputs (priority value, estimated duration, sharing mode,
+starvation-relief trigger) and, when the Binder was consulted, the
+:class:`BinderVerdict` (chosen mate, sharing scores, GSS budget, and the
+rejection-reason census over the candidates that were turned down).
 
-The audit is a pure observer: it never influences scheduling, and it is
-``None`` by default so un-instrumented runs pay nothing.
+:class:`DecisionAudit` is the stream observer that folds those events
+into :class:`PlacementDecision` and :class:`RefitRecord` objects, live
+or from an exported ``events.jsonl``; ``audit.explain(job_id)`` then
+answers "why was job 42 packed with job 17 instead of placed
+exclusively?".  The scheduler holds no audit, and an untraced run emits
+nothing.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class BinderVerdict:
     rejections: Dict[str, int] = field(default_factory=dict)
     #: Why the Packing Analyze Model assigned ``job_score`` — a
     #: decision-path attribution of the expected sharing score over the
-    #: job's profiled features.  ``None`` unless the audit was built with
-    #: ``attribution=True``.
+    #: job's profiled features.  ``None`` unless the engine was
+    #: attributing (``DecisionAudit(attribution=True)``).
     attribution: Optional[Attribution] = None
 
     @property
@@ -134,7 +136,7 @@ class PlacementDecision:
     note: str = ""
     #: Why the Workload Estimate Model predicted ``estimated_duration`` —
     #: per-term GA²M contributions in log-duration space.  ``None`` unless
-    #: the audit was built with ``attribution=True``.
+    #: the engine was attributing (``DecisionAudit(attribution=True)``).
     attribution: Optional[Attribution] = None
 
     def explain(self) -> str:
@@ -193,6 +195,12 @@ class PlacementDecision:
             out["attribution"] = self.attribution.to_dict()
         return out
 
+    def emit(self, tracer: Observer) -> None:
+        """Put this decision on ``tracer`` as a ``decision`` event."""
+        payload = self.to_dict()
+        del payload["t"], payload["job_id"]
+        tracer.emit(self.time, "decision", self.job_id, **payload)
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PlacementDecision":
         binder = data.get("binder")
@@ -243,6 +251,12 @@ class RefitRecord:
             out["wall_seconds"] = self.wall_seconds
         return out
 
+    def emit(self, tracer: Observer) -> None:
+        """Put this refit on ``tracer`` as a ``refit`` event."""
+        payload = self.to_dict()
+        del payload["t"]
+        tracer.emit(self.time, "refit", None, **payload)
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RefitRecord":
         return cls(time=float(data["t"]), model=str(data["model"]),
@@ -290,100 +304,83 @@ class Counterfactual:
         }
 
 
-class DecisionAudit:
-    """Collects placement decisions and renders explanations.
+#: Trace kinds the audit folds; it skips every other kind.
+_FOLDED_KINDS = frozenset({"decision", "refit"})
+
+#: Scheduler attribute holding the frozen model of each
+#: :meth:`DecisionAudit.counterfactual` kind.
+_FROZEN_MODELS = {"duration": "estimator", "sharing": "packing_model"}
+
+
+class DecisionAudit(Observer):
+    """Folds the ``decision`` and ``refit`` events of a trace stream
+    into placement records and renders explanations.
+
+    A stream observer: attach it with ``Simulator(observers=[audit])``
+    or ``sim.observe(audit)``, before ``begin()`` or later, or rebuild
+    it offline from a run's ``events.jsonl`` (:meth:`from_jsonl`).
+    Both paths fold each event through one function, so a live audit
+    and its offline rebuild hold the same records.
 
     Parameters
     ----------
-    tracer:
-        Optional trace stream; every recorded decision and refit is
-        mirrored as a ``"decision"`` / ``"refit"`` event, so the event
-        log alone rebuilds the audit (:meth:`from_jsonl`).
     attribution:
-        When ``True``, the scheduler's model calls additionally attach
-        :class:`~repro.models.attrib.Attribution` records to verdicts and
-        decisions (and :meth:`counterfactual` becomes available).  Off by
-        default — the zero-overhead contract: scheduling is bit-identical
-        either way, attribution merely *records* more.
+        When ``True``, :meth:`attach` sets the engine's ``attributing``
+        flag: Lucid then puts an :class:`~repro.models.attrib.Attribution`
+        of the duration and sharing-score models in every decision it
+        emits, and :meth:`counterfactual` can re-run those models.  Off
+        by default, because attribution costs time on every placement;
+        scheduling is bit-identical either way.
     """
 
-    def __init__(self, tracer: Optional[Observer] = None,
-                 attribution: bool = False) -> None:
-        self.tracer = tracer
+    enabled = True
+
+    def __init__(self, attribution: bool = False) -> None:
         self.attribution = attribution
         self.records: List[PlacementDecision] = []
         self.refits: List[RefitRecord] = []
-        self._pending_binder: Dict[int, BinderVerdict] = {}
-        #: Job-level attributor (set by the scheduler when attribution is
-        #: on): ``job -> Optional[Attribution]`` for the duration model.
-        self._job_attributor: Optional[
-            Callable[[Any], Optional[Attribution]]] = None
-        #: Frozen-model re-run hooks for :meth:`counterfactual`, keyed by
-        #: model kind (``"duration"``, ``"sharing"``): a callable mapping
-        #: a raw feature vector to a fresh :class:`Attribution`.
+        #: The attached engine's scheduler, whose frozen models
+        #: :meth:`counterfactual` re-runs (they are trained in
+        #: ``begin()``, so they are looked up when asked for).
+        self._scheduler: Any = None
+        #: Explicit frozen-model hooks, keyed by model kind
+        #: (``"duration"``, ``"sharing"``): a callable mapping a raw
+        #: feature vector to a fresh :class:`Attribution`.
         self._vector_attributors: Dict[
             str, Callable[[Sequence[float]], Attribution]] = {}
 
-    def __getstate__(self):  # the engine's tracer: never pickled
-        return {**self.__dict__, "tracer": None}
+    def attach(self, engine: Any) -> None:
+        if self.attribution:
+            engine.attributing = True
+            self._scheduler = engine.scheduler
 
-    # ------------------------------------------------------------------
-    # Attribution plumbing (bound by the scheduler's ``attach``)
-    # ------------------------------------------------------------------
-    def bind_job_attributor(
-            self, fn: Callable[[Any], Optional[Attribution]]) -> None:
-        self._job_attributor = fn
+    def emit(self, time: float, kind: str, job_id: Optional[int] = None,
+             **data: Any) -> None:
+        if kind in _FOLDED_KINDS:
+            self._fold({**data, "t": time, "kind": kind, "job_id": job_id})
+
+    def _fold(self, record: Dict[str, Any]) -> None:
+        """Add one ``decision`` or ``refit`` record (other kinds are
+        skipped); the live stream and :meth:`from_dicts` both land here."""
+        kind = record.get("kind")
+        if kind == "decision":
+            self.records.append(PlacementDecision.from_dict(record))
+        elif kind == "refit":
+            self.refits.append(RefitRecord.from_dict(record))
 
     def bind_vector_attributor(
             self, which: str,
             fn: Callable[[Sequence[float]], Attribution]) -> None:
         self._vector_attributors[which] = fn
 
-    def attribution_for(self, job: Any) -> Optional[Attribution]:
-        """Duration-model attribution of one job, or ``None`` when off."""
-        if not self.attribution or self._job_attributor is None:
-            return None
-        return self._job_attributor(job)
-
-    # ------------------------------------------------------------------
-    # Recording (called by the binder / orchestrator / Lucid)
-    # ------------------------------------------------------------------
-    def note_binder(self, verdict: BinderVerdict) -> None:
-        """Stash the latest binder verdict for a job.
-
-        The orchestrator collects it into the job's placement decision via
-        :meth:`take_binder`, in the same pass: :meth:`clear_binder` drops
-        every verdict at the start of the next one.
-        """
-        self._pending_binder[verdict.job_id] = verdict
-
-    def take_binder(self, job_id: int) -> Optional[BinderVerdict]:
-        return self._pending_binder.pop(job_id, None)
-
-    def clear_binder(self) -> None:
-        """Drop the verdicts of earlier passes, so a placement never
-        carries the verdict of a search it did not make."""
-        self._pending_binder.clear()
-
-    def record(self, decision: PlacementDecision) -> PlacementDecision:
-        self.records.append(decision)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(decision.time, "decision", decision.job_id,
-                             **{k: v for k, v in decision.to_dict().items()
-                                if k not in ("t", "job_id")})
-        return decision
-
-    def record_refit(self, time: float, model: str, new_records: int,
-                     r2: Optional[float] = None,
-                     samples: Optional[int] = None,
-                     wall_seconds: Optional[float] = None) -> None:
-        record = RefitRecord(time, model, new_records, r2=r2,
-                             samples=samples, wall_seconds=wall_seconds)
-        self.refits.append(record)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(time, "refit", None,
-                             **{k: v for k, v in record.to_dict().items()
-                                if k != "t"})
+    def _vector_attributor(
+            self, which: str
+    ) -> Optional[Callable[[Sequence[float]], Attribution]]:
+        fn = self._vector_attributors.get(which)
+        if fn is None and which in _FROZEN_MODELS:
+            model = getattr(self._scheduler, _FROZEN_MODELS[which], None)
+            fn = getattr(model, "attribute_vector", None)
+        return fn
 
     # ------------------------------------------------------------------
     # Queries
@@ -414,11 +411,14 @@ class DecisionAudit:
         Raises ``KeyError`` for unknown jobs / kinds and ``ValueError``
         for unknown feature names.
         """
-        fn = self._vector_attributors.get(which)
+        fn = self._vector_attributor(which)
         if fn is None:
+            known = [k for k in sorted({*_FROZEN_MODELS,
+                                        *self._vector_attributors})
+                     if self._vector_attributor(k) is not None]
             raise KeyError(
                 f"no frozen model registered for {which!r}; "
-                f"known: {sorted(self._vector_attributors)}")
+                f"known: {known}")
         baseline: Optional[Attribution] = None
         for decision in reversed(self.for_job(job_id)):
             if which == "sharing":
@@ -472,11 +472,7 @@ class DecisionAudit:
         events of a trace log (other kinds are skipped)."""
         audit = cls()
         for record in records:
-            kind = record.get("kind")
-            if kind == "refit":
-                audit.refits.append(RefitRecord.from_dict(record))
-            elif kind == "decision":
-                audit.records.append(PlacementDecision.from_dict(record))
+            audit._fold(record)
         return audit
 
     @classmethod

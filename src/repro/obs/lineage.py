@@ -1,8 +1,8 @@
 """Causal event lineage and exact JCT decomposition.
 
 Answers *why was this job slow?* — the outcome-level counterpart of
-``repro explain`` (which interprets a single placement decision).  Three
-layers:
+the decision audit (:mod:`repro.obs.audit`, which interprets each
+placement decision); ``repro why`` prints both.  Three layers:
 
 * :class:`LineageCollector` — an :class:`~repro.obs.tracer.Observer`
   (``Simulator(observers=[LineageCollector()])``) that folds the engine's

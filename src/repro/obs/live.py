@@ -7,8 +7,8 @@ must not grow memory with uptime), and a wire format scrapers already
 speak.  :class:`LiveRegistry` provides exactly that.  Offline runs keep
 no registry: each of their facts has one home elsewhere (event counts
 in the trace stream, fault counts in
-:class:`~repro.sim.metrics.FaultStats`, refit quality in the decision
-audit, pass latency in :class:`~repro.obs.prof.SimProfiler`).
+:class:`~repro.sim.metrics.FaultStats`, refit quality in the ``refit``
+events, pass latency in :class:`~repro.obs.prof.SimProfiler`).
 
 * :meth:`LiveRegistry.counter` / :meth:`~LiveRegistry.gauge` /
   :meth:`~LiveRegistry.histogram` — get-or-create, optionally with a

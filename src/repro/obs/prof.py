@@ -296,8 +296,8 @@ class SimProfiler(Observer):
                        "seconds": seconds}
                 for kind, seconds in sorted(self.event_seconds.items())  # repro: noqa RPR121 — canonical report ordering
             },
-            "schedule_passes": {"count": self.pass_count,
-                                "seconds": self.pass_seconds},
+            "schedule_passes": dict(self.pass_summary(),
+                                    count=self.pass_count),
             "spans": {
                 name: dict(summary,
                            count=self.span_counts.get(name, 0))

@@ -421,6 +421,12 @@ def _profile_html(profile: Optional[Dict[str, Any]]) -> str:
                  for name, stats in sorted(spans.items())
                  if isinstance(stats, dict)]
     out = headline
+    passes = profile.get("schedule_passes") or {}
+    if "p50" in passes:
+        out += "<h3>Scheduler passes</h3>" + _html_table(
+            ["passes", "p50 (ms)", "p95 (ms)", "max (ms)"],
+            [[passes.get("count"), 1e3 * passes["p50"],
+              1e3 * passes["p95"], 1e3 * passes["max"]]])
     if kind_rows:
         out += "<h3>Event kinds</h3>" + _html_table(
             ["kind", "count", "seconds"], kind_rows)

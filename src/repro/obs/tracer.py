@@ -242,8 +242,9 @@ class RingBufferTracer(Observer):
         self._owns_sink = False
         self.n_emitted = 0
         #: Events evicted from the ring buffer on overflow.  Silent loss
-        #: is a footgun for long runs, so ``repro trace`` reports the
-        #: count.  The JSONL sink (when set) still receives every event.
+        #: is a footgun for long runs, so ``repro simulate --out`` and
+        #: ``repro report`` warn with the count.  The JSONL sink (when
+        #: set) still receives every event.
         self.n_dropped = 0
         if isinstance(sink, str):
             self._sink_path = sink

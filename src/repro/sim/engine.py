@@ -58,7 +58,8 @@ _EPS = 1e-6
 #: Engine attributes that hold observers or derive from them: a snapshot
 #: leaves them out (so do attributes holding an observer, such as a
 #: handle an observer's ``attach`` sets) and unpickling resets them.
-_OBSERVER_SLOTS = frozenset({"observers", "tracer", "_tracing", "profiler"})
+_OBSERVER_SLOTS = frozenset({"observers", "tracer", "_tracing", "profiler",
+                             "attributing"})
 
 logger = get_logger("sim.engine")
 
@@ -168,6 +169,10 @@ class Simulator:
         #: brackets dispatch and passes and takes the schedulers' counts
         #: and spans; ``None`` costs one identity check per site.
         self.profiler: Optional[SimProfiler] = None
+        #: Set by ``DecisionAudit(attribution=True).attach``: traced
+        #: schedulers then put model attributions in their ``decision``
+        #: events.
+        self.attributing = False
 
     def observe(self, observer: Observer) -> None:
         """Attach ``observer``, before :meth:`begin` or between steps.

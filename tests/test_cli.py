@@ -2,6 +2,10 @@
 
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,25 +59,29 @@ class TestSimulate:
 
 
 class TestTrace:
-    def test_tail_prints_last_events(self, tmp_path, capsys):
-        code = main(["trace", "--trace", "venus", "--jobs", "40",
-                     "--scheduler", "fifo", "--out", str(tmp_path),
-                     "--tail", "3"])
+    """``simulate --out DIR`` is the traced run: the summary table, then
+    the event log and the timeline."""
+
+    def test_out_writes_events_and_timeline(self, tmp_path, capsys):
+        code = main(["simulate", "--trace", "venus", "--jobs", "40",
+                     "--scheduler", "lucid", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Last 3 of" in out
-        # The tail lines are the JSON event records themselves.
-        tail_lines = [line.strip() for line in out.splitlines()
-                      if line.strip().startswith("{")]
-        assert len(tail_lines) == 3
-        assert all('"kind"' in line for line in tail_lines)
+        assert "avg JCT" in out and "[traced]" in out
+        kinds = {json.loads(line)["kind"]
+                 for line in open(tmp_path / "events.jsonl")}
+        assert {"submit", "start", "finish", "decision"} <= kinds
+        timeline = json.load(open(tmp_path / "timeline.json"))
+        assert timeline["traceEvents"]
 
     def test_no_tail_by_default(self, tmp_path, capsys):
-        code = main(["trace", "--trace", "venus", "--jobs", "40",
+        code = main(["simulate", "--trace", "venus", "--jobs", "40",
                      "--scheduler", "fifo", "--out", str(tmp_path)])
         assert code == 0
         out, err = capsys.readouterr()
-        assert "Last " not in out
+        # No event records on stdout: they go to events.jsonl.
+        assert not [line for line in out.splitlines()
+                    if line.strip().startswith("{")]
         # A roomy default ring drops nothing, so no overflow warning.
         assert "overflowed" not in err
 
@@ -82,12 +90,32 @@ class TestTrace:
         real = cli.RingBufferTracer
         monkeypatch.setattr(cli, "RingBufferTracer",
                             lambda **kw: real(capacity=16, **kw))
-        code = main(["trace", "--trace", "venus", "--jobs", "40",
+        code = main(["simulate", "--trace", "venus", "--jobs", "40",
                      "--scheduler", "fifo", "--out", str(tmp_path)])
         assert code == 0
         err = capsys.readouterr().err
         assert "ring buffer overflowed" in err
         assert "oldest events dropped" in err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        """``repro why ... | head -1``: the reader goes away after one
+        line, and the CLI exits non-zero without a traceback."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "why", "201", "--trace",
+             "venus", "--jobs", "60", "--seed", "7", "--scheduler",
+             "fifo"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestCompare:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import LucidConfig, LucidScheduler, UpdateEngine
 from repro.obs import (
-    NULL_TRACER,
     BinderVerdict,
     DecisionAudit,
     PlacementDecision,
@@ -15,8 +14,7 @@ from repro.sim import Simulator
 from repro.traces import VENUS, TraceGenerator, TraceSpec
 
 
-def _lucid_run(observers=(), audit=None, n_jobs=40, span_days=0.25,
-               **config_changes):
+def _lucid_run(observers=(), n_jobs=40, span_days=0.25, **config_changes):
     spec = TraceSpec(name="tiny", n_nodes=4, n_vcs=2, n_jobs=n_jobs,
                      full_n_jobs=n_jobs, mean_duration=1500.0,
                      span_days=span_days, n_users=6, seed=21)
@@ -25,7 +23,7 @@ def _lucid_run(observers=(), audit=None, n_jobs=40, span_days=0.25,
     history = generator.generate_history()
     jobs = generator.generate()
     config = LucidConfig(**config_changes)
-    scheduler = LucidScheduler(history, config=config, audit=audit)
+    scheduler = LucidScheduler(history, config=config)
     sim = Simulator(cluster, jobs, scheduler, observers=observers)
     return sim.run(), scheduler, sim
 
@@ -33,12 +31,11 @@ def _lucid_run(observers=(), audit=None, n_jobs=40, span_days=0.25,
 class TestLucidAudit:
     def test_every_start_has_exactly_one_matching_record(self):
         # Profiler off: each job starts exactly once, via the orchestrator.
-        tracer = RingBufferTracer()
-        result, scheduler, _ = _lucid_run([tracer],
+        tracer, audit = RingBufferTracer(), DecisionAudit()
+        result, scheduler, _ = _lucid_run([tracer, audit],
                                           enable_profiler=False,
                                           instability_rate=0.0)
-        audit = scheduler.audit
-        assert audit is not None and audit.tracer is tracer
+        assert not hasattr(scheduler, "audit")
 
         starts = tracer.of_kind("start")
         assert len(starts) == len(result.records)  # one start per job
@@ -53,9 +50,8 @@ class TestLucidAudit:
                                          "shared-fallback")
 
     def test_profiler_runs_are_audited_too(self):
-        tracer = RingBufferTracer()
-        result, scheduler, _ = _lucid_run([tracer])
-        audit = scheduler.audit
+        tracer, audit = RingBufferTracer(), DecisionAudit()
+        _lucid_run([tracer, audit])
         starts = tracer.of_kind("start")
         assert len(audit) == len(starts)
         profiled = [e for e in starts if e.data["profiling"]]
@@ -65,25 +61,27 @@ class TestLucidAudit:
             assert "profiling" in modes
 
     def test_explicit_audit_without_tracer(self):
+        """An audit alone is the stream: attaching it enables the
+        decisions, and nothing else listens."""
         audit = DecisionAudit()
-        result, scheduler, sim = _lucid_run(audit=audit,
+        result, scheduler, sim = _lucid_run([audit],
                                             enable_profiler=False)
-        assert sim.tracer is NULL_TRACER  # untraced run stays untraced
+        assert sim.tracer is audit
         assert len(audit) == len(result.records)
         text = audit.explain(result.records[0].job_id)
         assert "priority" in text
 
     def test_decisions_mirrored_as_trace_events(self):
-        tracer = RingBufferTracer()
-        _, scheduler, _ = _lucid_run([tracer], enable_profiler=False)
+        tracer, audit = RingBufferTracer(), DecisionAudit()
+        _lucid_run([tracer, audit], enable_profiler=False)
         decisions = tracer.of_kind("decision")
-        assert len(decisions) == len(scheduler.audit)
+        assert len(decisions) == len(audit)
 
     def test_audit_jsonl_export(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
+        audit = DecisionAudit()
         with RingBufferTracer(sink=path) as tracer:
-            _, scheduler, _ = _lucid_run([tracer], enable_profiler=False)
-        audit = scheduler.audit
+            _lucid_run([tracer, audit], enable_profiler=False)
         lines = [line for line in read_jsonl(path)
                  if line["kind"] in ("decision", "refit")]
         assert len(lines) == len(audit) + len(audit.refits)
@@ -100,9 +98,9 @@ def test_no_placement_carries_a_verdict_from_an_earlier_pass():
     generator = TraceGenerator(VENUS.with_jobs(400))
     audit = DecisionAudit(attribution=True)
     scheduler = LucidScheduler(generator.generate_history(),
-                               LucidConfig(seed=7), audit=audit)
+                               LucidConfig(seed=7))
     Simulator(generator.build_cluster(), generator.generate(),
-              scheduler).run()
+              scheduler, observers=[audit]).run()
     searchless = [d for d in audit.records
                   if d.mode in ("exclusive", "relaxed")
                   and d.sharing_mode in ("fallback", "off")]
@@ -161,11 +159,10 @@ class TestRefitAudit:
         audit = DecisionAudit()
         estimator = self._StubEstimator()
         engine = UpdateEngine(estimator, interval=100.0, min_new_records=2)
-        engine.audit = audit
         engine.collect(self._Record(), now=0.0)
         engine.collect(self._Record(), now=1.0)
-        assert not engine.maybe_refit(50.0)
-        assert engine.maybe_refit(150.0)
+        assert not engine.maybe_refit(50.0, tracer=audit)
+        assert engine.maybe_refit(150.0, tracer=audit)
         assert len(audit.refits) == 1
         assert audit.refits[0].new_records == 2
         assert audit.refits[0].model == "workload_estimate"
@@ -178,9 +175,8 @@ class TestRefitAudit:
         audit = DecisionAudit()
         estimator = self._QualityEstimator()
         engine = UpdateEngine(estimator, interval=100.0, min_new_records=1)
-        engine.audit = audit
         engine.collect(self._Record(), now=0.0)
-        assert engine.maybe_refit(150.0)
+        assert engine.maybe_refit(150.0, tracer=audit)
         record = audit.refits[0]
         assert record.r2 == 0.75
         assert record.samples == 42
@@ -194,11 +190,10 @@ class TestRefitAudit:
 
         engine = UpdateEngine(self._StubEstimator(), interval=100.0,
                               min_new_records=1)
-        profiler = SimProfiler()
-        engine.audit = DecisionAudit()
+        profiler, audit = SimProfiler(), DecisionAudit()
         engine.collect(self._Record(), now=0.0)
-        assert engine.maybe_refit(150.0, profiler)
-        wall = engine.audit.refits[0].wall_seconds
+        assert engine.maybe_refit(150.0, profiler, audit)
+        wall = audit.refits[0].wall_seconds
         assert wall is not None and wall >= 0.0
         assert profiler.span_counts.get("lucid.refit") == 1
 
@@ -208,10 +203,10 @@ class TestAtomicJsonlExport:
 
     def _export_one_decision(self, path):
         with RingBufferTracer(sink=str(path)) as tracer:
-            DecisionAudit(tracer=tracer).record(PlacementDecision(
+            PlacementDecision(
                 time=1.0, job_id=7, mode="exclusive", gpu_ids=(0,),
                 node_ids=(0,), priority=10.0, estimated_duration=100.0,
-                sharing_mode="off"))
+                sharing_mode="off").emit(tracer)
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deeply" / "nested" / "events.jsonl"
@@ -229,7 +224,7 @@ class TestAtomicJsonlExport:
         audit = DecisionAudit(attribution=True)
         path = str(tmp_path / "events.jsonl")
         with RingBufferTracer(sink=path) as tracer:
-            _lucid_run([tracer], audit=audit, n_jobs=120, span_days=0.5,
+            _lucid_run([tracer, audit], n_jobs=120, span_days=0.5,
                        enable_profiler=False, update_interval=3600.0)
         assert any(d.attribution is not None for d in audit.records)
         assert audit.refits
@@ -255,10 +250,10 @@ class TestCounterfactual:
         verdict = BinderVerdict(job_id=5, mate_id=None, mode="DEFAULT",
                                 gss_capacity=2, job_score=2,
                                 attribution=model.attribute(profile))
-        audit.record(PlacementDecision(
+        PlacementDecision(
             time=1.0, job_id=5, mode="exclusive", gpu_ids=(0,),
             node_ids=(0,), priority=10.0, estimated_duration=100.0,
-            sharing_mode="eager", binder=verdict))
+            sharing_mode="eager", binder=verdict).emit(audit)
         return audit, model
 
     def test_sharing_counterfactual_reruns_frozen_model(self):
@@ -286,3 +281,54 @@ class TestCounterfactual:
         audit, _ = self._audited_packing_model()
         with pytest.raises(KeyError, match="no recorded"):
             audit.counterfactual(999, which="sharing")
+
+
+def _venus_run(observers=(), late=()):
+    """Lucid on venus@120 (seed 7); ``late`` observers join right after
+    ``begin()``."""
+    generator = TraceGenerator(VENUS.with_jobs(120).with_seed(7))
+    scheduler = LucidScheduler(generator.generate_history(),
+                               LucidConfig(seed=7))
+    sim = Simulator(generator.build_cluster(), generator.generate(),
+                    scheduler, observers=observers)
+    sim.begin()
+    for observer in late:
+        sim.observe(observer)
+    while sim.step_batch():
+        pass
+    sim.finalize()
+
+
+class TestLateAttach:
+    """Lucid emits on whatever stream is attached when it decides, so an
+    observer that joins after ``begin()`` (as the serve daemon's do)
+    sees what a constructor-attached one sees."""
+
+    def test_late_stream_observer_gets_decisions_and_refits(self):
+        early, late = RingBufferTracer(), RingBufferTracer()
+        _venus_run([early])
+        _venus_run(late=[late])
+        counts = early.counts_by_kind()
+        assert counts["decision"] > 0 and counts["refit"] > 0
+        assert late.counts_by_kind() == counts
+
+    def test_late_audit_matches_early_audit(self):
+        early = DecisionAudit(attribution=True)
+        late = DecisionAudit(attribution=True)
+        _venus_run([early])
+        _venus_run(late=[late])
+        assert early.records and early.refits
+        assert any(d.attribution is not None for d in early.records)
+        assert late.records == early.records
+        assert late.refits == early.refits
+
+    def test_counterfactual_uses_the_schedulers_models(self):
+        """An attributing audit attached before ``begin()`` re-runs the
+        models ``begin()`` trained."""
+        audit = DecisionAudit(attribution=True)
+        _lucid_run([audit], enable_profiler=False)
+        job_id = next(d.job_id for d in audit.records
+                      if d.attribution is not None)
+        probe = audit.counterfactual(job_id, gpu_num=8)
+        assert probe.overrides == {"gpu_num": 8.0}
+        assert probe.baseline.predicted != probe.probe.predicted

@@ -9,8 +9,7 @@ offline trace-reconstruction path (``lineage_from_trace``) reproduces
 the live DAG node for node, and no main-cluster start cites a
 profiling-stage release; main-queue waits name blockers; the critical
 path is a causally ordered chain ending at the terminal event; and the
-``repro why`` / filtered ``repro trace`` / ``repro explain`` CLI
-surfaces behave as documented.
+``repro why`` CLI surface behaves as documented.
 """
 
 from __future__ import annotations
@@ -265,7 +264,7 @@ class TestWhyCli:
         assert doc["critical_path"]
 
     def test_why_offline_from_export(self, tmp_path, capsys):
-        code = main(["trace", "--trace", "venus", "--jobs", "60",
+        code = main(["simulate", "--trace", "venus", "--jobs", "60",
                      "--scheduler", "lucid", "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -279,6 +278,7 @@ class TestWhyCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["source"] == events
+        assert doc["decisions"]  # the same log carries the decisions
         total = math.fsum(doc["decomposition"]["components"].values())
         assert total == pytest.approx(doc["decomposition"]["jct"],
                                       abs=1e-9)
@@ -291,31 +291,9 @@ class TestWhyCli:
         assert "did you mean" in err
 
 
-class TestTraceFilters:
-    def test_job_and_kind_filters(self, tmp_path, capsys):
-        code = main(["trace", "--trace", "venus", "--jobs", "40",
-                     "--scheduler", "fifo", "--seed", "3",
-                     "--out", str(tmp_path / "a"),
-                     "--job", "201", "--kind", "start",
-                     "--kind", "finish"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "retained events match" in out
-        assert "job=201" in out
-
-    def test_filter_with_no_matches_reports_zero(self, tmp_path,
-                                                 capsys):
-        code = main(["trace", "--trace", "venus", "--jobs", "40",
-                     "--scheduler", "fifo", "--seed", "3",
-                     "--out", str(tmp_path / "b"),
-                     "--job", "999999"])
-        assert code == 0
-        assert "0 of" in capsys.readouterr().out
-
-
 class TestExplainSuggestions:
     def test_unknown_id_offers_nearest(self, capsys):
-        code = main(["explain", "2011", "--trace", "venus",
+        code = main(["why", "2011", "--trace", "venus",
                      "--jobs", "40", "--scheduler", "lucid",
                      "--seed", "3"])
         assert code != 0

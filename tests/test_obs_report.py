@@ -1,4 +1,4 @@
-"""Tests for the run-report generator and the report/explain CLI."""
+"""Tests for the run-report generator and the report/why CLI."""
 
 import json
 import os
@@ -7,7 +7,6 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.core import LucidScheduler
 from repro.obs import (
     DecisionAudit,
     REPORT_SCHEMA,
@@ -37,16 +36,12 @@ def _observed_run(scheduler_name="lucid", observers=()):
     cluster = generator.build_cluster()
     history = generator.generate_history()
     jobs = generator.generate()
-    if scheduler_name == "lucid":
-        audit = DecisionAudit(attribution=True)
-        scheduler = LucidScheduler(history, audit=audit)
-    else:
-        audit = None
-        scheduler = make_scheduler(scheduler_name, history)
+    audit = DecisionAudit(attribution=True)
     profiler = SimProfiler()
     series = SeriesCollector(interval=600.0)
-    result = Simulator(cluster, jobs, scheduler,
-                       observers=[profiler, series, *observers]).run()
+    result = Simulator(cluster, jobs, make_scheduler(scheduler_name, history),
+                       observers=[profiler, series, audit,
+                                  *observers]).run()
     return result, profiler, series, audit
 
 
@@ -204,14 +199,10 @@ class TestZeroOverheadBitIdentity:
         cluster = generator.build_cluster()
         history = generator.generate_history()
         jobs = generator.generate()
-        if name == "lucid" and observed:
-            scheduler = LucidScheduler(
-                history, audit=DecisionAudit(attribution=True))
-        else:
-            scheduler = make_scheduler(name, history)
-        observers = ([SimProfiler(), SeriesCollector(interval=600.0)]
+        observers = ([SimProfiler(), SeriesCollector(interval=600.0),
+                      DecisionAudit(attribution=True)]
                      if observed else [])
-        result = Simulator(cluster, jobs, scheduler,
+        result = Simulator(cluster, jobs, make_scheduler(name, history),
                            observers=observers).run()
         return (tuple(sorted(result.summary().items())),
                 tuple((r.job_id, r.jct, r.queue_delay, r.preemptions)
@@ -237,68 +228,111 @@ class TestReportCLI:
         assert rebuilt.attribution_coverage() == \
             (coverage["decisions"], coverage["with_attribution"])
 
+    def test_fifo_report_has_no_audit(self, tmp_path):
+        out = tmp_path / "fifo-out"
+        code = main(["report", "--trace", "venus", "--jobs", "40",
+                     "--seed", "7", "--scheduler", "fifo",
+                     "--out", str(out)])
+        assert code == 0
+        document = load_report(str(out / "report.json"))
+        assert document["audit"] is None
+        assert document["attributions"] is None
+        assert (out / "timeline.json").exists()
+
     def test_bench_command_and_against_flag_are_gone(self, tmp_path):
+        events = str(tmp_path / "events.jsonl")
         for argv in (["bench", "--quick"],
                      ["report", "--out", str(tmp_path / "o"),
-                      "--against", str(tmp_path / "b.json")]):
+                      "--against", str(tmp_path / "b.json")],
+                     ["trace", "--jobs", "10"],
+                     ["explain", "201", "--jobs", "10"],
+                     ["explain", "201", "--audit", events],
+                     ["simulate", "--jobs", "10",
+                      "--trace-out", str(tmp_path / "t")]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
 
 
 class TestExplainCLI:
+    """``repro why`` explains a job's placement decisions after its JCT
+    decomposition, live or from an exported event log."""
+
     def test_unknown_job_exits_1(self, capsys):
-        code = main(["explain", "424242", "--trace", "venus",
+        code = main(["why", "424242", "--trace", "venus",
                      "--jobs", "60", "--seed", "7"])
         assert code == 1
-        assert "no recorded decisions" in capsys.readouterr().err
+        assert "no lineage recorded" in capsys.readouterr().err
 
     def test_json_format_lists_decisions(self, capsys):
-        code = main(["explain", "201", "--trace", "venus", "--jobs", "60",
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
                      "--seed", "7", "--format", "json"])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["job_id"] == 201
+        assert document["decomposition"]["job_id"] == 201
         assert document["decisions"]
         assert all(d["job_id"] == 201 for d in document["decisions"])
+        assert any("attribution" in d for d in document["decisions"])
+        assert document["counterfactual"] is None
 
     def test_what_if_probe(self, capsys):
-        code = main(["explain", "201", "--trace", "venus", "--jobs", "60",
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
                      "--seed", "7", "--what-if", "gpu_num=8"])
         assert code == 0
         out = capsys.readouterr().out
+        assert "placement decisions (" in out
         assert "with gpu_num=8" in out
+        assert out.index("placement decisions (") < out.index("gpu_num=8")
+
+    def test_what_if_json_carries_the_counterfactual(self, capsys):
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
+                     "--seed", "7", "--what-if", "gpu_num=8",
+                     "--format", "json"])
+        assert code == 0
+        probe = json.loads(capsys.readouterr().out)["counterfactual"]
+        assert probe["job_id"] == 201 and probe["which"] == "duration"
+        assert probe["overrides"] == {"gpu_num": 8.0}
 
     def test_bad_what_if_spec_exits_2(self, capsys):
-        code = main(["explain", "201", "--trace", "venus", "--jobs", "60",
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
                      "--seed", "7", "--what-if", "gpu_num=lots"])
         assert code == 2
+        assert "bad --what-if" in capsys.readouterr().err
 
     def test_unknown_feature_exits_2(self, capsys):
-        code = main(["explain", "201", "--trace", "venus", "--jobs", "60",
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
                      "--seed", "7", "--what-if", "flux_capacitor=1"])
         assert code == 2
         assert "counterfactual failed" in capsys.readouterr().err
 
     def test_audit_file_source(self, tmp_path, capsys):
+        """Offline, one events.jsonl feeds the lineage and the audit."""
         path = tmp_path / "deep" / "events.jsonl"
         with RingBufferTracer(sink=str(path)) as tracer:
             _, _, _, audit = _observed_run(observers=[tracer])
-        job_id = audit.records[0].job_id
-        code = main(["explain", str(job_id), "--audit", str(path)])
+        job_id = audit.records[-1].job_id
+        code = main(["why", str(job_id), "--trace", str(path),
+                     "--format", "json"])
         assert code == 0
-        assert f"job {job_id}" in capsys.readouterr().out
+        document = json.loads(capsys.readouterr().out)
+        assert document["source"] == str(path)
+        assert document["decisions"] == [d.to_dict() for d in
+                                          audit.for_job(job_id)]
 
     def test_what_if_rejected_with_audit_file(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
         with RingBufferTracer(sink=str(path)) as tracer:
             _observed_run(observers=[tracer])
-        code = main(["explain", "1", "--audit", str(path),
+        code = main(["why", "1", "--trace", str(path),
                      "--what-if", "gpu_num=8"])
         assert code == 2
+        assert "live run" in capsys.readouterr().err
 
-    def test_non_audited_scheduler_exits_2(self, capsys):
-        code = main(["explain", "201", "--trace", "venus", "--jobs", "60",
+    def test_scheduler_without_decisions_exits_0(self, capsys):
+        """A scheduler that emits no decisions still gets its lineage."""
+        code = main(["why", "201", "--trace", "venus", "--jobs", "60",
                      "--seed", "7", "--scheduler", "fifo"])
-        assert code == 2
-        assert "no decision audit" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "JCT" in out
+        assert "no placement decisions recorded for job 201" in out

@@ -134,12 +134,13 @@ class FullWalkLucid(LucidScheduler):
         return None
 
 
-def _audited_sim(scheduler_cls=LucidScheduler, **kwargs):
+def _audited_sim(scheduler_cls=LucidScheduler, observers=(), **kwargs):
     audit = DecisionAudit(attribution=True)
     generator = TraceGenerator(TIGHT)
     scheduler = scheduler_cls(generator.generate_history(),
-                              LucidConfig(seed=7), audit=audit)
-    return tight_sim(scheduler, **kwargs), audit
+                              LucidConfig(seed=7))
+    return tight_sim(scheduler, observers=[audit, *observers],
+                     **kwargs), audit
 
 
 def _decisions(audit):
@@ -166,10 +167,10 @@ def test_audited_runs_take_the_unaudited_path():
 
 
 def test_sanitizer_leaves_the_audit_unchanged(tmp_path):
-    """The reference run is a copy taken after the audit was attached;
-    it records into its own copy of the audit, never into the tracer,
-    so a sanitized traced run writes the event log, decisions and
-    refits included, of an unsanitized one."""
+    """The reference run is a copy without observers, so it emits no
+    decision into the tracer or the audit: a sanitized traced run
+    writes the event log, decisions and refits included, of an
+    unsanitized one."""
     paths = []
     for sanitize in (True, False):
         path = tmp_path / f"events-{sanitize}.jsonl"

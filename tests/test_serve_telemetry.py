@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs.audit import DecisionAudit
 from repro.obs.lineage import LineageCollector
 from repro.obs.live import CONTENT_TYPE_PROMETHEUS
 from repro.obs.logutil import configure_logging
@@ -439,19 +440,24 @@ class TestSnapshotBytes:
     def test_blob_identical_with_telemetry_on(self, config):
         plain = SimCore.genesis(config)
         observed = SimCore.genesis(config)
-        # The observers the daemon attaches when telemetry is on.
+        # The observers the daemon attaches when telemetry is on, plus
+        # an attributing decision audit.
         collector = LineageCollector()
+        audit = DecisionAudit(attribution=True)
         observed.sim.observe(SimProfiler())
         observed.sim.observe(collector)
+        observed.sim.observe(audit)
         for tick in range(10):
             for core in (plain, observed):
                 core.admit_specs([dict(SPEC, name=f"job{tick}")],
                                  [f"{tick:04d}.json"])
                 core.advance()
         assert collector.events, "the collector observed nothing"
+        if config is LUCID_CONFIG:
+            assert audit.records, "the audit folded no decision"
         assert observed.to_blob() == plain.to_blob()
-        assert observed.sim.tracer is collector
-        assert observed.sim._tracing and observed.sim.profiler is not None
+        assert observed.sim._tracing and observed.sim.attributing
+        assert observed.sim.profiler is not None
 
 
 class TestObserversAttachedAfterBegin:
